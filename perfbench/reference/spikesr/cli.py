@@ -1,0 +1,392 @@
+"""Command-line pipeline: synth, downsample, train, infer, eval, render, info.
+
+Exit codes: 0 on success, 1 on runtime failure (I/O, corrupt data,
+training blow-up), 2 on usage or validation errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .events import EventError, EventStream
+from .io import EventFormatError, guess_format, load_events, save_events
+from .metrics import MetricsReport, rmse_st
+from .model import (ModelError, count_flops, count_params, load_checkpoint,
+                    network_spec, save_checkpoint, super_resolve)
+from .synth import synth_moving_bar
+from .training import TrainConfig, TrainingError, resolve_mode, train
+
+US_PER_MS = 1000
+
+
+class UsageError(Exception):
+    pass
+
+
+def _parse_size(text):
+    try:
+        w, h = text.lower().split("x")
+        w, h = int(w), int(h)
+    except ValueError:
+        raise UsageError(f"bad size {text!r}, expected WxH") from None
+    if w < 1 or h < 1:
+        raise UsageError("size must be positive")
+    return w, h
+
+
+def _parse_dims(text):
+    try:
+        h, w, t = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise UsageError(f"bad dims {text!r}, expected HxWxT") from None
+    return h, w, t
+
+
+def _load_stream(path, fmt=None, width=None, height=None):
+    fmt = fmt or guess_format(path)
+    return load_events(path, fmt, width=width, height=height)
+
+
+def _default_steps(stream):
+    return max(1, math.ceil(stream.span_us / US_PER_MS))
+
+
+def _read_pair_manifest(path):
+    """Lines of `left_path,right_path`; relative paths resolve next to the manifest."""
+    base = Path(path).parent
+    pairs = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise UsageError(f"{path}:{lineno}: expected two comma-separated paths")
+        pairs.append(tuple(base / p if not Path(p).is_absolute() else Path(p)
+                           for p in parts))
+    if not pairs:
+        raise UsageError(f"{path}: empty manifest")
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+
+def cmd_synth(args):
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    width, height = _parse_size(args.size)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = []
+    for i in range(args.n):
+        gen = np.random.default_rng([args.seed, i])
+        velocity = float(gen.uniform(0.15, 0.45))
+        rate = float(gen.uniform(1.5, 3.0))
+        stream = synth_moving_bar(width, height, args.dur, velocity, rate,
+                                  seed=int(gen.integers(2 ** 31)))
+        name = f"bar_{i:03d}.evbin"
+        save_events(stream, out_dir / name, "evbin")
+        names.append(name)
+    (out_dir / "manifest.txt").write_text("\n".join(names) + "\n")
+    print(f"wrote {len(names)} streams and manifest.txt to {out_dir}")
+    return 0
+
+
+def _lr_path(hr_path: Path) -> Path:
+    return hr_path.with_name(hr_path.stem + ".lr" + hr_path.suffix)
+
+
+def cmd_downsample(args):
+    if args.manifest:
+        base = Path(args.manifest).parent
+        hr_paths = [base / line.strip() for line in
+                    Path(args.manifest).read_text().splitlines() if line.strip()]
+    else:
+        hr_paths = [Path(p) for p in args.inputs]
+    if not hr_paths:
+        raise UsageError("nothing to downsample")
+    from .events import downsample_2x
+    failures = []
+    pairs = []
+    for path in hr_paths:
+        try:
+            stream = _load_stream(path)
+            lr = downsample_2x(stream)
+            out = _lr_path(path)
+            save_events(lr, out, guess_format(out))
+            pairs.append((out, path))
+            print(f"{path} -> {out} ({len(lr)} events)")
+        except (OSError, EventError) as exc:
+            failures.append(f"{path}: {exc}")
+    if args.manifest and pairs:
+        pairs_path = Path(args.manifest).parent / "pairs.txt"
+        pairs_path.write_text(
+            "\n".join(f"{lr.name},{hr.name}" for lr, hr in pairs) + "\n")
+        print(f"wrote {pairs_path}")
+    for line in failures:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _apply_config(args, path):
+    """Fill unset CLI options from an INI file: [train], [model], [data]."""
+    ini = configparser.ConfigParser()
+    if not ini.read(path):
+        raise UsageError(f"cannot read config {path}")
+    grab = {("train", "epochs", int), ("train", "batch", int), ("train", "lr", float),
+            ("train", "seed", int), ("train", "steps", int), ("train", "val_count", int),
+            ("model", "variant", str), ("model", "mode", str), ("data", "pairs", str)}
+    for section, key, cast in grab:
+        if ini.has_option(section, key) and getattr(args, key, None) is None:
+            setattr(args, key, cast(ini.get(section, key)))
+
+
+def cmd_train(args):
+    if args.config:
+        _apply_config(args, args.config)
+    if args.pairs is None:
+        raise UsageError("--pairs (or a config [data] pairs entry) is required")
+    defaults = dict(epochs=30, batch=16, lr=0.1, seed=0, steps=64, variant="ultralight")
+    for key, val in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, val)
+    pair_paths = _read_pair_manifest(args.pairs)
+    loaded = [( _load_stream(lr), _load_stream(hr)) for lr, hr in pair_paths]
+    val_count = args.val_count if args.val_count is not None else max(1, len(loaded) // 10)
+    if val_count >= len(loaded):
+        raise UsageError("validation split leaves no training pairs")
+    train_pairs, val_pairs = loaded[:-val_count], loaded[-val_count:]
+    cfg = TrainConfig(variant=args.variant, mode=args.mode, steps=args.steps,
+                      epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+                      seed=args.seed)
+    result = train(cfg, train_pairs, val_pairs)
+    save_checkpoint(args.out, result.spec, result.weights, result.log_var, result.seed)
+    if args.report:
+        result.write_report(args.report)
+    print(f"checkpoint: {args.out}")
+    print(f"initial_val_rmse_st={result.initial_val_rmse!r}")
+    print(f"final_val_rmse_st={result.final_val_rmse!r}")
+    return 0
+
+
+def cmd_infer(args):
+    spec, weights, _, _ = load_checkpoint(args.checkpoint)
+    mode = resolve_mode(spec.variant, args.mode)
+    stream = _load_stream(args.input)
+    out_path = Path(args.out)
+    if len(stream) == 0:
+        print("warning: empty input stream, writing empty output", file=sys.stderr)
+        empty = EventStream.empty(spec.scale * stream.width, spec.scale * stream.height)
+        save_events(empty, out_path, guess_format(out_path))
+        return 0
+    steps = args.steps if args.steps is not None else _default_steps(stream)
+    result, dropped = super_resolve(spec, weights, stream, steps, mode)
+    if dropped:
+        print(f"warning: {dropped} events fell outside the {steps}-step grid",
+              file=sys.stderr)
+    save_events(result, out_path, guess_format(out_path))
+    print(f"{args.input} -> {out_path} ({len(result)} events at "
+          f"{result.width}x{result.height})")
+    return 0
+
+
+def _eval_one(pred_path, gt_path, steps):
+    pred = _load_stream(pred_path)
+    gt = _load_stream(gt_path)
+    if (pred.width, pred.height) != (gt.width, gt.height):
+        raise UsageError(
+            f"geometry mismatch: {pred_path} is {pred.width}x{pred.height}, "
+            f"{gt_path} is {gt.width}x{gt.height}")
+    if steps is None:
+        t0 = min(s.t0 for s in (pred, gt) if len(s))
+        t1 = max(s.t1 for s in (pred, gt) if len(s))
+        steps = max(1, math.ceil((t1 - t0) / US_PER_MS))
+    return rmse_st(pred, gt, steps)
+
+
+def cmd_eval(args):
+    if args.manifest:
+        reports = []
+        for pred, gt in _read_pair_manifest(args.manifest):
+            reports.append((pred, _eval_one(pred, gt, args.steps)))
+        rows = [f"pred,{MetricsReport.csv_header()}"]
+        rows += [f"{pred},{rep.to_csv_row()}" for pred, rep in reports]
+        mean_rmse = float(np.mean([rep.rmse_st for _, rep in reports]))
+        mean_pa = float(np.mean([rep.pa_percent for _, rep in reports]))
+        rows.append(f"mean,{mean_rmse!r},,,,{mean_pa!r},,,")
+        text = "\n".join(rows) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+            print(f"wrote {args.out}")
+        else:
+            print(text, end="")
+        return 0
+    if not (args.pred and args.gt):
+        raise UsageError("eval needs --pred and --gt, or --manifest")
+    print(_eval_one(args.pred, args.gt, args.steps).to_kv())
+    return 0
+
+
+def _render_frame(stream, lo, hi):
+    """RGB byte image of one window: red for positive, blue for negative,
+    white background, scaled by the window's busiest pixel."""
+    mask = (stream.t >= lo) & (stream.t < hi) if hi > lo else (stream.t == lo)
+    pos = np.zeros((stream.height, stream.width))
+    neg = np.zeros((stream.height, stream.width))
+    sel = np.flatnonzero(mask)
+    upmask = stream.p[sel] == 1
+    np.add.at(pos, (stream.y[sel[upmask]], stream.x[sel[upmask]]), 1.0)
+    np.add.at(neg, (stream.y[sel[~upmask]], stream.x[sel[~upmask]]), 1.0)
+    peak = max(pos.max(), neg.max()) if sel.size else 0.0
+    img = np.full((stream.height, stream.width, 3), 255.0)
+    if peak > 0:
+        sp, sn = pos / peak, neg / peak
+        img[..., 0] -= 255.0 * sn
+        img[..., 1] -= 255.0 * np.minimum(1.0, sp + sn)
+        img[..., 2] -= 255.0 * sp
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def _write_ppm(path, img):
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        fh.write(img.tobytes())
+
+
+def cmd_render(args):
+    stream = _load_stream(args.input)
+    prefix = Path(args.out)
+    if args.every is not None:
+        if args.every <= 0:
+            raise UsageError("--every must be positive milliseconds")
+        window = int(round(args.every * US_PER_MS))
+        n = max(1, math.ceil(stream.span_us / window)) if stream.span_us else 1
+        for k in range(n):
+            lo = stream.t0 + k * window
+            img = _render_frame(stream, lo, min(lo + window, stream.t1 + 1))
+            _write_ppm(prefix.with_name(f"{prefix.name}_{k:04d}.ppm"), img)
+        print(f"wrote {n} frames to {prefix.parent or Path('.')}")
+        return 0
+    img = _render_frame(stream, stream.t0, stream.t1 + 1)
+    path = prefix if prefix.suffix == ".ppm" else prefix.with_suffix(".ppm")
+    _write_ppm(path, img)
+    print(f"wrote {path}")
+    return 0
+
+
+def cmd_info(args):
+    if args.checkpoint:
+        spec, weights, log_var, seed = load_checkpoint(args.checkpoint)
+        print(f"checkpoint: {args.checkpoint}")
+        print(f"seed: {seed}")
+        print(f"log_var: {log_var.tolist()}")
+    elif args.variant:
+        spec = network_spec(args.variant)
+    else:
+        raise UsageError("info needs --variant or --checkpoint")
+    print(f"variant: {spec.variant}")
+    print(f"params: {count_params(spec)}")
+    for i, (layer, neuron) in enumerate(zip(spec.layers, spec.neuron_cfgs)):
+        print(f"layer {i}: {layer.kind} {layer.in_channels}->{layer.out_channels} "
+              f"kernel {layer.kernel_h}x{layer.kernel_w} stride {layer.stride} "
+              f"pad {layer.padding}")
+        print(f"neuron {i}: v_th={neuron.v_th} tau_s={neuron.tau_s} "
+              f"tau_r={neuron.tau_r} lam={neuron.lam} tau_rho={neuron.tau_rho} "
+              f"rho={neuron.rho}")
+    if args.dims:
+        h, w, t = _parse_dims(args.dims)
+        try:
+            print(f"flops: {count_flops(spec, h, w, t)}")
+        except ModelError as exc:
+            raise UsageError(str(exc)) from None
+    return 0
+
+
+# ---------------------------------------------------------------------------
+
+def build_parser():
+    top = argparse.ArgumentParser(prog="spikesr",
+                                  description="Event-stream 2x super-resolution")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("synth", help="generate a moving-bar corpus")
+    p.add_argument("--out", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--size", default="32x32")
+    p.add_argument("--dur", type=float, default=64.0, help="milliseconds")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=cmd_synth)
+
+    p = sub.add_parser("downsample", help="emit 2x-downsampled twins")
+    p.add_argument("--manifest")
+    p.add_argument("inputs", nargs="*")
+    p.set_defaults(fn=cmd_downsample)
+
+    p = sub.add_parser("train", help="fit a network on LR/HR pairs")
+    p.add_argument("--pairs", help="manifest of lr_path,hr_path lines")
+    p.add_argument("--variant", choices=("dual_layer", "ultralight"))
+    p.add_argument("--mode", choices=("joint", "dual_sequential", "dual_concurrent"))
+    p.add_argument("--steps", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--val-count", type=int, dest="val_count")
+    p.add_argument("--out", default="model.ckpt")
+    p.add_argument("--report")
+    p.add_argument("--config", help="INI file with [train]/[model]/[data] sections")
+    p.set_defaults(fn=cmd_train)
+
+    p = sub.add_parser("infer", help="super-resolve one stream")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--input", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--mode", choices=("joint", "dual_sequential", "dual_concurrent"))
+    p.add_argument("--steps", type=int)
+    p.set_defaults(fn=cmd_infer)
+
+    p = sub.add_parser("eval", help="compare a stream against ground truth")
+    p.add_argument("--pred")
+    p.add_argument("--gt")
+    p.add_argument("--manifest", help="pred_path,gt_path lines for batch mode")
+    p.add_argument("--out", help="CSV destination in batch mode")
+    p.add_argument("--steps", type=int)
+    p.set_defaults(fn=cmd_eval)
+
+    p = sub.add_parser("render", help="rasterise events to PPM images")
+    p.add_argument("--input", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--every", type=float, help="frame length in milliseconds")
+    p.set_defaults(fn=cmd_render)
+
+    p = sub.add_parser("info", help="describe a variant or checkpoint")
+    p.add_argument("--variant", choices=("dual_layer", "ultralight"))
+    p.add_argument("--checkpoint")
+    p.add_argument("--dims", help="HxWxT for a FLOP count")
+    p.set_defaults(fn=cmd_info)
+    return top
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (EventFormatError, EventError, ModelError, TrainingError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,228 @@
+"""Event-stream data model and dense tensor conversions.
+
+An event stream is a time-sorted list of (t, x, y, p) tuples on a fixed
+sensor grid: t in integer microseconds, pixel coordinates (x, y), and
+polarity p in {+1, -1}.  The dense counterpart is a spike tensor: per
+millisecond event counts on a [C, H, W, T] grid with polarity split
+across channels (channel 0 positive, channel 1 negative).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+US_PER_MS = 1000
+
+
+class EventError(ValueError):
+    """Raised for malformed streams, tensors, or conversion inputs."""
+
+
+@dataclass(frozen=True)
+class Event:
+    t: int
+    x: int
+    y: int
+    p: int
+
+
+class EventStream:
+    """Time-sorted events plus sensor geometry.
+
+    Events are held as parallel int64 arrays (t, x, y, p).  Construction
+    sorts by timestamp if needed (stable, so same-microsecond order is
+    preserved), validates coordinate and polarity ranges, and derives the
+    time span [t0, t1] from the data unless an explicit span is given.
+    """
+
+    __slots__ = ("t", "x", "y", "p", "width", "height", "t0", "t1")
+
+    def __init__(self, t, x, y, p, width, height, t0=None, t1=None):
+        t = np.asarray(t, dtype=np.int64)
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        p = np.asarray(p, dtype=np.int64)
+        if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
+            raise EventError("event arrays must be 1-D and equally sized")
+        if width < 1 or height < 1:
+            raise EventError("geometry must be positive")
+        n = t.size
+        if n:
+            if np.any(np.diff(t) < 0):
+                order = np.argsort(t, kind="stable")
+                t, x, y, p = t[order], x[order], y[order], p[order]
+            if t[0] < 0:
+                raise EventError("negative timestamp")
+            if np.any((x < 0) | (x >= width)) or np.any((y < 0) | (y >= height)):
+                raise EventError("event coordinates outside sensor geometry")
+            if np.any((p != 1) & (p != -1)):
+                raise EventError("polarity must be +1 or -1")
+        self.t, self.x, self.y, self.p = t, x, y, p
+        self.width = int(width)
+        self.height = int(height)
+        self.t0 = int(t0) if t0 is not None else (int(t[0]) if n else 0)
+        self.t1 = int(t1) if t1 is not None else (int(t[-1]) if n else 0)
+        if self.t1 < self.t0:
+            raise EventError("t1 precedes t0")
+        if n and (t[0] < self.t0 or t[-1] > self.t1):
+            raise EventError("events outside declared span")
+
+    @classmethod
+    def from_events(cls, events, width, height, t0=None, t1=None):
+        t = [e.t for e in events]
+        x = [e.x for e in events]
+        y = [e.y for e in events]
+        p = [e.p for e in events]
+        return cls(t, x, y, p, width, height, t0=t0, t1=t1)
+
+    @classmethod
+    def empty(cls, width, height):
+        z = np.zeros(0, dtype=np.int64)
+        return cls(z, z, z, z, width, height)
+
+    def __len__(self):
+        return self.t.size
+
+    def __getitem__(self, i) -> Event:
+        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    @property
+    def span_us(self) -> int:
+        return self.t1 - self.t0
+
+    def counts(self):
+        """(positive, negative) event counts."""
+        pos = int(np.count_nonzero(self.p == 1))
+        return pos, len(self) - pos
+
+
+class SpikeTensor:
+    """Dense non-negative spike counts on a [C, H, W, T] grid.
+
+    C is 2 for polarity-paired tensors (channel 0 positive, channel 1
+    negative) or 1 for a single-polarity slice.  The time axis holds T
+    steps of dt milliseconds each (dt defaults to 1).
+    """
+
+    __slots__ = ("data", "dt")
+
+    def __init__(self, data, dt=1.0):
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim != 4:
+            raise EventError("spike tensor must be [C, H, W, T]")
+        if data.shape[0] not in (1, 2):
+            raise EventError("spike tensor channel count must be 1 or 2")
+        if data.size and float(data.min()) < 0.0:
+            raise EventError("spike tensor entries must be non-negative")
+        if dt <= 0:
+            raise EventError("dt must be positive")
+        self.data = data
+        self.dt = float(dt)
+
+    @property
+    def channels(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[2]
+
+    @property
+    def steps(self) -> int:
+        return self.data.shape[3]
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+
+def to_voxel_grid(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
+    """Bin a stream into a [2, H, W, T] count tensor.
+
+    Bin index is floor((t - t0) / dt), with t0 the stream's own start
+    unless `origin` overrides it.  An event sitting exactly on the
+    closing edge of the grid (t - t0 == T * dt) is folded into the last
+    bin; anything else past the last bin is dropped.  Returns the tensor
+    together with the dropped-event count.
+    """
+    if steps < 1:
+        raise EventError("step count must be positive")
+    dt_us = dt * US_PER_MS
+    data = np.zeros((2, stream.height, stream.width, steps), dtype=np.float64)
+    dropped = 0
+    if len(stream):
+        rel = stream.t - (stream.t0 if origin is None else int(origin))
+        bins = np.floor(rel / dt_us).astype(np.int64)
+        edge = (bins == steps) & (rel == steps * dt_us)
+        bins[edge] = steps - 1
+        keep = (bins >= 0) & (bins < steps)
+        dropped = int(np.count_nonzero(~keep))
+        ch = (stream.p[keep] != 1).astype(np.int64)  # +1 -> 0, -1 -> 1
+        np.add.at(data, (ch, stream.y[keep], stream.x[keep], bins[keep]), 1.0)
+    return SpikeTensor(data, dt=dt), dropped
+
+
+def from_voxel_grid(tensor: SpikeTensor, t0: int = 0) -> EventStream:
+    """Expand a count tensor back into events.
+
+    Each voxel with value v emits round(v) events stamped at its bin
+    centre, t0 + (bin + 0.5) * dt.  Output is time sorted; within one
+    bin emission runs channel-, row-, then column-major so the result is
+    deterministic.
+    """
+    counts = np.rint(tensor.data).astype(np.int64)
+    ch, ys, xs, bins = np.nonzero(counts > 0)
+    if ch.size == 0:
+        return EventStream.empty(tensor.width, tensor.height)
+    order = np.lexsort((xs, ys, ch, bins))
+    ch, ys, xs, bins = ch[order], ys[order], xs[order], bins[order]
+    reps = counts[ch, ys, xs, bins]
+    dt_us = tensor.dt * US_PER_MS
+    t = np.repeat(np.rint(t0 + (bins + 0.5) * dt_us).astype(np.int64), reps)
+    x = np.repeat(xs, reps)
+    y = np.repeat(ys, reps)
+    p = np.repeat(np.where(ch == 0, 1, -1).astype(np.int64), reps)
+    return EventStream(t, x, y, p, tensor.width, tensor.height)
+
+
+def split_polarity(stream: EventStream):
+    """Split into a positive-only and a negative-only stream (same geometry)."""
+    out = []
+    for pol in (1, -1):
+        m = stream.p == pol
+        out.append(EventStream(stream.t[m], stream.x[m], stream.y[m], stream.p[m],
+                               stream.width, stream.height, t0=stream.t0, t1=stream.t1))
+    return out[0], out[1]
+
+
+def merge_polarity(pos: EventStream, neg: EventStream) -> EventStream:
+    if (pos.width, pos.height) != (neg.width, neg.height):
+        raise EventError("polarity halves disagree on geometry")
+    t = np.concatenate([pos.t, neg.t])
+    x = np.concatenate([pos.x, neg.x])
+    y = np.concatenate([pos.y, neg.y])
+    p = np.concatenate([pos.p, neg.p])
+    t0 = min(pos.t0, neg.t0)
+    t1 = max(pos.t1, neg.t1)
+    return EventStream(t, x, y, p, pos.width, pos.height, t0=t0, t1=t1)
+
+
+def downsample_2x(stream: EventStream) -> EventStream:
+    """Halve spatial resolution by integer coordinate division.
+
+    Every event survives with (x // 2, y // 2); timestamps and polarity
+    are untouched.  Odd dimensions round up so border pixels keep a home.
+    """
+    return EventStream(stream.t, stream.x // 2, stream.y // 2, stream.p,
+                       (stream.width + 1) // 2, (stream.height + 1) // 2,
+                       t0=stream.t0, t1=stream.t1)

@@ -1,0 +1,181 @@
+"""Event file formats: CSV, packed binary (evbin), and ATIS 40-bit (nmnist_bin).
+
+CSV is the interchange format: a `t_us,x,y,p` header followed by one
+event per line, p written as 1 or -1, LF line endings.
+
+evbin is the compact native format:
+
+    magic   4 bytes  b"EVS1"
+    width   u16 LE
+    height  u16 LE
+    count   u64 LE
+    record  13 bytes each: t_us u64 LE, x u16 LE, y u16 LE, p i8
+
+nmnist_bin is the read-only ATIS capture layout used by the N-MNIST
+corpus: 5 bytes per event, byte 0 = x, byte 1 = y, byte 2 bit 7 =
+polarity (set means +1), and the low 7 bits of byte 2 followed by bytes
+3 and 4 form a 23-bit big-endian microsecond timestamp.  Geometry is
+fixed at 34 x 34.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+
+from .events import EventError, EventStream
+
+CSV_HEADER = "t_us,x,y,p"
+EVBIN_MAGIC = b"EVS1"
+EVBIN_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+NMNIST_WIDTH = 34
+NMNIST_HEIGHT = 34
+
+FORMATS = ("csv", "evbin", "nmnist_bin")
+
+# Regressions up to this many microseconds are tolerated and sorted away;
+# anything larger is treated as corruption.
+REGRESSION_TOLERANCE_US = 100_000
+
+
+class EventFormatError(EventError):
+    """Malformed or truncated event file."""
+
+
+def _infer_geometry(x, y, width, height):
+    if width is None:
+        width = int(x.max()) + 1 if x.size else 1
+    if height is None:
+        height = int(y.max()) + 1 if y.size else 1
+    return width, height
+
+
+def _check_order(t, path):
+    if t.size:
+        drop = np.diff(t)
+        worst = int(drop.min()) if drop.size else 0
+        if worst < -REGRESSION_TOLERANCE_US:
+            raise EventFormatError(
+                f"{path}: timestamp regression of {-worst} us exceeds tolerance")
+
+
+def _load_csv(path, width, height):
+    raw = open(path, "rb").read()
+    lines = raw.split(b"\n")
+    offset = 0
+    header = None
+    rows = []
+    for line in lines:
+        stripped = line.strip()
+        if stripped:
+            if header is None:
+                if stripped != CSV_HEADER.encode():
+                    raise EventFormatError(f"{path}: missing {CSV_HEADER!r} header at byte {offset}")
+                header = stripped
+            else:
+                parts = stripped.split(b",")
+                if len(parts) != 4:
+                    raise EventFormatError(f"{path}: malformed record at byte {offset}")
+                try:
+                    rows.append([int(v) for v in parts])
+                except ValueError:
+                    raise EventFormatError(f"{path}: malformed record at byte {offset}") from None
+        offset += len(line) + 1
+    if header is None:
+        raise EventFormatError(f"{path}: empty file, expected {CSV_HEADER!r} header")
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    _check_order(arr[:, 0], path)
+    width, height = _infer_geometry(arr[:, 1], arr[:, 2], width, height)
+    try:
+        return EventStream(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], width, height)
+    except EventError as exc:
+        raise EventFormatError(f"{path}: {exc}") from None
+
+
+def _load_evbin(path, width, height):
+    raw = open(path, "rb").read()
+    if len(raw) < 16 or raw[:4] != EVBIN_MAGIC:
+        raise EventFormatError(f"{path}: bad evbin magic at byte 0")
+    w, h, count = struct.unpack_from("<HHQ", raw, 4)
+    body = raw[16:]
+    need = count * EVBIN_RECORD.itemsize
+    if len(body) != need:
+        raise EventFormatError(
+            f"{path}: expected {need} record bytes, found {len(body)} at byte 16")
+    rec = np.frombuffer(body, dtype=EVBIN_RECORD)
+    t = rec["t"].astype(np.int64)
+    _check_order(t, path)
+    if width is not None and width != w or height is not None and height != h:
+        raise EventFormatError(f"{path}: header geometry {w}x{h} contradicts override")
+    try:
+        return EventStream(t, rec["x"].astype(np.int64), rec["y"].astype(np.int64),
+                           rec["p"].astype(np.int64), w, h)
+    except EventError as exc:
+        raise EventFormatError(f"{path}: {exc}") from None
+
+
+def _load_nmnist(path):
+    raw = open(path, "rb").read()
+    if len(raw) % 5:
+        raise EventFormatError(
+            f"{path}: truncated record at byte {len(raw) - len(raw) % 5}")
+    rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 5).astype(np.int64)
+    x = rec[:, 0]
+    y = rec[:, 1]
+    p = np.where(rec[:, 2] & 0x80, 1, -1)
+    t = ((rec[:, 2] & 0x7F) << 16) | (rec[:, 3] << 8) | rec[:, 4]
+    _check_order(t, path)
+    try:
+        return EventStream(t, x, y, p, NMNIST_WIDTH, NMNIST_HEIGHT)
+    except EventError as exc:
+        raise EventFormatError(f"{path}: {exc}") from None
+
+
+def load_events(path, fmt: str, width: int | None = None, height: int | None = None) -> EventStream:
+    """Read a stream from disk; fmt is one of csv, evbin, nmnist_bin.
+
+    Geometry comes from the file where the format carries it, otherwise
+    from max coordinate + 1, unless width/height are given explicitly.
+    """
+    if fmt == "csv":
+        return _load_csv(path, width, height)
+    if fmt == "evbin":
+        return _load_evbin(path, width, height)
+    if fmt == "nmnist_bin":
+        return _load_nmnist(path)
+    raise EventFormatError(f"unknown format {fmt!r}")
+
+
+def save_events(stream: EventStream, path, fmt: str) -> None:
+    """Write a stream as csv or evbin (nmnist_bin is read-only)."""
+    if fmt == "csv":
+        with open(path, "wb") as fh:
+            fh.write((CSV_HEADER + "\n").encode())
+            for i in range(len(stream)):
+                fh.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n".encode())
+        return
+    if fmt == "evbin":
+        if stream.width > 0xFFFF or stream.height > 0xFFFF:
+            raise EventFormatError("geometry does not fit evbin u16 header")
+        rec = np.empty(len(stream), dtype=EVBIN_RECORD)
+        rec["t"] = stream.t
+        rec["x"] = stream.x
+        rec["y"] = stream.y
+        rec["p"] = stream.p
+        with open(path, "wb") as fh:
+            fh.write(EVBIN_MAGIC)
+            fh.write(struct.pack("<HHQ", stream.width, stream.height, len(stream)))
+            fh.write(rec.tobytes())
+        return
+    raise EventFormatError(f"cannot write format {fmt!r}")
+
+
+def guess_format(path) -> str:
+    """Pick a format from the file suffix (csv, bin -> nmnist_bin, else evbin)."""
+    name = str(path).lower()
+    if name.endswith(".csv"):
+        return "csv"
+    if name.endswith(".bin"):
+        return "nmnist_bin"
+    return "evbin"

@@ -1,0 +1,162 @@
+"""Stream-level quality metrics.
+
+All metrics compare a reconstructed stream against ground truth on a
+common 1 ms grid.  The headline number is a joint spatio-temporal RMSE:
+
+    rmse_st = sqrt((mse_temporal + mse_spatial) / (span_ms * n_p))
+
+where mse_temporal sums squared per-voxel count differences, mse_spatial
+sums squared differences of 50 ms firing-rate blocks, and n_p counts
+pixels touched by at least one ground-truth event.  Both raw sums and
+the per-pixel (divided by n_p) forms are reported.
+
+Polarity accuracy looks at every (x, y, 1 ms bin) cell occupied in both
+streams, takes the dominant polarity on each side (ties drop the cell),
+and reports the percentage that agree.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .events import EventError, EventStream, SpikeTensor, to_voxel_grid
+
+
+class DegenerateStreamError(EventError):
+    """Metric undefined: empty ground truth or zero time span."""
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    rmse_st: float
+    mse_t_raw: float
+    mse_s_raw: float
+    mse_t_norm: float
+    mse_s_norm: float
+    pa_percent: float
+    pa_vacuous: bool
+    n_p: int
+    span_ms: float
+
+    FIELDS = ("rmse_st", "mse_t_raw", "mse_s_raw", "mse_t_norm", "mse_s_norm",
+              "pa_percent", "pa_vacuous", "n_p", "span_ms")
+
+    def to_kv(self) -> str:
+        lines = []
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                value = int(value)
+            lines.append(f"{name}={value}")
+        return "\n".join(lines)
+
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(cls.FIELDS)
+
+    def to_csv_row(self) -> str:
+        parts = []
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            parts.append(str(int(value)) if isinstance(value, bool) else str(value))
+        return ",".join(parts)
+
+
+def mse_temporal(out: SpikeTensor, gt: SpikeTensor) -> float:
+    """Sum of squared per-voxel count differences."""
+    a, b = out.data, gt.data
+    if a.shape != b.shape:
+        raise EventError(f"tensor shapes differ: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.sum(d * d))
+
+
+def _block_index(steps: int, dt: float, block_ms: float) -> np.ndarray:
+    return np.floor(np.arange(steps) * dt / block_ms).astype(np.int64)
+
+
+def mse_spatial(out: SpikeTensor, gt: SpikeTensor, block_ms: float = 50.0) -> float:
+    """Sum of squared differences of per-pixel counts pooled over time blocks.
+
+    Blocks are consecutive block_ms windows (the last may be partial).
+    With block_ms equal to the step size this reduces to mse_temporal.
+    """
+    a, b = out.data, gt.data
+    if a.shape != b.shape:
+        raise EventError(f"tensor shapes differ: {a.shape} vs {b.shape}")
+    if block_ms <= 0:
+        raise EventError("block_ms must be positive")
+    idx = _block_index(out.steps, out.dt, block_ms)
+    starts = np.flatnonzero(np.r_[1, np.diff(idx)])
+    d = np.add.reduceat(a - b, starts, axis=-1)
+    return float(np.sum(d * d))
+
+
+def _pa_from_tensors(out_data: np.ndarray, gt_data: np.ndarray):
+    both = (out_data.sum(axis=0) > 0) & (gt_data.sum(axis=0) > 0)
+    dom_out = np.sign(out_data[0] - out_data[1])
+    dom_gt = np.sign(gt_data[0] - gt_data[1])
+    valid = both & (dom_out != 0) & (dom_gt != 0)
+    omega = int(np.count_nonzero(valid))
+    if omega == 0:
+        return 100.0, True
+    matches = int(np.count_nonzero(valid & (dom_out == dom_gt)))
+    return 100.0 * matches / omega, False
+
+
+def _common_span(out_stream: EventStream, gt_stream: EventStream):
+    if (out_stream.width, out_stream.height) != (gt_stream.width, gt_stream.height):
+        raise EventError("stream geometries differ")
+    spans = [(s.t0, s.t1) for s in (out_stream, gt_stream) if len(s)]
+    if not spans:
+        raise DegenerateStreamError("both streams are empty")
+    t0 = min(a for a, _ in spans)
+    t1 = max(b for _, b in spans)
+    return t0, t1
+
+
+def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
+            dt: float = 1.0) -> MetricsReport:
+    """Joint spatio-temporal RMSE plus polarity accuracy for one pair.
+
+    Both streams are binned over their combined span into `steps` bins
+    of dt milliseconds.  Raises if the ground truth is empty or the
+    span is zero.
+    """
+    if len(gt_stream) == 0:
+        raise DegenerateStreamError("ground-truth stream is empty")
+    t0, t1 = _common_span(out_stream, gt_stream)
+    span_ms = (t1 - t0) / 1000.0
+    if span_ms <= 0:
+        raise DegenerateStreamError("zero time span")
+    out_vox, _ = to_voxel_grid(out_stream, steps, dt, origin=t0)
+    gt_vox, _ = to_voxel_grid(gt_stream, steps, dt, origin=t0)
+    mse_t = mse_temporal(out_vox, gt_vox)
+    mse_s = mse_spatial(out_vox, gt_vox)
+    n_p = int(np.count_nonzero(gt_vox.data.sum(axis=(0, 3)) > 0))
+    if n_p == 0:
+        raise DegenerateStreamError("no ground-truth events inside the grid")
+    pa, vacuous = _pa_from_tensors(out_vox.data, gt_vox.data)
+    return MetricsReport(
+        rmse_st=math.sqrt((mse_t + mse_s) / (span_ms * n_p)),
+        mse_t_raw=mse_t, mse_s_raw=mse_s,
+        mse_t_norm=mse_t / n_p, mse_s_norm=mse_s / n_p,
+        pa_percent=pa, pa_vacuous=vacuous, n_p=n_p, span_ms=span_ms)
+
+
+def polarity_accuracy(out_stream: EventStream, gt_stream: EventStream) -> float:
+    """Dominant-polarity agreement over cells occupied in both streams.
+
+    Uses 1 ms bins covering the combined span.  With no jointly
+    occupied (untied) cell the score is vacuously 100.
+    """
+    if len(out_stream) == 0 or len(gt_stream) == 0:
+        return 100.0
+    t0, t1 = _common_span(out_stream, gt_stream)
+    steps = max(1, math.ceil((t1 - t0) / 1000.0))
+    out_vox, _ = to_voxel_grid(out_stream, steps, 1.0, origin=t0)
+    gt_vox, _ = to_voxel_grid(gt_stream, steps, 1.0, origin=t0)
+    return _pa_from_tensors(out_vox.data, gt_vox.data)[0]

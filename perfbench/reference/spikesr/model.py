@@ -1,0 +1,429 @@
+"""Spiking super-resolution networks.
+
+Two fixed architectures, both upscaling 2x spatially while preserving
+the time axis:
+
+  dual_layer   conv 2->8, 5x5, stride 1, pad 2, then transposed conv
+               8->2, 2x2, stride 2.  Both polarity channels are
+               processed jointly in one pass.
+  ultralight   the same shape with 1-channel input and output.  The two
+               polarity channels are run through the shared weights as
+               separate passes (sequentially or concurrently, results
+               are identical) and concatenated.
+
+Neither layer has a bias.  The final drive additionally receives the
+first layer's input PSP, bilinearly upsampled to output resolution, as
+a parameter-free bypass that hands the low-resolution signal straight
+to the output neurons.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .events import EventStream, SpikeTensor, from_voxel_grid, to_voxel_grid
+from .kernels import (NeuronConfig, apply_psp, apply_psp_adjoint, generate_spikes,
+                      kernel_length, soft_spike_grad, soft_spikes, spike_kernel,
+                      surrogate_grad)
+
+VARIANTS = ("dual_layer", "ultralight")
+MODES = ("joint", "dual_sequential", "dual_concurrent")
+SPIKE_MODES = ("hard", "soft")
+
+CHECKPOINT_MAGIC = b"EVSRW01"
+
+
+class ModelError(ValueError):
+    """Invalid configuration, mode, or weight structure."""
+
+
+@dataclass(frozen=True)
+class LayerConfig:
+    kind: str  # "conv" or "transposed_conv"
+    in_channels: int
+    out_channels: int
+    kernel_h: int
+    kernel_w: int
+    stride: int
+    padding: int
+
+    def __post_init__(self):
+        if self.kind not in ("conv", "transposed_conv"):
+            raise ModelError(f"unknown layer kind {self.kind!r}")
+        if min(self.in_channels, self.out_channels, self.kernel_h,
+               self.kernel_w, self.stride) < 1 or self.padding < 0:
+            raise ModelError("layer dimensions must be positive")
+
+    @property
+    def weight_shape(self):
+        return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
+
+    def out_hw(self, h, w):
+        if self.kind == "conv":
+            return ((h + 2 * self.padding - self.kernel_h) // self.stride + 1,
+                    (w + 2 * self.padding - self.kernel_w) // self.stride + 1)
+        return ((h - 1) * self.stride - 2 * self.padding + self.kernel_h,
+                (w - 1) * self.stride - 2 * self.padding + self.kernel_w)
+
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    variant: str
+    layers: tuple
+    neuron_cfgs: tuple
+    scale: int = 2
+    dt_ms: float = 1.0
+
+
+# Per-layer neuron settings shared by both variants.
+LAYER1_NEURON = NeuronConfig(v_th=30.0, tau_s=1.0, tau_r=1.0, lam=1.0, tau_rho=1.0, rho=10.0)
+LAYER2_NEURON = NeuronConfig(v_th=100.0, tau_s=4.0, tau_r=4.0, lam=1.0, tau_rho=10.0, rho=100.0)
+
+
+def network_spec(variant: str) -> NetworkSpec:
+    """Canonical spec for one of the two supported variants."""
+    if variant not in VARIANTS:
+        raise ModelError(f"unknown variant {variant!r}")
+    c = 2 if variant == "dual_layer" else 1
+    layers = (LayerConfig("conv", c, 8, 5, 5, 1, 2),
+              LayerConfig("transposed_conv", 8, c, 2, 2, 2, 0))
+    return NetworkSpec(variant, layers, (LAYER1_NEURON, LAYER2_NEURON))
+
+
+def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
+    """Seeded uniform init on [-b, b] with b = v_th / fan_in per layer."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for layer, neuron in zip(spec.layers, spec.neuron_cfgs):
+        fan_in = layer.in_channels * layer.kernel_h * layer.kernel_w
+        b = neuron.v_th / fan_in
+        out.append(rng.uniform(-b, b, size=layer.weight_shape))
+    return out
+
+
+def validate_weights(spec: NetworkSpec, weights) -> None:
+    if len(weights) != len(spec.layers):
+        raise ModelError("weight list length does not match layer count")
+    for i, (w, layer) in enumerate(zip(weights, spec.layers)):
+        if w.shape != layer.weight_shape:
+            raise ModelError(f"layer {i} weights {w.shape} != {layer.weight_shape}")
+        if not np.all(np.isfinite(w)):
+            raise ModelError(f"layer {i} weights contain non-finite values")
+
+
+def count_params(spec: NetworkSpec) -> int:
+    return sum(int(np.prod(layer.weight_shape)) for layer in spec.layers)
+
+
+def count_flops(spec: NetworkSpec, h: int, w: int, t: int) -> int:
+    """Multiply-accumulate cost, 2 * k_h * k_w * c_in * c_out * h_out * w_out * T per layer.
+
+    For the polarity-split variant this is the cost of both passes.
+    """
+    if h < 1 or w < 1 or t < 0:
+        raise ModelError("dimensions must be positive (t may be zero)")
+    total = 0
+    ch, cw = h, w
+    for layer in spec.layers:
+        oh, ow = layer.out_hw(ch, cw)
+        total += 2 * layer.kernel_h * layer.kernel_w * layer.in_channels \
+            * layer.out_channels * oh * ow * t
+        ch, cw = oh, ow
+    passes = 2 if spec.variant == "ultralight" else 1
+    return passes * total
+
+
+# ---------------------------------------------------------------------------
+# drive computations and their adjoints
+
+def conv_drive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """2-D convolution applied at every time step; x is [C, H, W, T]."""
+    kh, kw = w.shape[2], w.shape[3]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return np.tensordot(w, win, axes=([1, 2, 3], [0, 4, 5]))
+
+
+def conv_weight_adjoint(x: np.ndarray, g: np.ndarray, kh: int, kw: int,
+                        stride: int, padding: int) -> np.ndarray:
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return np.tensordot(g, win, axes=([1, 2, 3], [1, 2, 3]))
+
+
+def upconv2x_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Transposed conv, kernel 2x2 stride 2: every input pixel paints a
+    2x2 output patch, patches do not overlap."""
+    cout = w.shape[0]
+    _, h, width, t = x.shape
+    out = np.tensordot(w, x, axes=([1], [0]))        # [cout, 2, 2, h, w, t]
+    out = out.transpose(0, 3, 1, 4, 2, 5)            # [cout, h, 2, w, 2, t]
+    return np.ascontiguousarray(out).reshape(cout, 2 * h, 2 * width, t)
+
+
+def upconv2x_weight_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    cout = g.shape[0]
+    _, h, width, t = x.shape
+    gv = g.reshape(cout, h, 2, width, 2, t)
+    out = np.tensordot(gv, x, axes=([1, 3, 5], [1, 2, 3]))   # [cout, 2, 2, cin]
+    return out.transpose(0, 3, 1, 2)
+
+
+def upconv2x_input_adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    cout = g.shape[0]
+    h2, w2, t = g.shape[1], g.shape[2], g.shape[3]
+    gv = g.reshape(cout, h2 // 2, 2, w2 // 2, 2, t)
+    return np.tensordot(w, gv, axes=([0, 2, 3], [0, 2, 4]))  # [cin, h, w, t]
+
+
+def bilinear_upsample_2x(x: np.ndarray) -> np.ndarray:
+    """Spatial 2x bilinear upsampling with half-pixel sample centres.
+
+    Output pixel centres sit at (i + 0.5) / 2 - 0.5 in source coordinates
+    (the align-corners-false convention); edges clamp.  Constant inputs
+    stay constant.
+    """
+    c, h, w, t = x.shape
+
+    def axis(n):
+        pos = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
+        lo = np.floor(pos).astype(np.int64)
+        frac = pos - lo
+        return np.clip(lo, 0, n - 1), np.clip(lo + 1, 0, n - 1), frac
+
+    y0, y1, fy = axis(h)
+    x0, x1, fx = axis(w)
+    top = x[:, y0]
+    bot = x[:, y1]
+    wy = fy[:, None, None]
+    wx = fx[:, None]
+    row0 = (1.0 - wx) * top[:, :, x0] + wx * top[:, :, x1]
+    row1 = (1.0 - wx) * bot[:, :, x0] + wx * bot[:, :, x1]
+    return (1.0 - wy) * row0 + wy * row1
+
+
+# ---------------------------------------------------------------------------
+# layer and network forward
+
+@dataclass
+class LayerCache:
+    """Intermediates a backward pass needs: input PSP and membrane trace."""
+    psp: np.ndarray
+    u: np.ndarray
+
+
+@dataclass
+class ForwardCache:
+    layer1: LayerCache
+    layer2: LayerCache
+    spike_mode: str
+
+
+def _fire(drive, neuron, dt, spike_mode):
+    if spike_mode == "soft":
+        return soft_spikes(drive, neuron)
+    return generate_spikes(drive, neuron, dt)
+
+
+def spiking_conv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronConfig,
+                         dt: float = 1.0, spike_mode: str = "hard"):
+    """PSP, convolutional drive, then spike generation for one layer."""
+    x = np.asarray(getattr(in_spikes, "data", in_spikes), dtype=np.float64)
+    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, x.shape[-1]))
+    psp = apply_psp(x, eps)
+    drive = conv_drive(psp, weights, layer.stride, layer.padding)
+    spikes, u = _fire(drive, neuron, dt, spike_mode)
+    return spikes, LayerCache(psp, u)
+
+
+def spiking_upconv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronConfig,
+                           bypass=None, dt: float = 1.0, spike_mode: str = "hard"):
+    """Transposed-conv layer; `bypass` is added to the drive before firing."""
+    x = np.asarray(getattr(in_spikes, "data", in_spikes), dtype=np.float64)
+    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, x.shape[-1]))
+    psp = apply_psp(x, eps)
+    drive = upconv2x_drive(psp, weights)
+    if bypass is not None:
+        drive = drive + bypass
+    spikes, u = _fire(drive, neuron, dt, spike_mode)
+    return spikes, LayerCache(psp, u)
+
+
+def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str):
+    """One pass through both layers for a [C, H, W, T] input slice."""
+    l1, l2 = spec.layers
+    n1, n2 = spec.neuron_cfgs
+    s1, c1 = spiking_conv_forward(x, weights[0], l1, n1, spec.dt_ms, spike_mode)
+    bypass = bilinear_upsample_2x(c1.psp)
+    s2, c2 = spiking_upconv_forward(s1, weights[1], l2, n2, bypass, spec.dt_ms, spike_mode)
+    return s2, ForwardCache(c1, c2, spike_mode)
+
+
+def forward(spec: NetworkSpec, weights, inp, mode: str, spike_mode: str = "hard"):
+    """Super-resolve one [2, H, W, T] tensor to [2, 2H, 2W, T].
+
+    mode must be "joint" for dual_layer and one of "dual_sequential" /
+    "dual_concurrent" for ultralight; the dual modes split the input by
+    polarity, push each channel through the shared weights, and stack
+    the results.  Returns (output SpikeTensor, per-pass caches).
+    """
+    if mode not in MODES:
+        raise ModelError(f"unknown mode {mode!r}")
+    if spike_mode not in SPIKE_MODES:
+        raise ModelError(f"unknown spike mode {spike_mode!r}")
+    validate_weights(spec, weights)
+    tensor = inp if isinstance(inp, SpikeTensor) else SpikeTensor(inp)
+    x = tensor.data
+    if x.shape[0] != 2:
+        raise ModelError("network input must carry both polarity channels")
+    if spec.variant == "dual_layer":
+        if mode != "joint":
+            raise ModelError("dual_layer runs in joint mode only")
+        out, cache = _forward_pass(spec, weights, x, spike_mode)
+        return SpikeTensor(out, dt=tensor.dt), [cache]
+    if mode == "joint":
+        raise ModelError("ultralight requires a dual mode")
+    halves = (x[0:1], x[1:2])
+    if mode == "dual_concurrent":
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda h: _forward_pass(spec, weights, h, spike_mode), halves))
+    else:
+        results = [_forward_pass(spec, weights, h, spike_mode) for h in halves]
+    out = np.concatenate([r[0] for r in results], axis=0)
+    return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results]
+
+
+def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
+                  g_out: np.ndarray) -> list[np.ndarray]:
+    """Weight gradients for one pass given the loss gradient at its output.
+
+    Reverse of _forward_pass: through the output threshold (surrogate in
+    hard mode, exact sigmoid derivative in soft mode), the transposed
+    conv, the interlayer PSP, the hidden threshold, and the first conv.
+    The refractory trace is treated as constant, and the bypass carries
+    no parameters, so nothing flows back past the first layer's drive.
+    """
+    l1, l2 = spec.layers
+    n1, n2 = spec.neuron_cfgs
+    deriv = soft_spike_grad if cache.spike_mode == "soft" else surrogate_grad
+    T = g_out.shape[-1]
+    eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms, T))
+
+    g_drive2 = g_out * deriv(cache.layer2.u, n2)
+    g_w2 = upconv2x_weight_adjoint(cache.layer2.psp, g_drive2)
+    g_psp1 = upconv2x_input_adjoint(g_drive2, weights[1])
+    g_spikes1 = apply_psp_adjoint(g_psp1, eps2)
+    g_drive1 = g_spikes1 * deriv(cache.layer1.u, n1)
+    g_w1 = conv_weight_adjoint(cache.layer1.psp, g_drive1, l1.kernel_h, l1.kernel_w,
+                               l1.stride, l1.padding)
+    return [g_w1, g_w2]
+
+
+def backward_from_output(spec: NetworkSpec, weights, caches, g_out: np.ndarray):
+    """Accumulate weight gradients across passes.
+
+    For the dual modes the output channels map one-to-one onto the two
+    shared-weight passes, so the total gradient is the sum of each
+    pass's contribution.
+    """
+    grads = [np.zeros_like(w) for w in weights]
+    if len(caches) == 1:
+        parts = [g_out]
+    else:
+        parts = [g_out[0:1], g_out[1:2]]
+    for cache, part in zip(caches, parts):
+        for acc, g in zip(grads, backward_pass(spec, weights, cache, part)):
+            acc += g
+    return grads
+
+
+def resolve_mode(variant: str, mode: str | None) -> str:
+    """The variant's natural forward mode when none is requested."""
+    if mode is None:
+        return "joint" if variant == "dual_layer" else "dual_sequential"
+    return mode
+
+
+def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
+                  mode: str | None = None, dt: float = 1.0):
+    """Stream in, stream out: voxelize, run the network, re-emit events.
+
+    Returns (output stream at 2x geometry, input events dropped by
+    binning).  An empty input yields an empty output stream.
+    """
+    vox, dropped = to_voxel_grid(stream, steps, dt)
+    out, _ = forward(spec, weights, vox, resolve_mode(spec.variant, mode))
+    return from_voxel_grid(out, t0=stream.t0), dropped
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+def save_checkpoint(path, spec: NetworkSpec, weights, log_var, seed: int) -> None:
+    """Write architecture, weights, and loss log-variances.
+
+    Text header (magic line, key=value lines, blank line) followed by
+    little-endian float64 payload: each layer's weights in order, then
+    the three log-variances.  Round-trips bit-exactly.
+    """
+    validate_weights(spec, weights)
+    log_var = np.asarray(log_var, dtype=np.float64)
+    if log_var.shape != (3,):
+        raise ModelError("expected three loss log-variances")
+    lines = [CHECKPOINT_MAGIC.decode(), f"variant={spec.variant}",
+             f"scale={spec.scale}", f"dt_ms={spec.dt_ms!r}", f"seed={seed}",
+             f"n_layers={len(spec.layers)}"]
+    for i, (layer, n) in enumerate(zip(spec.layers, spec.neuron_cfgs)):
+        lines.append(f"layer{i}={layer.kind} {layer.in_channels} {layer.out_channels} "
+                     f"{layer.kernel_h} {layer.kernel_w} {layer.stride} {layer.padding}")
+        lines.append(f"neuron{i}={n.v_th!r} {n.tau_s!r} {n.tau_r!r} "
+                     f"{n.lam!r} {n.tau_rho!r} {n.rho!r}")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n\n").encode())
+        for w in weights:
+            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        fh.write(log_var.astype("<f8").tobytes())
+
+
+def load_checkpoint(path):
+    """Read a checkpoint; returns (spec, weights, log_var, seed)."""
+    raw = open(path, "rb").read()
+    sep = raw.find(b"\n\n")
+    if sep < 0 or not raw.startswith(CHECKPOINT_MAGIC + b"\n"):
+        raise ModelError(f"{path}: not a checkpoint file")
+    fields = {}
+    for line in raw[:sep].decode().splitlines()[1:]:
+        key, _, value = line.partition("=")
+        fields[key] = value
+    try:
+        variant = fields["variant"]
+        n_layers = int(fields["n_layers"])
+        layers, neurons = [], []
+        for i in range(n_layers):
+            kind, *nums = fields[f"layer{i}"].split()
+            layers.append(LayerConfig(kind, *[int(v) for v in nums]))
+            neurons.append(NeuronConfig(*[float(v) for v in fields[f"neuron{i}"].split()]))
+        spec = NetworkSpec(variant, tuple(layers), tuple(neurons),
+                           scale=int(fields["scale"]), dt_ms=float(fields["dt_ms"]))
+        seed = int(fields["seed"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ModelError(f"{path}: corrupt checkpoint header ({exc})") from None
+    body = raw[sep + 2:]
+    weights = []
+    offset = 0
+    for layer in spec.layers:
+        n = int(np.prod(layer.weight_shape))
+        chunk = body[offset:offset + 8 * n]
+        if len(chunk) != 8 * n:
+            raise ModelError(f"{path}: truncated weight payload")
+        weights.append(np.frombuffer(chunk, dtype="<f8").reshape(layer.weight_shape).copy())
+        offset += 8 * n
+    tail = body[offset:]
+    if len(tail) != 24:
+        raise ModelError(f"{path}: truncated log-variance payload")
+    log_var = np.frombuffer(tail, dtype="<f8").copy()
+    return spec, weights, log_var, seed

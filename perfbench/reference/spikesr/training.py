@@ -1,0 +1,305 @@
+"""Loss functions, reverse-mode gradients, Adam, and the training loop.
+
+The objective combines three squared-error views of the output spike
+tensor against ground truth, each weighted by a learned certainty:
+
+    temporal   per-step squared norm, averaged over steps
+    spatial    squared norm of firing counts pooled over 50 ms bins
+    polarity   per-channel squared norm (positive and negative summed)
+
+    total = sum_i exp(-log_var_i) * L_i + sum_i log_var_i
+
+The log-variances are trained jointly with the weights, so each term's
+weight w_i = exp(-log_var_i) adapts; w_i stays positive by construction.
+
+Gradients are computed by hand: the loss gradient at the output spikes
+is pushed through the surrogate spike derivative, the conv/transposed
+conv adjoints, and the PSP adjoint of each pass (see model.backward_pass).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .events import from_voxel_grid, to_voxel_grid
+from .metrics import DegenerateStreamError, rmse_st
+from .model import (NetworkSpec, backward_from_output, forward, init_weights,
+                    network_spec, resolve_mode)
+
+DEFAULT_BIN_MS = 50.0
+
+
+class TrainingError(RuntimeError):
+    pass
+
+
+@dataclass
+class LossState:
+    """Learned log-variances (one per loss term) and the pooling width."""
+
+    log_var: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    bin_width_ms: float = DEFAULT_BIN_MS
+
+    def weights(self) -> np.ndarray:
+        return np.exp(-np.asarray(self.log_var, dtype=np.float64))
+
+    def bins(self, steps: int, dt: float) -> int:
+        return max(1, int(np.ceil(steps * dt / self.bin_width_ms)))
+
+
+def _data(x) -> np.ndarray:
+    return np.asarray(getattr(x, "data", x), dtype=np.float64)
+
+
+def loss_temporal(out, gt) -> float:
+    """Mean over steps of the squared per-step difference norm."""
+    a, b = _data(out), _data(gt)
+    d = a - b
+    return float(np.sum(d * d)) / a.shape[-1]
+
+
+def _bin_starts(steps: int, dt: float, width_ms: float) -> np.ndarray:
+    idx = np.floor(np.arange(steps) * dt / width_ms).astype(np.int64)
+    return np.flatnonzero(np.r_[1, np.diff(idx)])
+
+
+def loss_spatial(out, gt, bin_width_ms: float = DEFAULT_BIN_MS, dt: float = 1.0) -> float:
+    """Squared norm of count differences pooled over bin_width_ms windows."""
+    a, b = _data(out), _data(gt)
+    starts = _bin_starts(a.shape[-1], dt, bin_width_ms)
+    d = np.add.reduceat(a - b, starts, axis=-1)
+    return float(np.sum(d * d))
+
+
+def loss_polarity(out, gt) -> float:
+    """Per-polarity squared norms, summed over both channels."""
+    a, b = _data(out), _data(gt)
+    if a.shape[0] != 2:
+        raise TrainingError("polarity loss needs both channels")
+    d = a - b
+    return float(np.sum(d * d))
+
+
+@dataclass(frozen=True)
+class LossTerms:
+    temporal: float
+    spatial: float
+    polarity: float
+    weights: np.ndarray
+    regulariser: float
+
+
+def loss_total(out, gt, state: LossState, dt: float = 1.0):
+    """Certainty-weighted objective; returns (value, per-term breakdown)."""
+    lt = loss_temporal(out, gt)
+    ls = loss_spatial(out, gt, state.bin_width_ms, dt)
+    lp = loss_polarity(out, gt)
+    w = state.weights()
+    reg = float(np.sum(state.log_var))
+    total = float(w[0] * lt + w[1] * ls + w[2] * lp + reg)
+    return total, LossTerms(lt, ls, lp, w, reg)
+
+
+def loss_output_grad(out, gt, state: LossState, dt: float = 1.0) -> np.ndarray:
+    """d(total)/d(output spikes)."""
+    a, b = _data(out), _data(gt)
+    d = a - b
+    w = state.weights()
+    steps = a.shape[-1]
+    g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
+    starts = _bin_starts(steps, dt, state.bin_width_ms)
+    binned = np.add.reduceat(d, starts, axis=-1)
+    idx = np.floor(np.arange(steps) * dt / state.bin_width_ms).astype(np.int64)
+    g += 2.0 * w[1] * binned[..., idx]
+    return g
+
+
+@dataclass
+class Gradients:
+    weights: list[np.ndarray]
+    log_var: np.ndarray
+    loss: float
+    terms: LossTerms
+
+
+def backward(spec: NetworkSpec, weights, caches, out, gt, state: LossState) -> Gradients:
+    """Full reverse pass: loss value, weight gradients, log-variance gradients.
+
+    The log-variance gradient is 1 - w_i * L_i; weight gradients are the
+    per-pass sums from model.backward_from_output.
+    """
+    out_data, gt_data = _data(out), _data(gt)
+    total, terms = loss_total(out_data, gt_data, state, spec.dt_ms)
+    g_out = loss_output_grad(out_data, gt_data, state, spec.dt_ms)
+    g_w = backward_from_output(spec, weights, caches, g_out)
+    losses = np.array([terms.temporal, terms.spatial, terms.polarity])
+    g_lv = 1.0 - terms.weights * losses
+    return Gradients(g_w, g_lv, total, terms)
+
+
+# ---------------------------------------------------------------------------
+# Adam
+
+@dataclass
+class OptimState:
+    lr: float = 0.1
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+
+
+def init_optim(params, lr: float = 0.1) -> OptimState:
+    opt = OptimState(lr=lr)
+    opt.m = [np.zeros_like(p) for p in params]
+    opt.v = [np.zeros_like(p) for p in params]
+    return opt
+
+
+def adam_step(params, grads, opt: OptimState):
+    """One bias-corrected Adam update, applied to params in place."""
+    opt.step += 1
+    b1c = 1.0 - opt.beta1 ** opt.step
+    b2c = 1.0 - opt.beta2 ** opt.step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for parameter block {i}")
+        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
+        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * (g * g)
+        p -= opt.lr * (opt.m[i] / b1c) / (np.sqrt(opt.v[i] / b2c) + opt.eps)
+    return params
+
+
+# ---------------------------------------------------------------------------
+# training loop
+
+@dataclass
+class TrainConfig:
+    variant: str = "ultralight"
+    mode: str | None = None       # defaults to the variant's natural mode
+    steps: int = 64
+    epochs: int = 30
+    batch_size: int = 16
+    lr: float = 0.1
+    seed: int = 0
+    dt_ms: float = 1.0
+    bin_width_ms: float = DEFAULT_BIN_MS
+
+
+@dataclass(frozen=True)
+class EpochRow:
+    epoch: int
+    train_loss: float
+    w1: float
+    w2: float
+    w3: float
+    val_rmse_st: float
+
+
+@dataclass
+class TrainResult:
+    spec: NetworkSpec
+    weights: list[np.ndarray]
+    log_var: np.ndarray
+    rows: list[EpochRow]
+    initial_val_rmse: float
+    seed: int
+
+    @property
+    def final_val_rmse(self) -> float:
+        return self.rows[-1].val_rmse_st if self.rows else self.initial_val_rmse
+
+    def write_report(self, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("epoch,train_loss,w1,w2,w3,val_rmse_st\n")
+            for r in self.rows:
+                fh.write(f"{r.epoch},{r.train_loss!r},{r.w1!r},{r.w2!r},"
+                         f"{r.w3!r},{r.val_rmse_st!r}\n")
+
+
+def _validate_pairs(pairs, what):
+    if not pairs:
+        raise TrainingError(f"empty {what} dataset")
+    for i, (lr, hr) in enumerate(pairs):
+        if hr.width != 2 * lr.width or hr.height != 2 * lr.height:
+            raise TrainingError(
+                f"{what} pair {i}: {hr.width}x{hr.height} is not 2x {lr.width}x{lr.height}")
+
+
+def _validation_rmse(spec, weights, mode, val_data, steps, dt):
+    scores = []
+    for lr_vox, _, lr_stream, hr_stream in val_data:
+        out, _ = forward(spec, weights, lr_vox, mode)
+        pred = from_voxel_grid(out, t0=lr_stream.t0)
+        try:
+            scores.append(rmse_st(pred, hr_stream, steps, dt).rmse_st)
+        except DegenerateStreamError:
+            continue
+    return float(np.mean(scores)) if scores else float("nan")
+
+
+def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
+    """Fit a network on (LR stream, HR stream) pairs.
+
+    Per-sample gradients are averaged over each shuffled mini-batch and
+    fed to Adam; the loss log-variances train alongside the weights.
+    Validation RMSE is computed on event streams round-tripped through
+    the network output, so it matches a later infer + eval on the same
+    pair exactly.  `progress`, if given, is called with each EpochRow as
+    it completes.
+    """
+    _validate_pairs(pairs, "training")
+    _validate_pairs(val_pairs, "validation")
+    mode = resolve_mode(cfg.variant, cfg.mode)
+    spec = network_spec(cfg.variant)
+    if cfg.dt_ms != spec.dt_ms:
+        spec = NetworkSpec(spec.variant, spec.layers, spec.neuron_cfgs, spec.scale, cfg.dt_ms)
+    weights = init_weights(spec, cfg.seed)
+    state = LossState(np.zeros(3), cfg.bin_width_ms)
+
+    def prepare(pair_list):
+        data = []
+        for lr_stream, hr_stream in pair_list:
+            lr_vox, _ = to_voxel_grid(lr_stream, cfg.steps, cfg.dt_ms)
+            hr_vox, _ = to_voxel_grid(hr_stream, cfg.steps, cfg.dt_ms, origin=lr_stream.t0)
+            data.append((lr_vox, hr_vox.data, lr_stream, hr_stream))
+        return data
+
+    train_data = prepare(pairs)
+    val_data = prepare(val_pairs)
+    rng = np.random.default_rng(cfg.seed)
+    initial_val = _validation_rmse(spec, weights, mode, val_data, cfg.steps, cfg.dt_ms)
+    params = weights + [state.log_var]
+    opt = init_optim(params, lr=cfg.lr)
+    rows = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(train_data))
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            acc_w = [np.zeros_like(w) for w in weights]
+            acc_lv = np.zeros(3)
+            for j in batch:
+                lr_vox, hr_data, _, _ = train_data[j]
+                out, caches = forward(spec, weights, lr_vox, mode)
+                grads = backward(spec, weights, caches, out.data, hr_data, state)
+                if not np.isfinite(grads.loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, sample {j}")
+                for a, g in zip(acc_w, grads.weights):
+                    a += g
+                acc_lv += grads.log_var
+                epoch_loss += grads.loss
+            n = len(batch)
+            adam_step(params, [a / n for a in acc_w] + [acc_lv / n], opt)
+        w = state.weights()
+        val = _validation_rmse(spec, weights, mode, val_data, cfg.steps, cfg.dt_ms)
+        rows.append(EpochRow(epoch, epoch_loss / len(train_data),
+                             float(w[0]), float(w[1]), float(w[2]), val))
+        if progress is not None:
+            progress(rows[-1])
+    return TrainResult(spec, weights, state.log_var, rows, initial_val, cfg.seed)
