@@ -1,10 +1,10 @@
 """Event-stream 2x super-resolution with spike-response-model networks."""
 
-from .events import (Event, EventError, EventStream, SpikeTensor, downsample_2x,
-                     from_voxel_grid, merge_polarity, split_polarity, to_voxel_grid)
+from .events import (EventError, EventStream, SpikeTensor, downsample_2x,
+                     from_voxel_grid, to_voxel_grid)
 from .io import EventFormatError, load_events, save_events
-from .kernels import (KernelSamples, NeuronConfig, apply_psp, generate_spikes,
-                      refractory_kernel, spike_kernel, surrogate_grad)
+from .kernels import (NeuronConfig, apply_psp, generate_spikes, refractory_kernel,
+                      spike_kernel, surrogate_grad)
 from .metrics import (DegenerateStreamError, MetricsReport, mse_spatial,
                       mse_temporal, polarity_accuracy, rmse_st)
 from .model import (LayerConfig, NetworkSpec, count_flops, count_params, forward,

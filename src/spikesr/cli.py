@@ -14,15 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventError, EventStream
+from .events import US_PER_MS, EventError, EventStream
 from .io import EventFormatError, guess_format, load_events, save_events
 from .metrics import MetricsReport, rmse_st
-from .model import (ModelError, count_flops, count_params, load_checkpoint,
-                    network_spec, save_checkpoint, super_resolve)
+from .model import (MODES, VARIANTS, ModelError, count_flops, count_params,
+                    load_checkpoint, network_spec, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
 from .training import TrainConfig, TrainingError, resolve_mode, train
-
-US_PER_MS = 1000
 
 
 class UsageError(Exception):
@@ -330,8 +328,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="fit a network on LR/HR pairs")
     p.add_argument("--pairs", help="manifest of lr_path,hr_path lines")
-    p.add_argument("--variant", choices=("dual_layer", "ultralight"))
-    p.add_argument("--mode", choices=("joint", "dual_sequential", "dual_concurrent"))
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--steps", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
@@ -347,7 +345,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("joint", "dual_sequential", "dual_concurrent"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--steps", type=int)
     p.set_defaults(fn=cmd_infer)
 
@@ -366,7 +364,7 @@ def build_parser():
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("info", help="describe a variant or checkpoint")
-    p.add_argument("--variant", choices=("dual_layer", "ultralight"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--checkpoint")
     p.add_argument("--dims", help="HxWxT for a FLOP count")
     p.set_defaults(fn=cmd_info)

@@ -9,8 +9,6 @@ across channels (channel 0 positive, channel 1 negative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 US_PER_MS = 1000
@@ -18,14 +16,6 @@ US_PER_MS = 1000
 
 class EventError(ValueError):
     """Raised for malformed streams, tensors, or conversion inputs."""
-
-
-@dataclass(frozen=True)
-class Event:
-    t: int
-    x: int
-    y: int
-    p: int
 
 
 class EventStream:
@@ -70,14 +60,6 @@ class EventStream:
             raise EventError("events outside declared span")
 
     @classmethod
-    def from_events(cls, events, width, height, t0=None, t1=None):
-        t = [e.t for e in events]
-        x = [e.x for e in events]
-        y = [e.y for e in events]
-        p = [e.p for e in events]
-        return cls(t, x, y, p, width, height, t0=t0, t1=t1)
-
-    @classmethod
     def empty(cls, width, height):
         z = np.zeros(0, dtype=np.int64)
         return cls(z, z, z, z, width, height)
@@ -85,21 +67,9 @@ class EventStream:
     def __len__(self):
         return self.t.size
 
-    def __getitem__(self, i) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def span_us(self) -> int:
         return self.t1 - self.t0
-
-    def counts(self):
-        """(positive, negative) event counts."""
-        pos = int(np.count_nonzero(self.p == 1))
-        return pos, len(self) - pos
 
 
 class SpikeTensor:
@@ -126,20 +96,12 @@ class SpikeTensor:
         self.dt = float(dt)
 
     @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def height(self) -> int:
         return self.data.shape[1]
 
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-    @property
-    def steps(self) -> int:
-        return self.data.shape[3]
 
     @property
     def shape(self):
@@ -193,28 +155,6 @@ def from_voxel_grid(tensor: SpikeTensor, t0: int = 0) -> EventStream:
     y = np.repeat(ys, reps)
     p = np.repeat(np.where(ch == 0, 1, -1).astype(np.int64), reps)
     return EventStream(t, x, y, p, tensor.width, tensor.height)
-
-
-def split_polarity(stream: EventStream):
-    """Split into a positive-only and a negative-only stream (same geometry)."""
-    out = []
-    for pol in (1, -1):
-        m = stream.p == pol
-        out.append(EventStream(stream.t[m], stream.x[m], stream.y[m], stream.p[m],
-                               stream.width, stream.height, t0=stream.t0, t1=stream.t1))
-    return out[0], out[1]
-
-
-def merge_polarity(pos: EventStream, neg: EventStream) -> EventStream:
-    if (pos.width, pos.height) != (neg.width, neg.height):
-        raise EventError("polarity halves disagree on geometry")
-    t = np.concatenate([pos.t, neg.t])
-    x = np.concatenate([pos.x, neg.x])
-    y = np.concatenate([pos.y, neg.y])
-    p = np.concatenate([pos.p, neg.p])
-    t0 = min(pos.t0, neg.t0)
-    t1 = max(pos.t1, neg.t1)
-    return EventStream(t, x, y, p, pos.width, pos.height, t0=t0, t1=t1)
 
 
 def downsample_2x(stream: EventStream) -> EventStream:

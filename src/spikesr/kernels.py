@@ -48,48 +48,30 @@ class NeuronConfig:
             raise ValueError("lam must be non-negative, tau_rho and rho positive")
 
 
-@dataclass(frozen=True)
-class KernelSamples:
-    """A kernel sampled on the simulation grid: values[k] = kernel(k * dt)."""
-
-    values: np.ndarray
-    dt: float
-
-    @property
-    def length(self) -> int:
-        return self.values.size
-
-
 def kernel_length(tau: float, dt: float, steps: int) -> int:
     """Truncation horizon: ceil(8 tau / dt) samples, clamped to the window."""
     return max(1, min(math.ceil(8.0 * tau / dt), steps))
 
 
-def spike_kernel(tau_s: float, dt: float, length: int) -> KernelSamples:
-    """Sampled spike kernel; unit peak one time constant after onset."""
+def spike_kernel(tau_s: float, dt: float, length: int) -> np.ndarray:
+    """Spike kernel sampled at k * dt; unit peak one time constant after onset."""
     k = np.arange(length, dtype=np.float64) * dt
-    return KernelSamples((k / tau_s) * np.exp(1.0 - k / tau_s), dt)
+    return (k / tau_s) * np.exp(1.0 - k / tau_s)
 
 
-def refractory_kernel(tau_r: float, lam: float, dt: float, length: int) -> KernelSamples:
-    """Sampled refractory kernel; starts at -lam and decays to zero."""
+def refractory_kernel(tau_r: float, lam: float, dt: float, length: int) -> np.ndarray:
+    """Refractory kernel sampled at k * dt; starts at -lam and decays to zero."""
     k = np.arange(length, dtype=np.float64) * dt
-    return KernelSamples(-lam * np.exp(-k / tau_r), dt)
+    return -lam * np.exp(-k / tau_r)
 
 
-def apply_psp(spikes, kernel: KernelSamples) -> np.ndarray:
-    """Causal convolution of spike counts with a sampled kernel.
-
-    spikes is any [..., T] array (or a SpikeTensor); out[..., t] =
-    sum_k kernel[k] * spikes[..., t - k].  Nothing leaks backward in
-    time: an impulse at t reproduces the kernel starting at t.
-    """
-    x = np.asarray(getattr(spikes, "data", spikes), dtype=np.float64)
-    values = np.asarray(getattr(kernel, "values", kernel), dtype=np.float64)
+def _causal_filter(x: np.ndarray, kernel) -> np.ndarray:
+    """out[..., t] = sum_k kernel[k] * x[..., t - k], one shifted add per tap."""
+    kernel = np.asarray(kernel, dtype=np.float64)
     T = x.shape[-1]
     out = np.zeros_like(x)
-    for k in range(min(values.size, T)):
-        v = values[k]
+    for k in range(min(kernel.size, T)):
+        v = kernel[k]
         if v == 0.0:
             continue
         if k == 0:
@@ -99,21 +81,26 @@ def apply_psp(spikes, kernel: KernelSamples) -> np.ndarray:
     return out
 
 
-def apply_psp_adjoint(grad, kernel: KernelSamples) -> np.ndarray:
-    """Adjoint of apply_psp: time-reversed correlation with the kernel."""
-    g = np.asarray(grad, dtype=np.float64)
-    values = np.asarray(getattr(kernel, "values", kernel), dtype=np.float64)
-    T = g.shape[-1]
-    out = np.zeros_like(g)
-    for k in range(min(values.size, T)):
-        v = values[k]
-        if v == 0.0:
-            continue
-        if k == 0:
-            out += v * g
-        else:
-            out[..., :-k] += v * g[..., k:]
-    return out
+def apply_psp(spikes, kernel) -> np.ndarray:
+    """Causal convolution of spike counts with a sampled kernel.
+
+    spikes is any [..., T] array (or a SpikeTensor); out[..., t] =
+    sum_k kernel[k] * spikes[..., t - k].  Nothing leaks backward in
+    time: an impulse at t reproduces the kernel starting at t.
+    """
+    x = np.asarray(getattr(spikes, "data", spikes), dtype=np.float64)
+    return _causal_filter(x, kernel)
+
+
+def apply_psp_adjoint(grad, kernel) -> np.ndarray:
+    """Adjoint of apply_psp: the same causal filter run backward in time.
+
+    out[..., t] = sum_k kernel[k] * grad[..., t + k], computed by
+    filtering the time-reversed gradient and reversing the result.
+    """
+    # a contiguous reversed copy keeps every shifted add on forward strides
+    g = np.ascontiguousarray(np.asarray(grad, dtype=np.float64)[..., ::-1])
+    return _causal_filter(g, kernel)[..., ::-1]
 
 
 def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):
@@ -130,7 +117,7 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):
     if squeeze:
         x = x[None, :]
     T = x.shape[-1]
-    gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt, T)).values
+    gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt, T))
     u = x.copy()
     spikes = np.zeros_like(u)
     for t in range(T):

@@ -74,8 +74,18 @@ def mse_temporal(out: SpikeTensor, gt: SpikeTensor) -> float:
     return float(np.sum(d * d))
 
 
-def _block_index(steps: int, dt: float, block_ms: float) -> np.ndarray:
-    return np.floor(np.arange(steps) * dt / block_ms).astype(np.int64)
+def pooled_difference(d: np.ndarray, block_ms: float, dt: float):
+    """Sum a [..., T] difference tensor over consecutive block_ms windows.
+
+    Step t of dt milliseconds falls in block floor(t * dt / block_ms);
+    the last block may be partial.  Returns (pooled [..., n_blocks],
+    block index of every step).
+    """
+    if block_ms <= 0:
+        raise EventError("block_ms must be positive")
+    idx = np.floor(np.arange(d.shape[-1]) * dt / block_ms).astype(np.int64)
+    starts = np.flatnonzero(np.r_[1, np.diff(idx)])
+    return np.add.reduceat(d, starts, axis=-1), idx
 
 
 def mse_spatial(out: SpikeTensor, gt: SpikeTensor, block_ms: float = 50.0) -> float:
@@ -87,11 +97,7 @@ def mse_spatial(out: SpikeTensor, gt: SpikeTensor, block_ms: float = 50.0) -> fl
     a, b = out.data, gt.data
     if a.shape != b.shape:
         raise EventError(f"tensor shapes differ: {a.shape} vs {b.shape}")
-    if block_ms <= 0:
-        raise EventError("block_ms must be positive")
-    idx = _block_index(out.steps, out.dt, block_ms)
-    starts = np.flatnonzero(np.r_[1, np.diff(idx)])
-    d = np.add.reduceat(a - b, starts, axis=-1)
+    d, _ = pooled_difference(a - b, block_ms, out.dt)
     return float(np.sum(d * d))
 
 

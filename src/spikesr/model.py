@@ -8,8 +8,9 @@ the time axis:
                processed jointly in one pass.
   ultralight   the same shape with 1-channel input and output.  The two
                polarity channels are run through the shared weights as
-               separate passes (sequentially or concurrently, results
-               are identical) and concatenated.
+               two independent passes and concatenated.  The modes
+               "dual_sequential" and "dual_concurrent" both name this one
+               computation; neither starts a thread.
 
 Neither layer has a bias.  The final drive additionally receives the
 first layer's input PSP, bilinearly upsampled to output resolution, as
@@ -19,7 +20,6 @@ to the output neurons.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,16 +267,20 @@ def forward(spec: NetworkSpec, weights, inp, mode: str, spike_mode: str = "hard"
     """Super-resolve one [2, H, W, T] tensor to [2, 2H, 2W, T].
 
     mode must be "joint" for dual_layer and one of "dual_sequential" /
-    "dual_concurrent" for ultralight; the dual modes split the input by
+    "dual_concurrent" for ultralight; both dual modes split the input by
     polarity, push each channel through the shared weights, and stack
-    the results.  Returns (output SpikeTensor, per-pass caches).
+    the results.  The input's step size must be spec.dt_ms (a bare array
+    is taken to have it).  Returns (output SpikeTensor, per-pass caches).
     """
     if mode not in MODES:
         raise ModelError(f"unknown mode {mode!r}")
     if spike_mode not in SPIKE_MODES:
         raise ModelError(f"unknown spike mode {spike_mode!r}")
     validate_weights(spec, weights)
-    tensor = inp if isinstance(inp, SpikeTensor) else SpikeTensor(inp)
+    tensor = inp if isinstance(inp, SpikeTensor) else SpikeTensor(inp, dt=spec.dt_ms)
+    if tensor.dt != spec.dt_ms:
+        raise ModelError(f"input step dt={tensor.dt} ms differs from the network's "
+                         f"dt_ms={spec.dt_ms}")
     x = tensor.data
     if x.shape[0] != 2:
         raise ModelError("network input must carry both polarity channels")
@@ -287,12 +291,7 @@ def forward(spec: NetworkSpec, weights, inp, mode: str, spike_mode: str = "hard"
         return SpikeTensor(out, dt=tensor.dt), [cache]
     if mode == "joint":
         raise ModelError("ultralight requires a dual mode")
-    halves = (x[0:1], x[1:2])
-    if mode == "dual_concurrent":
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(lambda h: _forward_pass(spec, weights, h, spike_mode), halves))
-    else:
-        results = [_forward_pass(spec, weights, h, spike_mode) for h in halves]
+    results = [_forward_pass(spec, weights, x[c:c + 1], spike_mode) for c in range(2)]
     out = np.concatenate([r[0] for r in results], axis=0)
     return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results]
 
@@ -349,13 +348,14 @@ def resolve_mode(variant: str, mode: str | None) -> str:
 
 
 def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
-                  mode: str | None = None, dt: float = 1.0):
+                  mode: str | None = None):
     """Stream in, stream out: voxelize, run the network, re-emit events.
 
-    Returns (output stream at 2x geometry, input events dropped by
-    binning).  An empty input yields an empty output stream.
+    Bins are spec.dt_ms wide.  Returns (output stream at 2x geometry,
+    input events dropped by binning).  An empty input yields an empty
+    output stream.
     """
-    vox, dropped = to_voxel_grid(stream, steps, dt)
+    vox, dropped = to_voxel_grid(stream, steps, spec.dt_ms)
     out, _ = forward(spec, weights, vox, resolve_mode(spec.variant, mode))
     return from_voxel_grid(out, t0=stream.t0), dropped
 

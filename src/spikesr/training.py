@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import from_voxel_grid, to_voxel_grid
-from .metrics import DegenerateStreamError, rmse_st
+from .metrics import DegenerateStreamError, pooled_difference, rmse_st
 from .model import (NetworkSpec, backward_from_output, forward, init_weights,
                     network_spec, resolve_mode)
 
@@ -45,9 +45,6 @@ class LossState:
     def weights(self) -> np.ndarray:
         return np.exp(-np.asarray(self.log_var, dtype=np.float64))
 
-    def bins(self, steps: int, dt: float) -> int:
-        return max(1, int(np.ceil(steps * dt / self.bin_width_ms)))
-
 
 def _data(x) -> np.ndarray:
     return np.asarray(getattr(x, "data", x), dtype=np.float64)
@@ -60,16 +57,10 @@ def loss_temporal(out, gt) -> float:
     return float(np.sum(d * d)) / a.shape[-1]
 
 
-def _bin_starts(steps: int, dt: float, width_ms: float) -> np.ndarray:
-    idx = np.floor(np.arange(steps) * dt / width_ms).astype(np.int64)
-    return np.flatnonzero(np.r_[1, np.diff(idx)])
-
-
 def loss_spatial(out, gt, bin_width_ms: float = DEFAULT_BIN_MS, dt: float = 1.0) -> float:
     """Squared norm of count differences pooled over bin_width_ms windows."""
     a, b = _data(out), _data(gt)
-    starts = _bin_starts(a.shape[-1], dt, bin_width_ms)
-    d = np.add.reduceat(a - b, starts, axis=-1)
+    d, _ = pooled_difference(a - b, bin_width_ms, dt)
     return float(np.sum(d * d))
 
 
@@ -109,9 +100,7 @@ def loss_output_grad(out, gt, state: LossState, dt: float = 1.0) -> np.ndarray:
     w = state.weights()
     steps = a.shape[-1]
     g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
-    starts = _bin_starts(steps, dt, state.bin_width_ms)
-    binned = np.add.reduceat(d, starts, axis=-1)
-    idx = np.floor(np.arange(steps) * dt / state.bin_width_ms).astype(np.int64)
+    binned, idx = pooled_difference(d, state.bin_width_ms, dt)
     g += 2.0 * w[1] * binned[..., idx]
     return g
 

@@ -13,6 +13,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     The criterion tests print their own PASS lines, but default capture
     hides stdout of passing tests. Replaying the captured lines here puts
     them in the terminal (and in any tee'd log) regardless of outcome.
+    With capture off (-s) nothing is captured; a passed test then gets a
+    PASS line naming it, and only a failed one reads FAIL.
     """
     reports = []
     for key in ("passed", "failed"):
@@ -22,11 +24,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.section("acceptance criteria")
     for rep in sorted(reports, key=lambda r: r.nodeid):
+        name = rep.nodeid.rsplit("::", 1)[-1]
+        if rep.failed:
+            terminalreporter.write_line(f"FAIL {name}")
+            continue
         echoed = [ln for ln in rep.capstdout.splitlines()
                   if ln.startswith("PASS criterion")]
-        if rep.passed and echoed:
-            for line in echoed:
-                terminalreporter.write_line(line)
-        else:
-            name = rep.nodeid.rsplit("::", 1)[-1]
-            terminalreporter.write_line(f"FAIL {name}")
+        for line in echoed or [f"PASS {name}"]:
+            terminalreporter.write_line(line)

@@ -29,13 +29,14 @@ def voxel_oracle(stream, steps, dt=1.0, origin=None):
     dt_us = dt * 1000.0
     counts = defaultdict(int)
     dropped = 0
-    for e in stream:
-        rel = e.t - t0
+    for t, x, y, p in zip(stream.t.tolist(), stream.x.tolist(),
+                          stream.y.tolist(), stream.p.tolist()):
+        rel = t - t0
         b = math.floor(rel / dt_us)
         if b == steps and rel == steps * dt_us:
             b = steps - 1
         if 0 <= b < steps:
-            counts[(0 if e.p == 1 else 1, e.y, e.x, b)] += 1
+            counts[(0 if p == 1 else 1, y, x, b)] += 1
         else:
             dropped += 1
     return counts, dropped

@@ -55,17 +55,17 @@ def test_criterion_02_flop_formula():
 
 def test_criterion_03_kernel_identities():
     for tau in (1.0, 4.0):
-        values = spike_kernel(tau, 1.0, 64).values
+        values = spike_kernel(tau, 1.0, 64)
         assert abs(values[int(tau)] - 1.0) <= 1e-9
     for lam, tau in ((1.0, 1.0), (1.0, 4.0), (2.5, 3.0)):
-        assert refractory_kernel(tau, lam, 1.0, 16).values[0] == -lam
+        assert refractory_kernel(tau, lam, 1.0, 16)[0] == -lam
     print("PASS criterion 3: spike kernel peaks at 1, refractory starts at -lam")
 
 
 def test_criterion_04_hand_simulation():
     from spikesr.kernels import NeuronConfig
     neuron = NeuronConfig(v_th=30, tau_s=1, tau_r=1, lam=1, tau_rho=1, rho=10)
-    eps = spike_kernel(1.0, 1.0, 8).values
+    eps = spike_kernel(1.0, 1.0, 8)
     drive = np.zeros(8)
     drive[1:] = 40.0 * eps[:7]
     spikes, u = generate_spikes(drive, neuron)

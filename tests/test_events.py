@@ -3,8 +3,7 @@ import pytest
 
 import helpers
 from spikesr.events import (EventError, EventStream, SpikeTensor, downsample_2x,
-                            from_voxel_grid, merge_polarity, split_polarity,
-                            to_voxel_grid)
+                            from_voxel_grid, to_voxel_grid)
 from spikesr.synth import synth_moving_bar
 
 
@@ -16,9 +15,9 @@ def stream_of(rows, width, height, **kw):
 class TestEventStream:
     def test_sorts_stably(self):
         s = stream_of([[2000, 1, 0, 1], [1000, 2, 0, -1], [1000, 3, 0, 1]], 4, 1)
-        assert [e.t for e in s] == [1000, 1000, 2000]
+        assert list(s.t) == [1000, 1000, 2000]
         # ties keep file order
-        assert [e.x for e in s] == [2, 3, 1]
+        assert list(s.x) == [2, 3, 1]
 
     def test_span_derived_and_declared(self):
         s = stream_of([[1000, 0, 0, 1], [5000, 0, 0, 1]], 1, 1)
@@ -104,7 +103,7 @@ class TestFromVoxelGrid:
         data[0, 1, 1, 4] = 1.0
         s = from_voxel_grid(SpikeTensor(data))
         assert len(s) == 1
-        assert (s[0].t, s[0].x, s[0].y, s[0].p) == (4500, 1, 1, 1)
+        assert (s.t[0], s.x[0], s.y[0], s.p[0]) == (4500, 1, 1, 1)
 
     def test_zero_tensor_empty(self):
         s = from_voxel_grid(SpikeTensor(np.zeros((2, 4, 4, 5))))
@@ -115,7 +114,7 @@ class TestFromVoxelGrid:
         data[1, 0, 1, 0] = 2.0
         s = from_voxel_grid(SpikeTensor(data), t0=1000)
         assert len(s) == 2
-        assert all(e.p == -1 and e.t == 1500 for e in s)
+        assert np.all(s.p == -1) and np.all(s.t == 1500)
 
     def test_round_trip_integer_tensors(self, rng):
         for _ in range(10):
@@ -131,19 +130,6 @@ class TestFromVoxelGrid:
         assert np.all(np.diff(s.t) >= 0)
 
 
-class TestPolaritySplit:
-    def test_split_merge_round_trip(self, rng):
-        s = helpers.random_stream(rng, 5, 5, 15, 60)
-        pos, neg = split_polarity(s)
-        assert np.all(pos.p == 1) and np.all(neg.p == -1)
-        assert len(pos) + len(neg) == len(s)
-        merged = merge_polarity(pos, neg)
-        assert len(merged) == len(s)
-        vox, _ = to_voxel_grid(s, 15)
-        vox2, _ = to_voxel_grid(merged, 15)
-        assert np.array_equal(vox.data, vox2.data)
-
-
 class TestDownsample:
     def test_floor_halving(self):
         s = stream_of([[0, 5, 3, 1], [100, 4, 2, -1]], 8, 8)
@@ -156,7 +142,7 @@ class TestDownsample:
         s = stream_of([[0, 32, 32, 1]], 33, 33)
         d = downsample_2x(s)
         assert (d.width, d.height) == (17, 17)
-        assert (d[0].x, d[0].y) == (16, 16)
+        assert (d.x[0], d.y[0]) == (16, 16)
 
     def test_count_conserved_random(self, rng):
         for _ in range(30):
@@ -180,19 +166,19 @@ class TestSynthMovingBar:
 
     def test_polarity_structure(self):
         s = synth_moving_bar(16, 16, 100, 0.12, 3.0, seed=4)
-        pos, neg = split_polarity(s)
-        assert len(pos) > 0 and len(neg) > 0
+        pos, neg = s.p == 1, s.p == -1
+        assert pos.any() and neg.any()
         # trailing edge lags the leading edge at every column
-        for x in set(pos.x) & set(neg.x):
-            assert pos.t[pos.x == x].min() < neg.t[neg.x == x].min()
+        for x in set(s.x[pos]) & set(s.x[neg]):
+            assert s.t[pos & (s.x == x)].min() < s.t[neg & (s.x == x)].min()
 
     def test_centroid_advances(self):
         s = synth_moving_bar(16, 16, 100, 0.12, 3.0, seed=4)
-        pos, _ = split_polarity(s)
+        pos = s.p == 1
         centroids = []
         for k in range(10):
-            m = (pos.t >= k * 10000) & (pos.t < (k + 1) * 10000)
+            m = pos & (s.t >= k * 10000) & (s.t < (k + 1) * 10000)
             if m.any():
-                centroids.append(pos.x[m].mean())
+                centroids.append(s.x[m].mean())
         assert len(centroids) >= 5
         assert all(b > a for a, b in zip(centroids, centroids[1:]))

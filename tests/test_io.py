@@ -18,8 +18,8 @@ class TestCsv:
         f.write_text("t_us,x,y,p\n1000,3,4,1\n2000,3,4,-1\n")
         s = load_events(f, "csv")
         assert len(s) == 2
-        assert (s[0].t, s[0].x, s[0].y, s[0].p) == (1000, 3, 4, 1)
-        assert s[1].p == -1
+        assert (s.t[0], s.x[0], s.y[0], s.p[0]) == (1000, 3, 4, 1)
+        assert s.p[1] == -1
         assert (s.t0, s.t1) == (1000, 2000)
 
     def test_geometry_inferred_and_overridable(self, tmp_path):
@@ -112,21 +112,21 @@ class TestNmnist:
         f.write_bytes(bytes([0x05, 0x07, 0x80, 0x03, 0xE8]))
         s = load_events(f, "nmnist_bin")
         assert len(s) == 1
-        assert (s[0].t, s[0].x, s[0].y, s[0].p) == (1000, 5, 7, 1)
+        assert (s.t[0], s.x[0], s.y[0], s.p[0]) == (1000, 5, 7, 1)
         assert (s.width, s.height) == (34, 34)
 
     def test_clear_bit_is_negative(self, tmp_path):
         f = tmp_path / "neg.bin"
         f.write_bytes(bytes([0x00, 0x00, 0x00, 0x00, 0x01]))
         s = load_events(f, "nmnist_bin")
-        assert s[0].p == -1 and s[0].t == 1
+        assert s.p[0] == -1 and s.t[0] == 1
 
     def test_timestamp_bit_packing(self, tmp_path):
         # high timestamp bits live in the low 7 bits of byte 2
         f = tmp_path / "hi.bin"
         f.write_bytes(bytes([0x01, 0x02, 0xFF, 0xFF, 0xFF]))
         s = load_events(f, "nmnist_bin")
-        assert s[0].t == (1 << 23) - 1 and s[0].p == 1
+        assert s.t[0] == (1 << 23) - 1 and s.p[0] == 1
 
     def test_truncated(self, tmp_path):
         f = tmp_path / "bad.bin"

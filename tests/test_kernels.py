@@ -15,7 +15,7 @@ UPCONV_NEURON = NeuronConfig(v_th=100, tau_s=4, tau_r=4, lam=1, tau_rho=10, rho=
 
 class TestKernels:
     def test_spike_kernel_values(self):
-        v = spike_kernel(1.0, 1.0, 4).values
+        v = spike_kernel(1.0, 1.0, 4)
         assert v[0] == 0.0
         assert v[1] == 1.0
         assert abs(v[2] - 2 * math.exp(-1)) < 1e-12
@@ -23,18 +23,18 @@ class TestKernels:
 
     def test_spike_kernel_peaks_at_tau(self):
         for tau in (1.0, 4.0, 7.0):
-            v = spike_kernel(tau, 1.0, 64).values
+            v = spike_kernel(tau, 1.0, 64)
             assert abs(v[int(tau)] - 1.0) < 1e-9
             assert v.argmax() == int(tau)
 
     def test_refractory_kernel_values(self):
-        v = refractory_kernel(1.0, 1.0, 1.0, 3).values
+        v = refractory_kernel(1.0, 1.0, 1.0, 3)
         assert v[0] == -1.0
         assert abs(v[1] + math.exp(-1)) < 1e-12
         assert np.all(v < 0)
 
     def test_refractory_zero_magnitude(self):
-        assert np.all(refractory_kernel(2.0, 0.0, 1.0, 5).values == 0.0)
+        assert np.all(refractory_kernel(2.0, 0.0, 1.0, 5) == 0.0)
 
     def test_kernel_length_rule(self):
         assert kernel_length(1.0, 1.0, 100) == 8
@@ -49,7 +49,7 @@ class TestApplyPsp:
         x[0, 2] = 1.0
         out = apply_psp(x, kern)
         assert np.all(out[0, :2] == 0.0)
-        assert np.allclose(out[0, 2:8], kern.values)
+        assert np.allclose(out[0, 2:8], kern)
 
     def test_zero_input(self):
         kern = spike_kernel(2.0, 1.0, 8)
@@ -59,7 +59,7 @@ class TestApplyPsp:
         kern = spike_kernel(4.0, 1.0, 12)
         x = rng.integers(0, 3, (2, 3, 3, 20)).astype(float)
         out = apply_psp(x, kern)
-        ref = helpers.psp_oracle(x, kern.values)
+        ref = helpers.psp_oracle(x, kern)
         assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_linearity(self, rng):
@@ -80,6 +80,19 @@ class TestApplyPsp:
         rhs = float(np.sum(x * apply_psp_adjoint(g, kern)))
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize("steps", [5, 9, 20])   # shorter than, equal to, longer than the kernel
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_adjoint_is_transpose_elementwise(self, rng, steps, sliced):
+        kern = spike_kernel(3.0, 1.0, 9)
+        # column j of the dense PSP matrix is the oracle's response to an impulse at j
+        dense = helpers.psp_oracle(np.eye(steps), kern).T
+        if sliced:
+            g = rng.random((2, 6, 2 * steps))[:, ::2, ::2]
+            assert not g.flags.c_contiguous
+        else:
+            g = rng.random((2, 3, steps))
+        assert np.max(np.abs(apply_psp_adjoint(g, kern) - g @ dense)) < 1e-12
+
 
 class TestGenerateSpikes:
     def test_zero_drive_silent(self):
@@ -89,7 +102,7 @@ class TestGenerateSpikes:
     def test_single_spike_with_refractory_suppression(self):
         # drive = 40 * eps(t - 1): crosses threshold once, the refractory
         # tail keeps the decaying drive just below a second crossing
-        eps = spike_kernel(1.0, 1.0, 8).values
+        eps = spike_kernel(1.0, 1.0, 8)
         drive = np.zeros(8)
         drive[1:] = 40.0 * eps[:7]
         sp, u = generate_spikes(drive, CONV_NEURON)

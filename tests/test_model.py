@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import SpikeTensor
+from spikesr.events import SpikeTensor, downsample_2x
 from spikesr.model import (CHECKPOINT_MAGIC, LayerConfig, ModelError,
                            NetworkSpec, bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
                            forward, init_weights, load_checkpoint,
-                           network_spec, save_checkpoint, upconv2x_drive,
-                           upconv2x_input_adjoint, upconv2x_weight_adjoint,
-                           validate_weights)
+                           network_spec, save_checkpoint, super_resolve,
+                           upconv2x_drive, upconv2x_input_adjoint,
+                           upconv2x_weight_adjoint, validate_weights)
+from spikesr.synth import synth_moving_bar
 
 
 def random_input(rng, c=2, h=6, w=6, t=12, hi=3):
@@ -205,6 +206,24 @@ class TestForward:
         out, _ = forward(spec, weights, random_input(rng), "joint",
                          spike_mode="soft")
         assert np.all((out.data > 0) & (out.data < 1))
+
+    def test_rejects_step_size_other_than_spec(self, rng):
+        spec = network_spec("ultralight")
+        weights = init_weights(spec, seed=0)
+        inp = SpikeTensor(random_input(rng).data, dt=2.0)
+        with pytest.raises(ModelError, match="dt"):
+            forward(spec, weights, inp, "dual_sequential")
+
+
+class TestSuperResolve:
+    def test_bins_at_spec_step_size(self):
+        # 64 ms at dt_ms=2 fits 32 steps; binning at 1 ms would drop the second half
+        base = network_spec("ultralight")
+        spec = NetworkSpec(base.variant, base.layers, base.neuron_cfgs, base.scale, 2.0)
+        stream = downsample_2x(synth_moving_bar(32, 32, 64.0, 0.3, 2.0, seed=1))
+        out, dropped = super_resolve(spec, init_weights(spec, seed=0), stream, steps=32)
+        assert dropped == 0
+        assert (out.width, out.height) == (32, 32)
 
 
 class TestCheckpoint:
