@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import US_PER_MS, EventError, EventStream
+from .events import US_PER_MS, EventError, EventStream, steps_to_cover
 from .io import EventFormatError, guess_format, load_events, save_events
-from .metrics import MetricsReport, rmse_st
-from .model import (MODES, VARIANTS, ModelError, count_flops, count_params,
-                    load_checkpoint, network_spec, save_checkpoint, super_resolve)
+from .metrics import MetricsReport, common_span, rmse_st
+from .model import (VARIANTS, ModelError, count_flops, count_params, load_checkpoint,
+                    network_spec, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
-from .training import TrainConfig, TrainingError, resolve_mode, train
+from .training import TrainConfig, TrainingError, train
 
 
 class UsageError(Exception):
@@ -49,10 +49,6 @@ def _parse_dims(text):
 def _load_stream(path, fmt=None, width=None, height=None):
     fmt = fmt or guess_format(path)
     return load_events(path, fmt, width=width, height=height)
-
-
-def _default_steps(stream):
-    return max(1, math.ceil(stream.span_us / US_PER_MS))
 
 
 def _read_pair_manifest(path):
@@ -139,7 +135,7 @@ def _apply_config(args, path):
         raise UsageError(f"cannot read config {path}")
     grab = {("train", "epochs", int), ("train", "batch", int), ("train", "lr", float),
             ("train", "seed", int), ("train", "steps", int), ("train", "val_count", int),
-            ("model", "variant", str), ("model", "mode", str), ("data", "pairs", str)}
+            ("model", "variant", str), ("data", "pairs", str)}
     for section, key, cast in grab:
         if ini.has_option(section, key) and getattr(args, key, None) is None:
             setattr(args, key, cast(ini.get(section, key)))
@@ -150,19 +146,15 @@ def cmd_train(args):
         _apply_config(args, args.config)
     if args.pairs is None:
         raise UsageError("--pairs (or a config [data] pairs entry) is required")
-    defaults = dict(epochs=30, batch=16, lr=0.1, seed=0, steps=64, variant="ultralight")
-    for key, val in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, val)
     pair_paths = _read_pair_manifest(args.pairs)
     loaded = [( _load_stream(lr), _load_stream(hr)) for lr, hr in pair_paths]
     val_count = args.val_count if args.val_count is not None else max(1, len(loaded) // 10)
     if val_count >= len(loaded):
         raise UsageError("validation split leaves no training pairs")
     train_pairs, val_pairs = loaded[:-val_count], loaded[-val_count:]
-    cfg = TrainConfig(variant=args.variant, mode=args.mode, steps=args.steps,
-                      epochs=args.epochs, batch_size=args.batch, lr=args.lr,
-                      seed=args.seed)
+    given = dict(variant=args.variant, steps=args.steps, epochs=args.epochs,
+                 batch_size=args.batch, lr=args.lr, seed=args.seed)
+    cfg = TrainConfig(**{k: v for k, v in given.items() if v is not None})
     result = train(cfg, train_pairs, val_pairs)
     save_checkpoint(args.out, result.spec, result.weights, result.log_var, result.seed)
     if args.report:
@@ -175,7 +167,6 @@ def cmd_train(args):
 
 def cmd_infer(args):
     spec, weights, _, _ = load_checkpoint(args.checkpoint)
-    mode = resolve_mode(spec.variant, args.mode)
     stream = _load_stream(args.input)
     out_path = Path(args.out)
     if len(stream) == 0:
@@ -183,8 +174,8 @@ def cmd_infer(args):
         empty = EventStream.empty(spec.scale * stream.width, spec.scale * stream.height)
         save_events(empty, out_path, guess_format(out_path))
         return 0
-    steps = args.steps if args.steps is not None else _default_steps(stream)
-    result, dropped = super_resolve(spec, weights, stream, steps, mode)
+    steps = args.steps if args.steps is not None else steps_to_cover(stream.span_us, spec.dt_ms)
+    result, dropped = super_resolve(spec, weights, stream, steps)
     if dropped:
         print(f"warning: {dropped} events fell outside the {steps}-step grid",
               file=sys.stderr)
@@ -202,10 +193,13 @@ def _eval_one(pred_path, gt_path, steps):
             f"geometry mismatch: {pred_path} is {pred.width}x{pred.height}, "
             f"{gt_path} is {gt.width}x{gt.height}")
     if steps is None:
-        t0 = min(s.t0 for s in (pred, gt) if len(s))
-        t1 = max(s.t1 for s in (pred, gt) if len(s))
-        steps = max(1, math.ceil((t1 - t0) / US_PER_MS))
-    return rmse_st(pred, gt, steps)
+        t0, t1 = common_span(pred, gt)
+        steps = steps_to_cover(t1 - t0)
+    report = rmse_st(pred, gt, steps)
+    if report.dropped:
+        print(f"warning: {report.dropped} events of {pred_path} and {gt_path} fell outside "
+              f"the {steps}-step grid", file=sys.stderr)
+    return report
 
 
 def cmd_eval(args):
@@ -215,9 +209,9 @@ def cmd_eval(args):
             reports.append((pred, _eval_one(pred, gt, args.steps)))
         rows = [f"pred,{MetricsReport.csv_header()}"]
         rows += [f"{pred},{rep.to_csv_row()}" for pred, rep in reports]
-        mean_rmse = float(np.mean([rep.rmse_st for _, rep in reports]))
-        mean_pa = float(np.mean([rep.pa_percent for _, rep in reports]))
-        rows.append(f"mean,{mean_rmse!r},,,,{mean_pa!r},,,")
+        means = {name: repr(float(np.mean([getattr(rep, name) for _, rep in reports])))
+                 for name in ("rmse_st", "pa_percent")}
+        rows.append(",".join(["mean"] + [means.get(name, "") for name in MetricsReport.FIELDS]))
         text = "\n".join(rows) + "\n"
         if args.out:
             Path(args.out).write_text(text)
@@ -329,7 +323,6 @@ def build_parser():
     p = sub.add_parser("train", help="fit a network on LR/HR pairs")
     p.add_argument("--pairs", help="manifest of lr_path,hr_path lines")
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--mode", choices=MODES)
     p.add_argument("--steps", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
@@ -345,7 +338,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=MODES)
     p.add_argument("--steps", type=int)
     p.set_defaults(fn=cmd_infer)
 

@@ -9,6 +9,8 @@ across channels (channel 0 positive, channel 1 negative).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 US_PER_MS = 1000
@@ -106,6 +108,11 @@ class SpikeTensor:
     @property
     def shape(self):
         return self.data.shape
+
+
+def steps_to_cover(span_us: int, dt_ms: float = 1.0) -> int:
+    """Fewest dt_ms steps (at least one) whose grid holds a span_us span."""
+    return max(1, math.ceil(span_us / (dt_ms * US_PER_MS)))
 
 
 def to_voxel_grid(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventError, EventStream, SpikeTensor, to_voxel_grid
+from .events import EventError, EventStream, SpikeTensor, steps_to_cover, to_voxel_grid
+
+# Width of the time blocks that mse_spatial and the spatial loss pool over.
+BLOCK_MS = 50.0
 
 
 class DegenerateStreamError(EventError):
@@ -40,9 +43,10 @@ class MetricsReport:
     pa_vacuous: bool
     n_p: int
     span_ms: float
+    dropped: int
 
     FIELDS = ("rmse_st", "mse_t_raw", "mse_s_raw", "mse_t_norm", "mse_s_norm",
-              "pa_percent", "pa_vacuous", "n_p", "span_ms")
+              "pa_percent", "pa_vacuous", "n_p", "span_ms", "dropped")
 
     def to_kv(self) -> str:
         lines = []
@@ -88,7 +92,7 @@ def pooled_difference(d: np.ndarray, block_ms: float, dt: float):
     return np.add.reduceat(d, starts, axis=-1), idx
 
 
-def mse_spatial(out: SpikeTensor, gt: SpikeTensor, block_ms: float = 50.0) -> float:
+def mse_spatial(out: SpikeTensor, gt: SpikeTensor, block_ms: float = BLOCK_MS) -> float:
     """Sum of squared differences of per-pixel counts pooled over time blocks.
 
     Blocks are consecutive block_ms windows (the last may be partial).
@@ -113,7 +117,8 @@ def _pa_from_tensors(out_data: np.ndarray, gt_data: np.ndarray):
     return 100.0 * matches / omega, False
 
 
-def _common_span(out_stream: EventStream, gt_stream: EventStream):
+def common_span(out_stream: EventStream, gt_stream: EventStream):
+    """(t0, t1) covering the events of both streams; raises if both are empty."""
     if (out_stream.width, out_stream.height) != (gt_stream.width, gt_stream.height):
         raise EventError("stream geometries differ")
     spans = [(s.t0, s.t1) for s in (out_stream, gt_stream) if len(s)]
@@ -129,17 +134,18 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     """Joint spatio-temporal RMSE plus polarity accuracy for one pair.
 
     Both streams are binned over their combined span into `steps` bins
-    of dt milliseconds.  Raises if the ground truth is empty or the
-    span is zero.
+    of dt milliseconds.  `dropped` counts the events of both streams
+    that fall past the last bin.  Raises if the ground truth is empty or
+    the span is zero.
     """
     if len(gt_stream) == 0:
         raise DegenerateStreamError("ground-truth stream is empty")
-    t0, t1 = _common_span(out_stream, gt_stream)
+    t0, t1 = common_span(out_stream, gt_stream)
     span_ms = (t1 - t0) / 1000.0
     if span_ms <= 0:
         raise DegenerateStreamError("zero time span")
-    out_vox, _ = to_voxel_grid(out_stream, steps, dt, origin=t0)
-    gt_vox, _ = to_voxel_grid(gt_stream, steps, dt, origin=t0)
+    out_vox, out_dropped = to_voxel_grid(out_stream, steps, dt, origin=t0)
+    gt_vox, gt_dropped = to_voxel_grid(gt_stream, steps, dt, origin=t0)
     mse_t = mse_temporal(out_vox, gt_vox)
     mse_s = mse_spatial(out_vox, gt_vox)
     n_p = int(np.count_nonzero(gt_vox.data.sum(axis=(0, 3)) > 0))
@@ -150,7 +156,8 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
         rmse_st=math.sqrt((mse_t + mse_s) / (span_ms * n_p)),
         mse_t_raw=mse_t, mse_s_raw=mse_s,
         mse_t_norm=mse_t / n_p, mse_s_norm=mse_s / n_p,
-        pa_percent=pa, pa_vacuous=vacuous, n_p=n_p, span_ms=span_ms)
+        pa_percent=pa, pa_vacuous=vacuous, n_p=n_p, span_ms=span_ms,
+        dropped=out_dropped + gt_dropped)
 
 
 def polarity_accuracy(out_stream: EventStream, gt_stream: EventStream) -> float:
@@ -161,8 +168,8 @@ def polarity_accuracy(out_stream: EventStream, gt_stream: EventStream) -> float:
     """
     if len(out_stream) == 0 or len(gt_stream) == 0:
         return 100.0
-    t0, t1 = _common_span(out_stream, gt_stream)
-    steps = max(1, math.ceil((t1 - t0) / 1000.0))
+    t0, t1 = common_span(out_stream, gt_stream)
+    steps = steps_to_cover(t1 - t0)
     out_vox, _ = to_voxel_grid(out_stream, steps, 1.0, origin=t0)
     gt_vox, _ = to_voxel_grid(gt_stream, steps, 1.0, origin=t0)
     return _pa_from_tensors(out_vox.data, gt_vox.data)[0]

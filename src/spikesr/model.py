@@ -8,9 +8,10 @@ the time axis:
                processed jointly in one pass.
   ultralight   the same shape with 1-channel input and output.  The two
                polarity channels are run through the shared weights as
-               two independent passes and concatenated.  The modes
-               "dual_sequential" and "dual_concurrent" both name this one
-               computation; neither starts a thread.
+               two independent passes and concatenated.
+
+The pass layout follows from the first layer's input width: forward
+cuts the two polarity channels into passes of that many channels.
 
 Neither layer has a bias.  The final drive additionally receives the
 first layer's input PSP, bilinearly upsampled to output resolution, as
@@ -31,14 +32,12 @@ from .kernels import (NeuronConfig, apply_psp, apply_psp_adjoint, generate_spike
                       surrogate_grad)
 
 VARIANTS = ("dual_layer", "ultralight")
-MODES = ("joint", "dual_sequential", "dual_concurrent")
-SPIKE_MODES = ("hard", "soft")
 
 CHECKPOINT_MAGIC = b"EVSRW01"
 
 
 class ModelError(ValueError):
-    """Invalid configuration, mode, or weight structure."""
+    """Invalid configuration or weight structure."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,8 @@ def count_params(spec: NetworkSpec) -> int:
 def count_flops(spec: NetworkSpec, h: int, w: int, t: int) -> int:
     """Multiply-accumulate cost, 2 * k_h * k_w * c_in * c_out * h_out * w_out * T per layer.
 
-    For the polarity-split variant this is the cost of both passes.
+    Counted over all of forward's passes (two when the first layer takes
+    one channel).
     """
     if h < 1 or w < 1 or t < 0:
         raise ModelError("dimensions must be positive (t may be zero)")
@@ -133,8 +133,7 @@ def count_flops(spec: NetworkSpec, h: int, w: int, t: int) -> int:
         total += 2 * layer.kernel_h * layer.kernel_w * layer.in_channels \
             * layer.out_channels * oh * ow * t
         ch, cw = oh, ow
-    passes = 2 if spec.variant == "ultralight" else 1
-    return passes * total
+    return 2 // spec.layers[0].in_channels * total
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +262,16 @@ def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str):
     return s2, ForwardCache(c1, c2, spike_mode)
 
 
-def forward(spec: NetworkSpec, weights, inp, mode: str, spike_mode: str = "hard"):
+def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard"):
     """Super-resolve one [2, H, W, T] tensor to [2, 2H, 2W, T].
 
-    mode must be "joint" for dual_layer and one of "dual_sequential" /
-    "dual_concurrent" for ultralight; both dual modes split the input by
-    polarity, push each channel through the shared weights, and stack
-    the results.  The input's step size must be spec.dt_ms (a bare array
-    is taken to have it).  Returns (output SpikeTensor, per-pass caches).
+    The input is cut into passes of the first layer's input width, each
+    pass runs through the shared weights, and the outputs are stacked:
+    one joint pass for dual_layer, one pass per polarity for ultralight.
+    The input's step size must be spec.dt_ms (a bare array is taken to
+    have it).  Returns (output SpikeTensor, per-pass caches).
     """
-    if mode not in MODES:
-        raise ModelError(f"unknown mode {mode!r}")
-    if spike_mode not in SPIKE_MODES:
+    if spike_mode not in ("hard", "soft"):
         raise ModelError(f"unknown spike mode {spike_mode!r}")
     validate_weights(spec, weights)
     tensor = inp if isinstance(inp, SpikeTensor) else SpikeTensor(inp, dt=spec.dt_ms)
@@ -284,14 +281,8 @@ def forward(spec: NetworkSpec, weights, inp, mode: str, spike_mode: str = "hard"
     x = tensor.data
     if x.shape[0] != 2:
         raise ModelError("network input must carry both polarity channels")
-    if spec.variant == "dual_layer":
-        if mode != "joint":
-            raise ModelError("dual_layer runs in joint mode only")
-        out, cache = _forward_pass(spec, weights, x, spike_mode)
-        return SpikeTensor(out, dt=tensor.dt), [cache]
-    if mode == "joint":
-        raise ModelError("ultralight requires a dual mode")
-    results = [_forward_pass(spec, weights, x[c:c + 1], spike_mode) for c in range(2)]
+    c = spec.layers[0].in_channels
+    results = [_forward_pass(spec, weights, x[i:i + c], spike_mode) for i in range(0, 2, c)]
     out = np.concatenate([r[0] for r in results], axis=0)
     return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results]
 
@@ -325,26 +316,29 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
 def backward_from_output(spec: NetworkSpec, weights, caches, g_out: np.ndarray):
     """Accumulate weight gradients across passes.
 
-    For the dual modes the output channels map one-to-one onto the two
-    shared-weight passes, so the total gradient is the sum of each
-    pass's contribution.
+    Pass k produced output channels [k*c, (k+1)*c), with c the last
+    layer's output width, so the total gradient is the sum of each
+    pass's contribution to its own slice of g_out.
     """
     grads = [np.zeros_like(w) for w in weights]
-    if len(caches) == 1:
-        parts = [g_out]
-    else:
-        parts = [g_out[0:1], g_out[1:2]]
-    for cache, part in zip(caches, parts):
-        for acc, g in zip(grads, backward_pass(spec, weights, cache, part)):
+    c = spec.layers[-1].out_channels
+    for k, cache in enumerate(caches):
+        for acc, g in zip(grads, backward_pass(spec, weights, cache, g_out[k * c:(k + 1) * c])):
             acc += g
     return grads
 
 
 def resolve_mode(variant: str, mode: str | None) -> str:
-    """The variant's natural forward mode when none is requested."""
-    if mode is None:
-        return "joint" if variant == "dual_layer" else "dual_sequential"
-    return mode
+    """Name of the variant's one pass layout: "joint" for dual_layer,
+    "dual_sequential" for ultralight.
+
+    Kept for callers written when the layout was an option; any mode
+    other than None or that name raises ModelError.
+    """
+    own = "joint" if variant == "dual_layer" else "dual_sequential"
+    if mode not in (None, own):
+        raise ModelError(f"{variant} has no mode {mode!r}")
+    return own
 
 
 def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
@@ -353,10 +347,11 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
 
     Bins are spec.dt_ms wide.  Returns (output stream at 2x geometry,
     input events dropped by binning).  An empty input yields an empty
-    output stream.
+    output stream.  `mode` is only checked, by resolve_mode.
     """
+    resolve_mode(spec.variant, mode)
     vox, dropped = to_voxel_grid(stream, steps, spec.dt_ms)
-    out, _ = forward(spec, weights, vox, resolve_mode(spec.variant, mode))
+    out, _ = forward(spec, weights, vox)
     return from_voxel_grid(out, t0=stream.t0), dropped
 
 

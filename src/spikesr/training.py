@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import from_voxel_grid, to_voxel_grid
-from .metrics import DegenerateStreamError, pooled_difference, rmse_st
-from .model import (NetworkSpec, backward_from_output, forward, init_weights,
-                    network_spec, resolve_mode)
-
-DEFAULT_BIN_MS = 50.0
+from .metrics import BLOCK_MS, DegenerateStreamError, pooled_difference, rmse_st
+from .model import NetworkSpec, backward_from_output, forward, init_weights, network_spec
+from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
 class TrainingError(RuntimeError):
@@ -37,10 +35,9 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class LossState:
-    """Learned log-variances (one per loss term) and the pooling width."""
+    """Learned log-variances, one per loss term."""
 
     log_var: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    bin_width_ms: float = DEFAULT_BIN_MS
 
     def weights(self) -> np.ndarray:
         return np.exp(-np.asarray(self.log_var, dtype=np.float64))
@@ -57,7 +54,7 @@ def loss_temporal(out, gt) -> float:
     return float(np.sum(d * d)) / a.shape[-1]
 
 
-def loss_spatial(out, gt, bin_width_ms: float = DEFAULT_BIN_MS, dt: float = 1.0) -> float:
+def loss_spatial(out, gt, bin_width_ms: float = BLOCK_MS, dt: float = 1.0) -> float:
     """Squared norm of count differences pooled over bin_width_ms windows."""
     a, b = _data(out), _data(gt)
     d, _ = pooled_difference(a - b, bin_width_ms, dt)
@@ -85,7 +82,7 @@ class LossTerms:
 def loss_total(out, gt, state: LossState, dt: float = 1.0):
     """Certainty-weighted objective; returns (value, per-term breakdown)."""
     lt = loss_temporal(out, gt)
-    ls = loss_spatial(out, gt, state.bin_width_ms, dt)
+    ls = loss_spatial(out, gt, dt=dt)
     lp = loss_polarity(out, gt)
     w = state.weights()
     reg = float(np.sum(state.log_var))
@@ -100,7 +97,7 @@ def loss_output_grad(out, gt, state: LossState, dt: float = 1.0) -> np.ndarray:
     w = state.weights()
     steps = a.shape[-1]
     g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
-    binned, idx = pooled_difference(d, state.bin_width_ms, dt)
+    binned, idx = pooled_difference(d, BLOCK_MS, dt)
     g += 2.0 * w[1] * binned[..., idx]
     return g
 
@@ -169,14 +166,12 @@ def adam_step(params, grads, opt: OptimState):
 @dataclass
 class TrainConfig:
     variant: str = "ultralight"
-    mode: str | None = None       # defaults to the variant's natural mode
     steps: int = 64
     epochs: int = 30
     batch_size: int = 16
     lr: float = 0.1
     seed: int = 0
     dt_ms: float = 1.0
-    bin_width_ms: float = DEFAULT_BIN_MS
 
 
 @dataclass(frozen=True)
@@ -219,10 +214,10 @@ def _validate_pairs(pairs, what):
                 f"{what} pair {i}: {hr.width}x{hr.height} is not 2x {lr.width}x{lr.height}")
 
 
-def _validation_rmse(spec, weights, mode, val_data, steps, dt):
+def _validation_rmse(spec, weights, val_data, steps, dt):
     scores = []
     for lr_vox, _, lr_stream, hr_stream in val_data:
-        out, _ = forward(spec, weights, lr_vox, mode)
+        out, _ = forward(spec, weights, lr_vox)
         pred = from_voxel_grid(out, t0=lr_stream.t0)
         try:
             scores.append(rmse_st(pred, hr_stream, steps, dt).rmse_st)
@@ -243,12 +238,11 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     """
     _validate_pairs(pairs, "training")
     _validate_pairs(val_pairs, "validation")
-    mode = resolve_mode(cfg.variant, cfg.mode)
     spec = network_spec(cfg.variant)
     if cfg.dt_ms != spec.dt_ms:
         spec = NetworkSpec(spec.variant, spec.layers, spec.neuron_cfgs, spec.scale, cfg.dt_ms)
     weights = init_weights(spec, cfg.seed)
-    state = LossState(np.zeros(3), cfg.bin_width_ms)
+    state = LossState()
 
     def prepare(pair_list):
         data = []
@@ -261,7 +255,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     train_data = prepare(pairs)
     val_data = prepare(val_pairs)
     rng = np.random.default_rng(cfg.seed)
-    initial_val = _validation_rmse(spec, weights, mode, val_data, cfg.steps, cfg.dt_ms)
+    initial_val = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
     params = weights + [state.log_var]
     opt = init_optim(params, lr=cfg.lr)
     rows = []
@@ -274,7 +268,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             acc_lv = np.zeros(3)
             for j in batch:
                 lr_vox, hr_data, _, _ = train_data[j]
-                out, caches = forward(spec, weights, lr_vox, mode)
+                out, caches = forward(spec, weights, lr_vox)
                 grads = backward(spec, weights, caches, out.data, hr_data, state)
                 if not np.isfinite(grads.loss):
                     raise TrainingError(
@@ -286,7 +280,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             n = len(batch)
             adam_step(params, [a / n for a in acc_w] + [acc_lv / n], opt)
         w = state.weights()
-        val = _validation_rmse(spec, weights, mode, val_data, cfg.steps, cfg.dt_ms)
+        val = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
         rows.append(EpochRow(epoch, epoch_loss / len(train_data),
                              float(w[0]), float(w[1]), float(w[2]), val))
         if progress is not None:

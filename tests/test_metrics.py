@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import EventError, EventStream, SpikeTensor
+from spikesr.events import EventError, EventStream, SpikeTensor, downsample_2x
 from spikesr.metrics import (DegenerateStreamError, MetricsReport,
                              mse_spatial, mse_temporal, polarity_accuracy,
                              rmse_st)
+from spikesr.synth import synth_moving_bar
 
 
 def stream_of(events, width, height, t0=None, t1=None):
@@ -120,6 +121,15 @@ class TestRmseSt:
         out = stream_of([(0, 0, 0, 1)], 4, 4, t0=0, t1=1_000)
         rep = rmse_st(out, gt, 6)
         assert rep.span_ms == 6.0
+
+    def test_reports_dropped_events(self):
+        # 32 one-millisecond steps cover only the first half of a 64 ms stream
+        gt = downsample_2x(synth_moving_bar(32, 32, 64.0, 0.3, 2.0, seed=1))
+        empty = EventStream.empty(gt.width, gt.height)
+        half = rmse_st(empty, gt, 32)
+        late = int(np.count_nonzero(gt.t - gt.t0 >= 32_000))
+        assert half.dropped == late > 0
+        assert rmse_st(empty, gt, 64).dropped == 0
 
     def test_normalized_fields(self, rng):
         gt = helpers.random_stream(rng, 6, 6, 30, 80)

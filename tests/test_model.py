@@ -7,7 +7,7 @@ from spikesr.model import (CHECKPOINT_MAGIC, LayerConfig, ModelError,
                            NetworkSpec, bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
                            forward, init_weights, load_checkpoint,
-                           network_spec, save_checkpoint, super_resolve,
+                           network_spec, resolve_mode, save_checkpoint, super_resolve,
                            upconv2x_drive, upconv2x_input_adjoint,
                            upconv2x_weight_adjoint, validate_weights)
 from spikesr.synth import synth_moving_bar
@@ -145,41 +145,35 @@ class TestLayerOps:
 
 class TestForward:
     def test_output_shape_and_type(self, rng):
-        for variant, mode in (("dual_layer", "joint"),
-                              ("ultralight", "dual_sequential")):
+        for variant, passes in (("dual_layer", 1), ("ultralight", 2)):
             spec = network_spec(variant)
             weights = init_weights(spec, seed=1)
             inp = random_input(rng)
-            out, caches = forward(spec, weights, inp, mode)
+            out, caches = forward(spec, weights, inp)
             assert isinstance(out, SpikeTensor)
             assert out.data.shape == (2, 12, 12, 12)
             assert set(np.unique(out.data)) <= {0.0, 1.0}
-            assert len(caches) == (1 if mode == "joint" else 2)
+            assert len(caches) == passes
 
-    def test_mode_variant_pairing_enforced(self, rng):
-        inp = random_input(rng)
-        with pytest.raises(ModelError):
-            forward(network_spec("dual_layer"),
-                    init_weights(network_spec("dual_layer"), seed=0),
-                    inp, "dual_sequential")
-        with pytest.raises(ModelError):
-            forward(network_spec("ultralight"),
-                    init_weights(network_spec("ultralight"), seed=0),
-                    inp, "joint")
+    def test_mode_variant_pairing_enforced(self):
+        # super_resolve's optional mode is checked against the variant, then ignored
+        stream = downsample_2x(synth_moving_bar(16, 16, 16.0, 0.3, 2.0, seed=2))
+        for variant, foreign in (("dual_layer", "dual_sequential"), ("ultralight", "joint")):
+            spec = network_spec(variant)
+            weights = [20.0 * w for w in init_weights(spec, seed=0)]  # strong enough to fire
+            out, dropped = super_resolve(spec, weights, stream, 16)
+            named, named_dropped = super_resolve(spec, weights, stream, 16,
+                                                 resolve_mode(spec.variant, None))
+            assert len(out) > 0 and dropped == named_dropped
+            assert all(np.array_equal(getattr(out, k), getattr(named, k)) for k in "txyp")
+            with pytest.raises(ModelError):
+                super_resolve(spec, weights, stream, 16, foreign)
 
     def test_rejects_wrong_channel_count(self, rng):
         spec = network_spec("ultralight")
         weights = init_weights(spec, seed=0)
         with pytest.raises(ModelError):
-            forward(spec, weights, random_input(rng, c=1), "dual_sequential")
-
-    def test_dual_modes_bit_identical(self, rng):
-        spec = network_spec("ultralight")
-        weights = init_weights(spec, seed=2)
-        inp = random_input(rng, hi=4)
-        a, _ = forward(spec, weights, inp, "dual_sequential")
-        b, _ = forward(spec, weights, inp, "dual_concurrent")
-        assert np.array_equal(a.data, b.data)
+            forward(spec, weights, random_input(rng, c=1))
 
     def test_dual_channels_independent(self, rng):
         # zeroing the negative channel must not change the positive output
@@ -188,23 +182,22 @@ class TestForward:
         inp = random_input(rng, hi=4)
         only_pos = inp.data.copy()
         only_pos[1] = 0.0
-        full, _ = forward(spec, weights, inp, "dual_sequential")
-        part, _ = forward(spec, weights, SpikeTensor(only_pos), "dual_sequential")
+        full, _ = forward(spec, weights, inp)
+        part, _ = forward(spec, weights, SpikeTensor(only_pos))
         assert np.array_equal(full.data[0], part.data[0])
 
     def test_deterministic(self, rng):
         spec = network_spec("dual_layer")
         weights = init_weights(spec, seed=4)
         inp = random_input(rng)
-        a, _ = forward(spec, weights, inp, "joint")
-        b, _ = forward(spec, weights, inp, "joint")
+        a, _ = forward(spec, weights, inp)
+        b, _ = forward(spec, weights, inp)
         assert np.array_equal(a.data, b.data)
 
     def test_soft_mode_continuous(self, rng):
         spec = network_spec("dual_layer")
         weights = init_weights(spec, seed=5)
-        out, _ = forward(spec, weights, random_input(rng), "joint",
-                         spike_mode="soft")
+        out, _ = forward(spec, weights, random_input(rng), spike_mode="soft")
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_rejects_step_size_other_than_spec(self, rng):
@@ -212,7 +205,7 @@ class TestForward:
         weights = init_weights(spec, seed=0)
         inp = SpikeTensor(random_input(rng).data, dt=2.0)
         with pytest.raises(ModelError, match="dt"):
-            forward(spec, weights, inp, "dual_sequential")
+            forward(spec, weights, inp)
 
 
 class TestSuperResolve:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spikesr.events import SpikeTensor, downsample_2x
-from spikesr.model import backward_from_output, forward, init_weights, network_spec
+from spikesr.model import (ModelError, backward_from_output, forward, init_weights,
+                           network_spec)
 from spikesr.synth import synth_moving_bar
 from spikesr.training import (EpochRow, LossState, TrainConfig, TrainingError,
                               adam_step, backward, init_optim,
@@ -112,7 +113,7 @@ class TestLossGradients:
         spec = network_spec("dual_layer")
         weights = init_weights(spec, seed=0)
         inp = SpikeTensor(rng.integers(0, 3, (2, 4, 4, 8)).astype(float))
-        out, caches = forward(spec, weights, inp, "joint")
+        out, caches = forward(spec, weights, inp)
         grads = backward(spec, weights, caches, out.data, out.data, LossState())
         assert grads.log_var == pytest.approx([1.0, 1.0, 1.0])
         assert grads.loss == pytest.approx(0.0)
@@ -123,7 +124,7 @@ class TestLossGradients:
         inp = SpikeTensor(rng.integers(0, 3, (2, 4, 4, 8)).astype(float))
         gt = rng.integers(0, 2, (2, 8, 8, 8)).astype(float)
         state = LossState(log_var=np.array([0.3, -0.2, 0.1]))
-        out, caches = forward(spec, weights, inp, "joint")
+        out, caches = forward(spec, weights, inp)
         grads = backward(spec, weights, caches, out.data, gt, state)
         losses = np.array([grads.terms.temporal, grads.terms.spatial,
                            grads.terms.polarity])
@@ -134,7 +135,7 @@ class TestLossGradients:
         spec = network_spec("ultralight")
         weights = init_weights(spec, seed=2)
         inp = SpikeTensor(rng.integers(0, 4, (2, 4, 4, 10)).astype(float))
-        out, caches = forward(spec, weights, inp, "dual_sequential")
+        out, caches = forward(spec, weights, inp)
         g_out = rng.standard_normal(out.data.shape)
         combined = backward_from_output(spec, weights, caches, g_out)
         per_pass = [backward_from_output(spec, weights, [cache],
@@ -200,7 +201,8 @@ class TestTrainLoop:
     def test_resolve_mode_defaults(self):
         assert resolve_mode("dual_layer", None) == "joint"
         assert resolve_mode("ultralight", None) == "dual_sequential"
-        assert resolve_mode("ultralight", "dual_concurrent") == "dual_concurrent"
+        with pytest.raises(ModelError):
+            resolve_mode("ultralight", "dual_concurrent")
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
@@ -230,17 +232,6 @@ class TestTrainLoop:
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert a.rows == b.rows
-
-    def test_concurrent_mode_matches_sequential(self):
-        pairs = tiny_pairs(2)
-        val = tiny_pairs(1, seed0=902)
-        res = {}
-        for mode in ("dual_sequential", "dual_concurrent"):
-            cfg = TrainConfig(epochs=1, batch_size=2, steps=32, seed=7, mode=mode)
-            res[mode] = train(cfg, pairs, val)
-        for wa, wb in zip(res["dual_sequential"].weights,
-                          res["dual_concurrent"].weights):
-            assert np.array_equal(wa, wb)
 
     def test_progress_callback_sees_every_epoch(self):
         seen = []
