@@ -7,9 +7,8 @@ from .kernels import (NeuronConfig, apply_psp, generate_spikes, refractory_kerne
                       spike_kernel, surrogate_grad)
 from .metrics import (DegenerateStreamError, MetricsReport, mse_spatial,
                       mse_temporal, polarity_accuracy, rmse_st)
-from .model import (LayerConfig, NetworkSpec, count_flops, count_params, forward,
-                    init_weights, load_checkpoint, network_spec, save_checkpoint,
-                    super_resolve)
+from .model import (NetworkSpec, count_flops, count_params, forward, init_weights,
+                    load_checkpoint, network_spec, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
 from .training import (LossState, OptimState, TrainConfig, TrainResult, TrainingError,
                        adam_step, backward, init_optim, loss_polarity, loss_spatial,

@@ -146,16 +146,25 @@ def cmd_train(args):
         _apply_config(args, args.config)
     if args.pairs is None:
         raise UsageError("--pairs (or a config [data] pairs entry) is required")
+    given = dict(variant=args.variant, steps=args.steps, epochs=args.epochs,
+                 batch_size=args.batch, lr=args.lr, seed=args.seed)
+    try:
+        cfg = TrainConfig(**{k: v for k, v in given.items() if v is not None})
+    except TrainingError as exc:
+        raise UsageError(str(exc)) from None
     pair_paths = _read_pair_manifest(args.pairs)
     loaded = [( _load_stream(lr), _load_stream(hr)) for lr, hr in pair_paths]
     val_count = args.val_count if args.val_count is not None else max(1, len(loaded) // 10)
     if val_count >= len(loaded):
         raise UsageError("validation split leaves no training pairs")
     train_pairs, val_pairs = loaded[:-val_count], loaded[-val_count:]
-    given = dict(variant=args.variant, steps=args.steps, epochs=args.epochs,
-                 batch_size=args.batch, lr=args.lr, seed=args.seed)
-    cfg = TrainConfig(**{k: v for k, v in given.items() if v is not None})
     result = train(cfg, train_pairs, val_pairs)
+    if result.dropped:
+        print(f"warning: {result.dropped} events of the training and validation pairs fell "
+              f"outside the {cfg.steps}-step grid", file=sys.stderr)
+    if result.val_skipped:
+        print(f"warning: {result.val_skipped} of {len(val_pairs)} validation pairs have no "
+              f"defined RMSE and were left out of val_rmse_st", file=sys.stderr)
     save_checkpoint(args.out, result.spec, result.weights, result.log_var, result.seed)
     if args.report:
         result.write_report(args.report)

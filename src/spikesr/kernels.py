@@ -84,12 +84,11 @@ def _causal_filter(x: np.ndarray, kernel) -> np.ndarray:
 def apply_psp(spikes, kernel) -> np.ndarray:
     """Causal convolution of spike counts with a sampled kernel.
 
-    spikes is any [..., T] array (or a SpikeTensor); out[..., t] =
-    sum_k kernel[k] * spikes[..., t - k].  Nothing leaks backward in
-    time: an impulse at t reproduces the kernel starting at t.
+    spikes is any [..., T] array; out[..., t] = sum_k kernel[k] *
+    spikes[..., t - k].  Nothing leaks backward in time: an impulse at t
+    reproduces the kernel starting at t.
     """
-    x = np.asarray(getattr(spikes, "data", spikes), dtype=np.float64)
-    return _causal_filter(x, kernel)
+    return _causal_filter(np.asarray(spikes, dtype=np.float64), kernel)
 
 
 def apply_psp_adjoint(grad, kernel) -> np.ndarray:

@@ -22,6 +22,7 @@ to the output neurons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,13 +51,6 @@ class LayerConfig:
     stride: int
     padding: int
 
-    def __post_init__(self):
-        if self.kind not in ("conv", "transposed_conv"):
-            raise ModelError(f"unknown layer kind {self.kind!r}")
-        if min(self.in_channels, self.out_channels, self.kernel_h,
-               self.kernel_w, self.stride) < 1 or self.padding < 0:
-            raise ModelError("layer dimensions must be positive")
-
     @property
     def weight_shape(self):
         return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
@@ -71,26 +65,29 @@ class LayerConfig:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """Variant and step size; the layers, neurons and scale follow from them."""
     variant: str
-    layers: tuple
-    neuron_cfgs: tuple
-    scale: int = 2
     dt_ms: float = 1.0
 
+    scale = 2
+    neuron_cfgs = (
+        NeuronConfig(v_th=30.0, tau_s=1.0, tau_r=1.0, lam=1.0, tau_rho=1.0, rho=10.0),
+        NeuronConfig(v_th=100.0, tau_s=4.0, tau_r=4.0, lam=1.0, tau_rho=10.0, rho=100.0))
 
-# Per-layer neuron settings shared by both variants.
-LAYER1_NEURON = NeuronConfig(v_th=30.0, tau_s=1.0, tau_r=1.0, lam=1.0, tau_rho=1.0, rho=10.0)
-LAYER2_NEURON = NeuronConfig(v_th=100.0, tau_s=4.0, tau_r=4.0, lam=1.0, tau_rho=10.0, rho=100.0)
+    @property
+    def layers(self):
+        c = 2 if self.variant == "dual_layer" else 1
+        return (LayerConfig("conv", c, 8, 5, 5, 1, 2),
+                LayerConfig("transposed_conv", 8, c, 2, 2, 2, 0))
 
 
-def network_spec(variant: str) -> NetworkSpec:
-    """Canonical spec for one of the two supported variants."""
+def network_spec(variant: str, dt_ms: float = 1.0) -> NetworkSpec:
+    """The spec of one of the two variants, stepping dt_ms milliseconds."""
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r}")
-    c = 2 if variant == "dual_layer" else 1
-    layers = (LayerConfig("conv", c, 8, 5, 5, 1, 2),
-              LayerConfig("transposed_conv", 8, c, 2, 2, 2, 0))
-    return NetworkSpec(variant, layers, (LAYER1_NEURON, LAYER2_NEURON))
+    if not 0.0 < dt_ms < np.inf:
+        raise ModelError(f"step size dt_ms={dt_ms!r} must be a positive number")
+    return NetworkSpec(variant, float(dt_ms))
 
 
 def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
@@ -231,20 +228,18 @@ def _fire(drive, neuron, dt, spike_mode):
 def spiking_conv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronConfig,
                          dt: float = 1.0, spike_mode: str = "hard"):
     """PSP, convolutional drive, then spike generation for one layer."""
-    x = np.asarray(getattr(in_spikes, "data", in_spikes), dtype=np.float64)
-    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, x.shape[-1]))
-    psp = apply_psp(x, eps)
+    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, in_spikes.shape[-1]))
+    psp = apply_psp(in_spikes, eps)
     drive = conv_drive(psp, weights, layer.stride, layer.padding)
     spikes, u = _fire(drive, neuron, dt, spike_mode)
     return spikes, LayerCache(psp, u)
 
 
-def spiking_upconv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronConfig,
-                           bypass=None, dt: float = 1.0, spike_mode: str = "hard"):
-    """Transposed-conv layer; `bypass` is added to the drive before firing."""
-    x = np.asarray(getattr(in_spikes, "data", in_spikes), dtype=np.float64)
-    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, x.shape[-1]))
-    psp = apply_psp(x, eps)
+def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass=None,
+                           dt: float = 1.0, spike_mode: str = "hard"):
+    """2x2 stride-2 transposed-conv layer; `bypass` is added to the drive before firing."""
+    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, in_spikes.shape[-1]))
+    psp = apply_psp(in_spikes, eps)
     drive = upconv2x_drive(psp, weights)
     if bypass is not None:
         drive = drive + bypass
@@ -254,11 +249,10 @@ def spiking_upconv_forward(in_spikes, weights, layer: LayerConfig, neuron: Neuro
 
 def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str):
     """One pass through both layers for a [C, H, W, T] input slice."""
-    l1, l2 = spec.layers
     n1, n2 = spec.neuron_cfgs
-    s1, c1 = spiking_conv_forward(x, weights[0], l1, n1, spec.dt_ms, spike_mode)
+    s1, c1 = spiking_conv_forward(x, weights[0], spec.layers[0], n1, spec.dt_ms, spike_mode)
     bypass = bilinear_upsample_2x(c1.psp)
-    s2, c2 = spiking_upconv_forward(s1, weights[1], l2, n2, bypass, spec.dt_ms, spike_mode)
+    s2, c2 = spiking_upconv_forward(s1, weights[1], n2, bypass, spec.dt_ms, spike_mode)
     return s2, ForwardCache(c1, c2, spike_mode)
 
 
@@ -297,7 +291,7 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     The refractory trace is treated as constant, and the bypass carries
     no parameters, so nothing flows back past the first layer's drive.
     """
-    l1, l2 = spec.layers
+    l1 = spec.layers[0]
     n1, n2 = spec.neuron_cfgs
     deriv = soft_spike_grad if cache.spike_mode == "soft" else surrogate_grad
     T = g_out.shape[-1]
@@ -358,17 +352,8 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(path, spec: NetworkSpec, weights, log_var, seed: int) -> None:
-    """Write architecture, weights, and loss log-variances.
-
-    Text header (magic line, key=value lines, blank line) followed by
-    little-endian float64 payload: each layer's weights in order, then
-    the three log-variances.  Round-trips bit-exactly.
-    """
-    validate_weights(spec, weights)
-    log_var = np.asarray(log_var, dtype=np.float64)
-    if log_var.shape != (3,):
-        raise ModelError("expected three loss log-variances")
+def _header(spec: NetworkSpec, seed: int) -> list[str]:
+    """The checkpoint header lines of a network and its seed."""
     lines = [CHECKPOINT_MAGIC.decode(), f"variant={spec.variant}",
              f"scale={spec.scale}", f"dt_ms={spec.dt_ms!r}", f"seed={seed}",
              f"n_layers={len(spec.layers)}"]
@@ -377,48 +362,59 @@ def save_checkpoint(path, spec: NetworkSpec, weights, log_var, seed: int) -> Non
                      f"{layer.kernel_h} {layer.kernel_w} {layer.stride} {layer.padding}")
         lines.append(f"neuron{i}={n.v_th!r} {n.tau_s!r} {n.tau_r!r} "
                      f"{n.lam!r} {n.tau_rho!r} {n.rho!r}")
+    return lines
+
+
+def save_checkpoint(path, spec: NetworkSpec, weights, log_var, seed: int) -> None:
+    """Write the network, its weights and the loss log-variances.
+
+    Text header (magic line, key=value lines, blank line) followed by a
+    little-endian float64 payload: each layer's weights in order, then
+    the three log-variances.  The header spells out the layers and the
+    neuron settings, but they follow from the variant: only variant,
+    dt_ms and seed are free.  Round-trips bit-exactly.
+    """
+    validate_weights(spec, weights)
+    log_var = np.asarray(log_var, dtype=np.float64)
+    if log_var.shape != (3,):
+        raise ModelError("expected three loss log-variances")
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n\n").encode())
+        fh.write(("\n".join(_header(spec, seed)) + "\n\n").encode())
         for w in weights:
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
         fh.write(log_var.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (spec, weights, log_var, seed)."""
+    """Read a checkpoint; returns (spec, weights, log_var, seed).
+
+    Only variant, dt_ms and seed are read from the header.  Every header
+    line must be the one save_checkpoint writes for them; ModelError
+    names the first line that is not.
+    """
     raw = open(path, "rb").read()
     sep = raw.find(b"\n\n")
     if sep < 0 or not raw.startswith(CHECKPOINT_MAGIC + b"\n"):
         raise ModelError(f"{path}: not a checkpoint file")
-    fields = {}
-    for line in raw[:sep].decode().splitlines()[1:]:
-        key, _, value = line.partition("=")
-        fields[key] = value
     try:
-        variant = fields["variant"]
-        n_layers = int(fields["n_layers"])
-        layers, neurons = [], []
-        for i in range(n_layers):
-            kind, *nums = fields[f"layer{i}"].split()
-            layers.append(LayerConfig(kind, *[int(v) for v in nums]))
-            neurons.append(NeuronConfig(*[float(v) for v in fields[f"neuron{i}"].split()]))
-        spec = NetworkSpec(variant, tuple(layers), tuple(neurons),
-                           scale=int(fields["scale"]), dt_ms=float(fields["dt_ms"]))
+        lines = raw[:sep].decode().split("\n")
+        fields = dict(line.split("=", 1) for line in lines if "=" in line)
+        spec = network_spec(fields["variant"], float(fields["dt_ms"]))
         seed = int(fields["seed"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ModelError(f"{path}: corrupt checkpoint header ({exc})") from None
+    for i, (got, want) in enumerate(zip_longest(lines, _header(spec, seed)), 1):
+        if got != want:
+            raise ModelError(f"{path}: header line {i} is {got!r}, expected {want!r} "
+                             f"for variant={spec.variant}")
     body = raw[sep + 2:]
-    weights = []
-    offset = 0
+    if len(body) != 8 * (count_params(spec) + 3):
+        raise ModelError(f"{path}: payload is {len(body)} bytes, expected "
+                         f"{8 * (count_params(spec) + 3)} for variant={spec.variant}")
+    values = np.frombuffer(body, dtype="<f8").copy()
+    weights, offset = [], 0
     for layer in spec.layers:
         n = int(np.prod(layer.weight_shape))
-        chunk = body[offset:offset + 8 * n]
-        if len(chunk) != 8 * n:
-            raise ModelError(f"{path}: truncated weight payload")
-        weights.append(np.frombuffer(chunk, dtype="<f8").reshape(layer.weight_shape).copy())
-        offset += 8 * n
-    tail = body[offset:]
-    if len(tail) != 24:
-        raise ModelError(f"{path}: truncated log-variance payload")
-    log_var = np.frombuffer(tail, dtype="<f8").copy()
-    return spec, weights, log_var, seed
+        weights.append(values[offset:offset + n].reshape(layer.weight_shape))
+        offset += n
+    return spec, weights, values[offset:], seed

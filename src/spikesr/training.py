@@ -44,7 +44,7 @@ class LossState:
 
 
 def _data(x) -> np.ndarray:
-    return np.asarray(getattr(x, "data", x), dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
 
 
 def loss_temporal(out, gt) -> float:
@@ -163,7 +163,7 @@ def adam_step(params, grads, opt: OptimState):
 # ---------------------------------------------------------------------------
 # training loop
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     variant: str = "ultralight"
     steps: int = 64
@@ -172,6 +172,11 @@ class TrainConfig:
     lr: float = 0.1
     seed: int = 0
     dt_ms: float = 1.0
+
+    def __post_init__(self):
+        for name, low in (("steps", 1), ("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise TrainingError(f"{name} must be at least {low}, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,8 @@ class TrainResult:
     rows: list[EpochRow]
     initial_val_rmse: float
     seed: int
+    dropped: int       # events of all pairs, LR and HR, past the steps-long grid
+    val_skipped: int   # validation pairs some validation pass left out as degenerate
 
     @property
     def final_val_rmse(self) -> float:
@@ -215,15 +222,17 @@ def _validate_pairs(pairs, what):
 
 
 def _validation_rmse(spec, weights, val_data, steps, dt):
-    scores = []
-    for lr_vox, _, lr_stream, hr_stream in val_data:
+    """Mean RMSE over the validation pairs, and the indices of the pairs
+    left out because their RMSE is undefined."""
+    scores, skipped = [], set()
+    for i, (lr_vox, _, lr_stream, hr_stream) in enumerate(val_data):
         out, _ = forward(spec, weights, lr_vox)
         pred = from_voxel_grid(out, t0=lr_stream.t0)
         try:
             scores.append(rmse_st(pred, hr_stream, steps, dt).rmse_st)
         except DegenerateStreamError:
-            continue
-    return float(np.mean(scores)) if scores else float("nan")
+            skipped.add(i)
+    return (float(np.mean(scores)) if scores else float("nan")), skipped
 
 
 def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
@@ -234,28 +243,31 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     Validation RMSE is computed on event streams round-tripped through
     the network output, so it matches a later infer + eval on the same
     pair exactly.  `progress`, if given, is called with each EpochRow as
-    it completes.
+    it completes.  The result counts the events that fell outside the
+    cfg.steps-long grids and the validation pairs left out of the RMSE.
     """
     _validate_pairs(pairs, "training")
     _validate_pairs(val_pairs, "validation")
-    spec = network_spec(cfg.variant)
-    if cfg.dt_ms != spec.dt_ms:
-        spec = NetworkSpec(spec.variant, spec.layers, spec.neuron_cfgs, spec.scale, cfg.dt_ms)
+    spec = network_spec(cfg.variant, cfg.dt_ms)
     weights = init_weights(spec, cfg.seed)
     state = LossState()
+    dropped = 0
 
     def prepare(pair_list):
+        nonlocal dropped
         data = []
         for lr_stream, hr_stream in pair_list:
-            lr_vox, _ = to_voxel_grid(lr_stream, cfg.steps, cfg.dt_ms)
-            hr_vox, _ = to_voxel_grid(hr_stream, cfg.steps, cfg.dt_ms, origin=lr_stream.t0)
+            lr_vox, lr_dropped = to_voxel_grid(lr_stream, cfg.steps, cfg.dt_ms)
+            hr_vox, hr_dropped = to_voxel_grid(hr_stream, cfg.steps, cfg.dt_ms,
+                                               origin=lr_stream.t0)
+            dropped += lr_dropped + hr_dropped
             data.append((lr_vox, hr_vox.data, lr_stream, hr_stream))
         return data
 
     train_data = prepare(pairs)
     val_data = prepare(val_pairs)
     rng = np.random.default_rng(cfg.seed)
-    initial_val = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
+    initial_val, skipped = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
     params = weights + [state.log_var]
     opt = init_optim(params, lr=cfg.lr)
     rows = []
@@ -280,9 +292,11 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             n = len(batch)
             adam_step(params, [a / n for a in acc_w] + [acc_lv / n], opt)
         w = state.weights()
-        val = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
+        val, epoch_skipped = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
+        skipped |= epoch_skipped
         rows.append(EpochRow(epoch, epoch_loss / len(train_data),
                              float(w[0]), float(w[1]), float(w[2]), val))
         if progress is not None:
             progress(rows[-1])
-    return TrainResult(spec, weights, state.log_var, rows, initial_val, cfg.seed)
+    return TrainResult(spec, weights, state.log_var, rows, initial_val, cfg.seed,
+                       dropped, len(skipped))

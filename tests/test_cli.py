@@ -6,8 +6,7 @@ import spikesr.model
 from spikesr.cli import main
 from spikesr.events import EventStream, downsample_2x
 from spikesr.io import load_events, save_events
-from spikesr.model import (NetworkSpec, init_weights, load_checkpoint, network_spec,
-                           save_checkpoint)
+from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
 from spikesr.synth import synth_moving_bar
 from spikesr.training import TrainConfig, TrainingError
 
@@ -133,6 +132,43 @@ class TestTrain:
     def test_missing_pairs_is_usage_error(self):
         assert run("train", "--epochs", 1) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--batch", 0), ("--batch", -1),
+                                            ("--epochs", -1), ("--steps", 0)])
+    def test_values_it_cannot_honour_are_usage_errors(self, tmp_path, capsys, flag, value):
+        # the manifest names no real file: the check must come before any stream is loaded
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("missing.lr.evbin,missing.evbin\n")
+        assert run("train", "--pairs", manifest, flag, value,
+                   "--out", tmp_path / "m.ckpt") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_warns_about_events_past_the_grid(self, tmp_path, capsys):
+        # 64 ms streams on a 32-step grid: everything past 32 ms of each pair is dropped
+        corpus = make_corpus(tmp_path, n=3)
+        expected = 0
+        for line in (corpus / "pairs.txt").read_text().split():
+            lr, hr = (load_events(corpus / name, "evbin") for name in line.split(","))
+            expected += int(np.sum(lr.t - lr.t0 > 32_000) + np.sum(hr.t - lr.t0 > 32_000))
+        assert expected > 0
+        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1, "--batch", 2,
+                   "--steps", 32, "--out", tmp_path / "m.ckpt") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"warning: {expected} events ")
+        assert "32-step grid" in err[0]
+
+    def test_warns_about_skipped_validation_pairs(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, n=3)
+        # the validation pair's ground truth is empty, so its RMSE is undefined
+        save_events(EventStream.empty(16, 16), corpus / "bar_002.evbin", "evbin")
+        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1, "--batch", 2,
+                   "--steps", 64, "--val-count", 1, "--out", tmp_path / "m.ckpt") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: 1 of 1 validation pairs have no defined RMSE and were "
+                       "left out of val_rmse_st"]
+
     def test_oversized_val_split_is_usage_error(self, tmp_path):
         corpus = make_corpus(tmp_path, n=3)
         assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,
@@ -151,8 +187,7 @@ class TestInfer:
 
     def test_default_steps_follow_checkpoint_dt(self, tmp_path, monkeypatch):
         # a 64 ms stream is 32 steps at dt_ms=2; counting 1 ms steps would run 64
-        base = network_spec("ultralight")
-        spec = NetworkSpec(base.variant, base.layers, base.neuron_cfgs, base.scale, 2.0)
+        spec = network_spec("ultralight", dt_ms=2.0)
         ckpt = tmp_path / "dt2.ckpt"
         save_checkpoint(ckpt, spec, init_weights(spec, seed=0), np.zeros(3), seed=0)
         src = tmp_path / "lr.evbin"
@@ -178,6 +213,19 @@ class TestInfer:
                    "--out", out) == 0
         assert "empty input" in capsys.readouterr().err
         assert len(load_events(out, "evbin")) == 0
+
+    def test_edited_checkpoint_header_is_runtime_error(self, trained, tmp_path, capsys):
+        # a stride-2 first layer would crash the forward pass, so loading refuses it
+        corpus, ckpt, _ = trained
+        head, body = ckpt.read_bytes().split(b"\n\n", 1)
+        edited = head.replace(b"layer0=conv 1 8 5 5 1 2", b"layer0=conv 1 8 5 5 2 2")
+        assert edited != head
+        bad = tmp_path / "stride2.ckpt"
+        bad.write_bytes(edited + b"\n\n" + body)
+        assert run("infer", "--checkpoint", bad, "--input", corpus / "bar_000.lr.evbin",
+                   "--out", tmp_path / "sr.evbin") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "layer0" in err[0]
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert run("infer", "--checkpoint", tmp_path / "nope.ckpt",

@@ -1,10 +1,14 @@
+import dataclasses
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import helpers
 from spikesr.events import SpikeTensor, downsample_2x
-from spikesr.model import (CHECKPOINT_MAGIC, LayerConfig, ModelError,
-                           NetworkSpec, bilinear_upsample_2x, conv_drive,
+from spikesr.model import (CHECKPOINT_MAGIC, ModelError, NetworkSpec,
+                           bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
                            forward, init_weights, load_checkpoint,
                            network_spec, resolve_mode, save_checkpoint, super_resolve,
@@ -34,13 +38,14 @@ class TestNetworkSpec:
         assert count_params(network_spec("dual_layer")) == 464
         assert count_params(network_spec("ultralight")) == 232
 
-    def test_param_count_custom_spec(self):
-        # 1x1 conv 3->5 plus 2x2 transposed 5->1: 15 + 20
-        base = network_spec("dual_layer")
-        layers = (LayerConfig("conv", 3, 5, 1, 1, 1, 0),
-                  LayerConfig("transposed_conv", 5, 1, 2, 2, 2, 0))
-        custom = NetworkSpec("dual_layer", layers, base.neuron_cfgs)
-        assert count_params(custom) == 35
+    def test_only_variant_and_step_size_are_fields(self):
+        assert [f.name for f in dataclasses.fields(NetworkSpec)] == ["variant", "dt_ms"]
+        assert network_spec("ultralight", dt_ms=2.0) == NetworkSpec("ultralight", 2.0)
+
+    @pytest.mark.parametrize("dt_ms", [0.0, -1.0, math.nan, math.inf])
+    def test_step_size_must_be_positive(self, dt_ms):
+        with pytest.raises(ModelError, match="dt_ms"):
+            network_spec("ultralight", dt_ms)
 
     def test_flops_known_value(self):
         assert count_flops(network_spec("dual_layer"), 10, 10, 10) == 1_312_000
@@ -211,8 +216,7 @@ class TestForward:
 class TestSuperResolve:
     def test_bins_at_spec_step_size(self):
         # 64 ms at dt_ms=2 fits 32 steps; binning at 1 ms would drop the second half
-        base = network_spec("ultralight")
-        spec = NetworkSpec(base.variant, base.layers, base.neuron_cfgs, base.scale, 2.0)
+        spec = network_spec("ultralight", dt_ms=2.0)
         stream = downsample_2x(synth_moving_bar(32, 32, 64.0, 0.3, 2.0, seed=1))
         out, dropped = super_resolve(spec, init_weights(spec, seed=0), stream, steps=32)
         assert dropped == 0
@@ -255,3 +259,46 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, spec, init_weights(spec, seed=0), np.zeros(3), seed=0)
         assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
+
+
+# One edit per kind of header value that the variant fixes; the forward
+# pass would ignore each one or crash on it.
+HEADER_EDITS = {
+    "scale": ("scale=2", "scale=3"),
+    "layer1 stride 3, padding 3": ("layer1=transposed_conv 8 1 2 2 2 0",
+                                   "layer1=transposed_conv 8 1 2 2 3 3"),
+    "swapped layer kinds": ("layer0=conv 1 8 5 5 1 2\nneuron0=30.0 1.0 1.0 1.0 1.0 10.0\n"
+                            "layer1=transposed_conv 8 1 2 2 2 0",
+                            "layer0=transposed_conv 1 8 5 5 1 2\n"
+                            "neuron0=30.0 1.0 1.0 1.0 1.0 10.0\nlayer1=conv 8 1 2 2 2 0"),
+    "dual_layer over ultralight layers": ("variant=ultralight", "variant=dual_layer"),
+    "layer0 stride 2": ("layer0=conv 1 8 5 5 1 2", "layer0=conv 1 8 5 5 2 2"),
+    "layer0 padding 0": ("layer0=conv 1 8 5 5 1 2", "layer0=conv 1 8 5 5 1 0"),
+    "neuron0 threshold": ("neuron0=30.0 ", "neuron0=60.0 "),
+}
+
+
+def edit_header(path, old, new):
+    blob = path.read_bytes()
+    head, body = blob.split(b"\n\n", 1)
+    assert old.encode() in head
+    path.write_bytes(head.replace(old.encode(), new.encode()) + b"\n\n" + body)
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("edit", list(HEADER_EDITS))
+    def test_edited_header_rejected(self, tmp_path, edit):
+        spec = network_spec("ultralight")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, spec, init_weights(spec, seed=0), np.zeros(3), seed=3)
+        edit_header(path, *HEADER_EDITS[edit])
+        with pytest.raises(ModelError, match="header line"):
+            load_checkpoint(path)
+
+    def test_committed_checkpoint_survives_load_and_save(self, tmp_path):
+        committed = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                     / "ultralight_c8.ckpt")
+        spec, weights, log_var, seed = load_checkpoint(committed)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, spec, weights, log_var, seed)
+        assert again.read_bytes() == committed.read_bytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spikesr.events import SpikeTensor, downsample_2x
+from spikesr.events import EventStream, SpikeTensor, downsample_2x
 from spikesr.model import (ModelError, backward_from_output, forward, init_weights,
                            network_spec)
 from spikesr.synth import synth_moving_bar
@@ -252,3 +252,36 @@ class TestTrainLoop:
         assert first[0] == "1" and len(first) == 6
         # values round-trip exactly through repr
         assert float(first[1]) == res.rows[0].train_loss
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
+                                             ("epochs", -1), ("steps", 0)])
+    def test_values_it_cannot_honour_rejected(self, field, value):
+        with pytest.raises(TrainingError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_epochs_allowed(self):
+        res = train(TrainConfig(epochs=0, steps=32), tiny_pairs(1), tiny_pairs(1, seed0=905))
+        assert res.rows == [] and res.final_val_rmse == res.initial_val_rmse
+
+
+class TestTrainReportsWhatItLeftOut:
+    def test_counts_events_past_the_grid(self):
+        pairs, val = tiny_pairs(2), tiny_pairs(1, seed0=906)
+        # 32 ms streams on a 16-step grid: everything past 16 ms is dropped
+        expected = sum(int(np.sum(lr.t - lr.t0 > 16_000) + np.sum(hr.t - lr.t0 > 16_000))
+                       for lr, hr in pairs + val)
+        assert expected > 0
+        assert train(TrainConfig(epochs=0, steps=16), pairs, val).dropped == expected
+        assert train(TrainConfig(epochs=0, steps=40), pairs, val).dropped == 0
+
+    def test_counts_skipped_validation_pairs(self):
+        pairs, val = tiny_pairs(2), tiny_pairs(1, seed0=907)
+        empty_gt = (val[0][0], EventStream.empty(16, 16))
+        cfg = TrainConfig(epochs=1, batch_size=2, steps=32, seed=1)
+        with_empty = train(cfg, pairs, val + [empty_gt])
+        alone = train(cfg, pairs, val)
+        assert (with_empty.val_skipped, alone.val_skipped) == (1, 0)
+        # the skipped pair leaves the mean over the others unchanged
+        assert with_empty.rows == alone.rows
