@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import US_PER_MS, EventError, EventStream, steps_to_cover
+from .events import US_PER_MS, EventError, steps_to_cover
 from .io import EventFormatError, guess_format, load_events, save_events
 from .metrics import MetricsReport, common_span, rmse_st
 from .model import (VARIANTS, ModelError, count_flops, count_params, load_checkpoint,
@@ -46,9 +46,8 @@ def _parse_dims(text):
     return h, w, t
 
 
-def _load_stream(path, fmt=None, width=None, height=None):
-    fmt = fmt or guess_format(path)
-    return load_events(path, fmt, width=width, height=height)
+def _load_stream(path):
+    return load_events(path, guess_format(path))
 
 
 def _read_pair_manifest(path):
@@ -138,7 +137,12 @@ def _apply_config(args, path):
             ("model", "variant", str), ("data", "pairs", str)}
     for section, key, cast in grab:
         if ini.has_option(section, key) and getattr(args, key, None) is None:
-            setattr(args, key, cast(ini.get(section, key)))
+            text = ini.get(section, key)
+            try:
+                setattr(args, key, cast(text))
+            except ValueError:
+                raise UsageError(f"{path}: [{section}] {key}: cannot read {text!r} "
+                                 f"as {cast.__name__}") from None
 
 
 def cmd_train(args):
@@ -153,10 +157,13 @@ def cmd_train(args):
     except TrainingError as exc:
         raise UsageError(str(exc)) from None
     pair_paths = _read_pair_manifest(args.pairs)
-    loaded = [( _load_stream(lr), _load_stream(hr)) for lr, hr in pair_paths]
-    val_count = args.val_count if args.val_count is not None else max(1, len(loaded) // 10)
-    if val_count >= len(loaded):
-        raise UsageError("validation split leaves no training pairs")
+    val_count = args.val_count if args.val_count is not None else max(1, len(pair_paths) // 10)
+    if val_count < 1:
+        raise UsageError(f"--val-count must be at least 1, not {val_count}")
+    if val_count >= len(pair_paths):
+        raise UsageError(f"validation split of {val_count} leaves none of the "
+                         f"{len(pair_paths)} pairs for training")
+    loaded = [(_load_stream(lr), _load_stream(hr)) for lr, hr in pair_paths]
     train_pairs, val_pairs = loaded[:-val_count], loaded[-val_count:]
     result = train(cfg, train_pairs, val_pairs)
     if result.dropped:
@@ -180,9 +187,6 @@ def cmd_infer(args):
     out_path = Path(args.out)
     if len(stream) == 0:
         print("warning: empty input stream, writing empty output", file=sys.stderr)
-        empty = EventStream.empty(spec.scale * stream.width, spec.scale * stream.height)
-        save_events(empty, out_path, guess_format(out_path))
-        return 0
     steps = args.steps if args.steps is not None else steps_to_cover(stream.span_us, spec.dt_ms)
     result, dropped = super_resolve(spec, weights, stream, steps)
     if dropped:

@@ -145,17 +145,15 @@ def from_voxel_grid(tensor: SpikeTensor, t0: int = 0) -> EventStream:
     """Expand a count tensor back into events.
 
     Each voxel with value v emits round(v) events stamped at its bin
-    centre, t0 + (bin + 0.5) * dt.  Output is time sorted; within one
-    bin emission runs channel-, row-, then column-major so the result is
-    deterministic.
+    centre, t0 + (bin + 0.5) * dt.  Events come out in the row-major
+    order of the time-major [T, C, H, W] view: by bin, then channel, row
+    and column, so the result is time sorted and deterministic.
     """
-    counts = np.rint(tensor.data).astype(np.int64)
-    ch, ys, xs, bins = np.nonzero(counts > 0)
-    if ch.size == 0:
+    counts = np.rint(tensor.data).astype(np.int64).transpose(3, 0, 1, 2)
+    bins, ch, ys, xs = np.nonzero(counts > 0)
+    if bins.size == 0:
         return EventStream.empty(tensor.width, tensor.height)
-    order = np.lexsort((xs, ys, ch, bins))
-    ch, ys, xs, bins = ch[order], ys[order], xs[order], bins[order]
-    reps = counts[ch, ys, xs, bins]
+    reps = counts[bins, ch, ys, xs]
     dt_us = tensor.dt * US_PER_MS
     t = np.repeat(np.rint(t0 + (bins + 0.5) * dt_us).astype(np.int64), reps)
     x = np.repeat(xs, reps)

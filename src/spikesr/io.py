@@ -21,6 +21,7 @@ fixed at 34 x 34.
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _check_order(t, path):
 
 
 def _load_csv(path, width, height):
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     lines = raw.split(b"\n")
     offset = 0
     header = None
@@ -94,7 +95,7 @@ def _load_csv(path, width, height):
 
 
 def _load_evbin(path, width, height):
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != EVBIN_MAGIC:
         raise EventFormatError(f"{path}: bad evbin magic at byte 0")
     w, h, count = struct.unpack_from("<HHQ", raw, 4)
@@ -116,7 +117,7 @@ def _load_evbin(path, width, height):
 
 
 def _load_nmnist(path):
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     if len(raw) % 5:
         raise EventFormatError(
             f"{path}: truncated record at byte {len(raw) - len(raw) % 5}")

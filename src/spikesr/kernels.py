@@ -48,9 +48,9 @@ class NeuronConfig:
             raise ValueError("lam must be non-negative, tau_rho and rho positive")
 
 
-def kernel_length(tau: float, dt: float, steps: int) -> int:
-    """Truncation horizon: ceil(8 tau / dt) samples, clamped to the window."""
-    return max(1, min(math.ceil(8.0 * tau / dt), steps))
+def kernel_length(tau: float, dt: float) -> int:
+    """Truncation horizon: ceil(8 tau / dt) samples; the filters stop at the window's end."""
+    return max(1, math.ceil(8.0 * tau / dt))
 
 
 def spike_kernel(tau_s: float, dt: float, length: int) -> np.ndarray:
@@ -116,7 +116,7 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):
     if squeeze:
         x = x[None, :]
     T = x.shape[-1]
-    gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt, T))
+    gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt))
     u = x.copy()
     spikes = np.zeros_like(u)
     for t in range(T):

@@ -78,30 +78,25 @@ def mse_temporal(out: SpikeTensor, gt: SpikeTensor) -> float:
     return float(np.sum(d * d))
 
 
-def pooled_difference(d: np.ndarray, block_ms: float, dt: float):
-    """Sum a [..., T] difference tensor over consecutive block_ms windows.
+def pooled_difference(d: np.ndarray, dt: float):
+    """Sum a [..., T] difference tensor over consecutive BLOCK_MS windows.
 
-    Step t of dt milliseconds falls in block floor(t * dt / block_ms);
+    Step t of dt milliseconds falls in block floor(t * dt / BLOCK_MS);
     the last block may be partial.  Returns (pooled [..., n_blocks],
     block index of every step).
     """
-    if block_ms <= 0:
-        raise EventError("block_ms must be positive")
-    idx = np.floor(np.arange(d.shape[-1]) * dt / block_ms).astype(np.int64)
+    idx = np.floor(np.arange(d.shape[-1]) * dt / BLOCK_MS).astype(np.int64)
     starts = np.flatnonzero(np.r_[1, np.diff(idx)])
     return np.add.reduceat(d, starts, axis=-1), idx
 
 
-def mse_spatial(out: SpikeTensor, gt: SpikeTensor, block_ms: float = BLOCK_MS) -> float:
-    """Sum of squared differences of per-pixel counts pooled over time blocks.
-
-    Blocks are consecutive block_ms windows (the last may be partial).
-    With block_ms equal to the step size this reduces to mse_temporal.
-    """
+def mse_spatial(out: SpikeTensor, gt: SpikeTensor) -> float:
+    """Sum of squared differences of per-pixel counts pooled over
+    consecutive BLOCK_MS windows (the last may be partial)."""
     a, b = out.data, gt.data
     if a.shape != b.shape:
         raise EventError(f"tensor shapes differ: {a.shape} vs {b.shape}")
-    d, _ = pooled_difference(a - b, block_ms, out.dt)
+    d, _ = pooled_difference(a - b, out.dt)
     return float(np.sum(d * d))
 
 

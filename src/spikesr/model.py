@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -176,30 +177,26 @@ def upconv2x_input_adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.tensordot(w, gv, axes=([0, 2, 3], [0, 2, 4]))  # [cin, h, w, t]
 
 
+def _upsample_axis(a: np.ndarray, axis: int) -> np.ndarray:
+    """Linear 2x upsampling along one axis, edges clamped:
+    out[2i] = 0.25 a[i-1] + 0.75 a[i] and out[2i+1] = 0.75 a[i] + 0.25 a[i+1]."""
+    n = a.shape[axis]
+    head = (slice(None),) * axis
+    p = np.pad(a, [(1, 1) if i == axis else (0, 0) for i in range(a.ndim)], mode="edge")
+    prev, nxt = p[head + (slice(0, n),)], p[head + (slice(2, None),)]
+    pairs = np.stack([0.25 * prev + 0.75 * a, 0.75 * a + 0.25 * nxt], axis=axis + 1)
+    return pairs.reshape(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:])
+
+
 def bilinear_upsample_2x(x: np.ndarray) -> np.ndarray:
-    """Spatial 2x bilinear upsampling with half-pixel sample centres.
+    """Spatial 2x bilinear upsampling of a [C, H, W, T] tensor.
 
     Output pixel centres sit at (i + 0.5) / 2 - 0.5 in source coordinates
-    (the align-corners-false convention); edges clamp.  Constant inputs
-    stay constant.
+    (the align-corners-false convention), so every output pixel mixes its
+    two nearest sources with weights 0.75 and 0.25; edges clamp.  The
+    stencil runs along x, then along y.  Constant inputs stay constant.
     """
-    c, h, w, t = x.shape
-
-    def axis(n):
-        pos = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-        lo = np.floor(pos).astype(np.int64)
-        frac = pos - lo
-        return np.clip(lo, 0, n - 1), np.clip(lo + 1, 0, n - 1), frac
-
-    y0, y1, fy = axis(h)
-    x0, x1, fx = axis(w)
-    top = x[:, y0]
-    bot = x[:, y1]
-    wy = fy[:, None, None]
-    wx = fx[:, None]
-    row0 = (1.0 - wx) * top[:, :, x0] + wx * top[:, :, x1]
-    row1 = (1.0 - wx) * bot[:, :, x0] + wx * bot[:, :, x1]
-    return (1.0 - wy) * row0 + wy * row1
+    return _upsample_axis(_upsample_axis(x, 2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,7 @@ def _fire(drive, neuron, dt, spike_mode):
 def spiking_conv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronConfig,
                          dt: float = 1.0, spike_mode: str = "hard"):
     """PSP, convolutional drive, then spike generation for one layer."""
-    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, in_spikes.shape[-1]))
+    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt))
     psp = apply_psp(in_spikes, eps)
     drive = conv_drive(psp, weights, layer.stride, layer.padding)
     spikes, u = _fire(drive, neuron, dt, spike_mode)
@@ -238,7 +235,7 @@ def spiking_conv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronC
 def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass=None,
                            dt: float = 1.0, spike_mode: str = "hard"):
     """2x2 stride-2 transposed-conv layer; `bypass` is added to the drive before firing."""
-    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt, in_spikes.shape[-1]))
+    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt))
     psp = apply_psp(in_spikes, eps)
     drive = upconv2x_drive(psp, weights)
     if bypass is not None:
@@ -294,8 +291,7 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     l1 = spec.layers[0]
     n1, n2 = spec.neuron_cfgs
     deriv = soft_spike_grad if cache.spike_mode == "soft" else surrogate_grad
-    T = g_out.shape[-1]
-    eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms, T))
+    eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms))
 
     g_drive2 = g_out * deriv(cache.layer2.u, n2)
     g_w2 = upconv2x_weight_adjoint(cache.layer2.psp, g_drive2)
@@ -392,7 +388,7 @@ def load_checkpoint(path):
     line must be the one save_checkpoint writes for them; ModelError
     names the first line that is not.
     """
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0 or not raw.startswith(CHECKPOINT_MAGIC + b"\n"):
         raise ModelError(f"{path}: not a checkpoint file")

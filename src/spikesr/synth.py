@@ -6,12 +6,14 @@ import numpy as np
 
 from .events import EventError, EventStream, US_PER_MS
 
+BAR_WIDTH = 2.0  # pixels
+
 
 def synth_moving_bar(width: int, height: int, duration_ms: float, velocity: float,
-                     events_per_edge_px: float, seed: int, bar_width: float = 2.0) -> EventStream:
+                     events_per_edge_px: float, seed: int) -> EventStream:
     """Deterministic bright bar sweeping left to right.
 
-    A vertical bar of `bar_width` pixels moves at `velocity` px/ms from
+    A vertical bar of BAR_WIDTH pixels moves at `velocity` px/ms from
     the left edge.  When the leading edge crosses a pixel it fires a
     Poisson(events_per_edge_px) burst of +1 events; the trailing edge
     fires -1 events one bar width later.  Burst timestamps are jittered
@@ -21,7 +23,7 @@ def synth_moving_bar(width: int, height: int, duration_ms: float, velocity: floa
     """
     if width < 1 or height < 1:
         raise EventError("geometry must be positive")
-    if duration_ms <= 0 or events_per_edge_px < 0 or velocity < 0 or bar_width <= 0:
+    if duration_ms <= 0 or events_per_edge_px < 0 or velocity < 0:
         raise EventError("bar parameters must be non-negative, duration positive")
     dur_us = int(round(duration_ms * US_PER_MS))
     if velocity == 0 or events_per_edge_px == 0:
@@ -31,7 +33,7 @@ def synth_moving_bar(width: int, height: int, duration_ms: float, velocity: floa
     rng = np.random.default_rng(seed)
     ts, xs, ys, ps = [], [], [], []
     rows = np.arange(height)
-    for offset, pol in ((0.0, 1), (bar_width, -1)):
+    for offset, pol in ((0.0, 1), (BAR_WIDTH, -1)):
         for x in range(width):
             t_cross = (x + offset) / velocity
             if t_cross >= duration_ms:

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import from_voxel_grid, to_voxel_grid
-from .metrics import BLOCK_MS, DegenerateStreamError, pooled_difference, rmse_st
-from .model import NetworkSpec, backward_from_output, forward, init_weights, network_spec
+from .metrics import DegenerateStreamError, pooled_difference, rmse_st
+from .model import (VARIANTS, NetworkSpec, backward_from_output, forward, init_weights,
+                    network_spec)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -54,10 +55,10 @@ def loss_temporal(out, gt) -> float:
     return float(np.sum(d * d)) / a.shape[-1]
 
 
-def loss_spatial(out, gt, bin_width_ms: float = BLOCK_MS, dt: float = 1.0) -> float:
-    """Squared norm of count differences pooled over bin_width_ms windows."""
+def loss_spatial(out, gt, dt: float = 1.0) -> float:
+    """Squared norm of count differences pooled over metrics.BLOCK_MS windows."""
     a, b = _data(out), _data(gt)
-    d, _ = pooled_difference(a - b, bin_width_ms, dt)
+    d, _ = pooled_difference(a - b, dt)
     return float(np.sum(d * d))
 
 
@@ -97,7 +98,7 @@ def loss_output_grad(out, gt, state: LossState, dt: float = 1.0) -> np.ndarray:
     w = state.weights()
     steps = a.shape[-1]
     g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
-    binned, idx = pooled_difference(d, BLOCK_MS, dt)
+    binned, idx = pooled_difference(d, dt)
     g += 2.0 * w[1] * binned[..., idx]
     return g
 
@@ -126,37 +127,35 @@ def backward(spec: NetworkSpec, weights, caches, out, gt, state: LossState) -> G
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam, with fixed moment decay rates and denominator guard
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimState:
-    lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def init_optim(params, lr: float = 0.1) -> OptimState:
-    opt = OptimState(lr=lr)
-    opt.m = [np.zeros_like(p) for p in params]
-    opt.v = [np.zeros_like(p) for p in params]
-    return opt
+def init_optim(params, lr: float) -> OptimState:
+    return OptimState(lr, m=[np.zeros_like(p) for p in params],
+                      v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params, grads, opt: OptimState):
     """One bias-corrected Adam update, applied to params in place."""
     opt.step += 1
-    b1c = 1.0 - opt.beta1 ** opt.step
-    b2c = 1.0 - opt.beta2 ** opt.step
+    b1c = 1.0 - BETA1 ** opt.step
+    b2c = 1.0 - BETA2 ** opt.step
     for i, (p, g) in enumerate(zip(params, grads)):
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter block {i}")
-        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
-        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * (g * g)
-        p -= opt.lr * (opt.m[i] / b1c) / (np.sqrt(opt.v[i] / b2c) + opt.eps)
+        opt.m[i] = BETA1 * opt.m[i] + (1.0 - BETA1) * g
+        opt.v[i] = BETA2 * opt.v[i] + (1.0 - BETA2) * (g * g)
+        p -= opt.lr * (opt.m[i] / b1c) / (np.sqrt(opt.v[i] / b2c) + EPS)
     return params
 
 
@@ -177,6 +176,10 @@ class TrainConfig:
         for name, low in (("steps", 1), ("epochs", 0), ("batch_size", 1)):
             if getattr(self, name) < low:
                 raise TrainingError(f"{name} must be at least {low}, not {getattr(self, name)}")
+        if not 0.0 < self.lr < np.inf:
+            raise TrainingError(f"lr must be a positive number, not {self.lr!r}")
+        if self.variant not in VARIANTS:
+            raise TrainingError(f"unknown variant {self.variant!r}")
 
 
 @dataclass(frozen=True)

@@ -133,16 +133,36 @@ class TestTrain:
         assert run("train", "--epochs", 1) == 2
 
     @pytest.mark.parametrize("flag,value", [("--batch", 0), ("--batch", -1),
-                                            ("--epochs", -1), ("--steps", 0)])
+                                            ("--epochs", -1), ("--steps", 0),
+                                            ("--val-count", -1), ("--val-count", 0),
+                                            ("--val-count", 2), ("--lr", 0), ("--lr", -0.1),
+                                            ("--lr", "nan")])
     def test_values_it_cannot_honour_are_usage_errors(self, tmp_path, capsys, flag, value):
         # the manifest names no real file: the check must come before any stream is loaded
         manifest = tmp_path / "pairs.txt"
-        manifest.write_text("missing.lr.evbin,missing.evbin\n")
+        manifest.write_text("missing0.lr.evbin,missing0.evbin\n"
+                            "missing1.lr.evbin,missing1.evbin\n")
         assert run("train", "--pairs", manifest, flag, value,
                    "--out", tmp_path / "m.ckpt") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("section,key,value", [("model", "variant", "resnet"),
+                                                   ("train", "epochs", "abc"),
+                                                   ("train", "lr", "fast")])
+    def test_config_values_it_cannot_honour_are_usage_errors(self, tmp_path, capsys,
+                                                             section, key, value):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("missing0.lr.evbin,missing0.evbin\n"
+                            "missing1.lr.evbin,missing1.evbin\n")
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n[data]\npairs = {manifest}\n")
+        assert run("train", "--config", cfg, "--out", tmp_path / "m.ckpt") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and value in err[0]
+        if key != "variant":   # a value that does not parse is traced to its line
+            assert str(cfg) in err[0] and f"[{section}] {key}" in err[0]
 
     def test_warns_about_events_past_the_grid(self, tmp_path, capsys):
         # 64 ms streams on a 32-step grid: everything past 32 ms of each pair is dropped
@@ -211,8 +231,11 @@ class TestInfer:
         out = tmp_path / "out.evbin"
         assert run("infer", "--checkpoint", ckpt, "--input", empty_path,
                    "--out", out) == 0
-        assert "empty input" in capsys.readouterr().err
-        assert len(load_events(out, "evbin")) == 0
+        captured = capsys.readouterr()
+        assert "empty input" in captured.err
+        assert "(0 events at 16x16)" in captured.out
+        empty = load_events(out, "evbin")
+        assert len(empty) == 0 and (empty.width, empty.height) == (16, 16)
 
     def test_edited_checkpoint_header_is_runtime_error(self, trained, tmp_path, capsys):
         # a stride-2 first layer would crash the forward pass, so loading refuses it

@@ -129,6 +129,19 @@ class TestFromVoxelGrid:
         s = from_voxel_grid(SpikeTensor(data))
         assert np.all(np.diff(s.t) >= 0)
 
+    def test_order_within_a_bin(self, rng):
+        # events of one bin come by channel, then row, then column
+        data = rng.integers(0, 3, (2, 3, 4, 5)).astype(float)
+        s = from_voxel_grid(SpikeTensor(data))
+        got = list(zip(s.t.tolist(), s.p.tolist(), s.y.tolist(), s.x.tolist()))
+        want = []
+        for b in range(5):
+            for c in range(2):
+                for y in range(3):
+                    for x in range(4):
+                        want += [(1000 * b + 500, 1 - 2 * c, y, x)] * int(data[c, y, x, b])
+        assert got == want
+
 
 class TestDownsample:
     def test_floor_halving(self):

@@ -1,9 +1,13 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 import helpers
 from spikesr.events import EventStream
 from spikesr.io import (EventFormatError, guess_format, load_events, save_events)
+from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
 
 
 def streams_equal(a, b):
@@ -139,3 +143,19 @@ def test_guess_format():
     assert guess_format("a.csv") == "csv"
     assert guess_format("a.bin") == "nmnist_bin"
     assert guess_format("a.evbin") == "evbin"
+
+
+def test_loaders_close_their_files(tmp_path):
+    spec = network_spec("ultralight")
+    save_checkpoint(tmp_path / "m.ckpt", spec, init_weights(spec, 0), np.zeros(3), 0)
+    s = EventStream([0, 10], [1, 2], [0, 1], [1, -1], 4, 4)
+    save_events(s, tmp_path / "s.csv", "csv")
+    save_events(s, tmp_path / "s.evbin", "evbin")
+    (tmp_path / "s.bin").write_bytes(bytes([0x05, 0x07, 0x80, 0x03, 0xE8]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(tmp_path / "m.ckpt")
+        for name, fmt in (("s.csv", "csv"), ("s.evbin", "evbin"), ("s.bin", "nmnist_bin")):
+            load_events(tmp_path / name, fmt)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -37,9 +37,8 @@ class TestKernels:
         assert np.all(refractory_kernel(2.0, 0.0, 1.0, 5) == 0.0)
 
     def test_kernel_length_rule(self):
-        assert kernel_length(1.0, 1.0, 100) == 8
-        assert kernel_length(4.0, 1.0, 100) == 32
-        assert kernel_length(4.0, 1.0, 10) == 10  # clamped to the window
+        assert kernel_length(1.0, 1.0) == 8
+        assert kernel_length(4.0, 1.0) == 32
 
 
 class TestApplyPsp:

@@ -137,11 +137,13 @@ class TestLayerOps:
         assert abs(lhs - float(np.sum(x * upconv2x_input_adjoint(g, w)))) < 1e-9
 
     def test_bilinear_matches_oracle(self, rng):
-        x = rng.standard_normal((2, 5, 7, 4))
-        out = bilinear_upsample_2x(x)
-        ref = helpers.bilinear2x_oracle(x)
-        assert out.shape == (2, 10, 14, 4)
-        assert np.max(np.abs(out - ref)) < 1e-12
+        for shape in ((2, 5, 7, 4), (1, 1, 6, 3), (2, 5, 1, 3), (1, 1, 1, 2)):
+            x = rng.standard_normal(shape)
+            out = bilinear_upsample_2x(x)
+            ref = helpers.bilinear2x_oracle(x)
+            c, h, w, t = shape
+            assert out.shape == (c, 2 * h, 2 * w, t)
+            assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_bilinear_constant_preserved(self):
         x = np.full((1, 4, 4, 2), 3.5)

@@ -56,8 +56,9 @@ class TestLossTerms:
     def test_spatial_matches_oracle(self, rng):
         a = rng.random((2, 4, 5, 37))
         b = rng.random((2, 4, 5, 37))
-        got = loss_spatial(a, b, bin_width_ms=10.0, dt=1.5)
-        assert got == pytest.approx(spatial_oracle(a, b, 10.0, 1.5), rel=1e-12)
+        # 37 steps of 1.5 ms: one full 50 ms block and a partial one
+        got = loss_spatial(a, b, dt=1.5)
+        assert got == pytest.approx(spatial_oracle(a, b, 50.0, 1.5), rel=1e-12)
 
     def test_polarity_is_full_squared_norm(self, rng):
         a = rng.random((2, 3, 3, 8))
@@ -181,7 +182,7 @@ class TestAdam:
 
     def test_step_counter_advances(self):
         p = np.zeros(1)
-        opt = init_optim([p])
+        opt = init_optim([p], lr=0.1)
         adam_step([p], [np.ones(1)], opt)
         adam_step([p], [np.ones(1)], opt)
         assert opt.step == 2
@@ -256,7 +257,9 @@ class TestTrainLoop:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
-                                             ("epochs", -1), ("steps", 0)])
+                                             ("epochs", -1), ("steps", 0), ("lr", 0.0),
+                                             ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
+                                             ("variant", "resnet")])
     def test_values_it_cannot_honour_rejected(self, field, value):
         with pytest.raises(TrainingError, match=field):
             TrainConfig(**{field: value})
