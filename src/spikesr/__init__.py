@@ -5,13 +5,11 @@ from .events import (EventError, EventStream, SpikeTensor, downsample_2x,
 from .io import EventFormatError, load_events, save_events
 from .kernels import (NeuronConfig, apply_psp, generate_spikes, refractory_kernel,
                       spike_kernel, surrogate_grad)
-from .metrics import (DegenerateStreamError, MetricsReport, mse_spatial,
-                      mse_temporal, polarity_accuracy, rmse_st)
+from .metrics import DegenerateStreamError, MetricsReport, rmse_st
 from .model import (NetworkSpec, count_flops, count_params, forward, init_weights,
                     load_checkpoint, network_spec, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
 from .training import (LossState, OptimState, TrainConfig, TrainResult, TrainingError,
-                       adam_step, backward, init_optim, loss_polarity, loss_spatial,
-                       loss_temporal, loss_total, train)
+                       adam_step, backward, init_optim, loss_total, train)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import US_PER_MS, EventError, steps_to_cover
+from .events import US_PER_MS, EventError, EventStream, steps_to_cover
 from .io import EventFormatError, guess_format, load_events, save_events
 from .metrics import MetricsReport, common_span, rmse_st
 from .model import (VARIANTS, ModelError, count_flops, count_params, load_checkpoint,
@@ -181,7 +181,13 @@ def cmd_train(args):
     return 0
 
 
+def _check_steps(steps):
+    if steps is not None and steps < 1:
+        raise UsageError(f"--steps must be at least 1, not {steps}")
+
+
 def cmd_infer(args):
+    _check_steps(args.steps)
     spec, weights, _, _ = load_checkpoint(args.checkpoint)
     stream = _load_stream(args.input)
     out_path = Path(args.out)
@@ -198,9 +204,25 @@ def cmd_infer(args):
     return 0
 
 
+def _load_pair(pred_path, gt_path):
+    """Load a prediction and its ground truth, on one geometry where they fit.
+
+    CSV stores no geometry, and its loader infers the smallest one that
+    holds the events.  So a CSV side takes the other side's geometry,
+    or with two CSV sides the larger size on each axis, if its events
+    fit in it.
+    """
+    streams = [_load_stream(pred_path), _load_stream(gt_path)]
+    csv = [guess_format(path) == "csv" for path in (pred_path, gt_path)]
+    fixed = [s for s, is_csv in zip(streams, csv) if not is_csv] or streams
+    width, height = max(s.width for s in fixed), max(s.height for s in fixed)
+    return [EventStream(s.t, s.x, s.y, s.p, width, height, s.t0, s.t1)
+            if is_csv and s.width <= width and s.height <= height else s
+            for s, is_csv in zip(streams, csv)]
+
+
 def _eval_one(pred_path, gt_path, steps):
-    pred = _load_stream(pred_path)
-    gt = _load_stream(gt_path)
+    pred, gt = _load_pair(pred_path, gt_path)
     if (pred.width, pred.height) != (gt.width, gt.height):
         raise UsageError(
             f"geometry mismatch: {pred_path} is {pred.width}x{pred.height}, "
@@ -216,6 +238,7 @@ def _eval_one(pred_path, gt_path, steps):
 
 
 def cmd_eval(args):
+    _check_steps(args.steps)
     if args.manifest:
         reports = []
         for pred, gt in _read_pair_manifest(args.manifest):

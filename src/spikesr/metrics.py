@@ -1,16 +1,19 @@
 """Stream-level quality metrics.
 
-All metrics compare a reconstructed stream against ground truth on a
-common 1 ms grid.  The headline number is a joint spatio-temporal RMSE:
+rmse_st compares a reconstructed stream against ground truth on one
+grid of dt-millisecond steps.  It forms the voxel difference d once and
+reports a joint spatio-temporal RMSE:
 
-    rmse_st = sqrt((mse_temporal + mse_spatial) / (span_ms * n_p))
+    rmse_st = sqrt((mse_t + mse_s) / (span_ms * n_p))
 
-where mse_temporal sums squared per-voxel count differences, mse_spatial
-sums squared differences of 50 ms firing-rate blocks, and n_p counts
-pixels touched by at least one ground-truth event.  Both raw sums and
-the per-pixel (divided by n_p) forms are reported.
+where mse_t sums d squared over every voxel, mse_s sums the squares of
+d pooled over 50 ms blocks (pooled_difference, shared with the spatial
+loss), span_ms is the part of the pair's span the grid grades, and n_p
+counts pixels touched by at least one ground-truth event inside the
+grid.  Both raw sums and the per-pixel (divided by n_p) forms are
+reported.
 
-Polarity accuracy looks at every (x, y, 1 ms bin) cell occupied in both
+Polarity accuracy looks at every (x, y, step) cell occupied in both
 streams, takes the dominant polarity on each side (ties drop the cell),
 and reports the percentage that agree.
 """
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventError, EventStream, SpikeTensor, steps_to_cover, to_voxel_grid
+from .events import EventError, EventStream, to_voxel_grid
 
-# Width of the time blocks that mse_spatial and the spatial loss pool over.
+# Width of the time blocks that the spatial metric and the spatial loss pool over.
 BLOCK_MS = 50.0
 
 
@@ -69,15 +72,6 @@ class MetricsReport:
         return ",".join(parts)
 
 
-def mse_temporal(out: SpikeTensor, gt: SpikeTensor) -> float:
-    """Sum of squared per-voxel count differences."""
-    a, b = out.data, gt.data
-    if a.shape != b.shape:
-        raise EventError(f"tensor shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sum(d * d))
-
-
 def pooled_difference(d: np.ndarray, dt: float):
     """Sum a [..., T] difference tensor over consecutive BLOCK_MS windows.
 
@@ -88,16 +82,6 @@ def pooled_difference(d: np.ndarray, dt: float):
     idx = np.floor(np.arange(d.shape[-1]) * dt / BLOCK_MS).astype(np.int64)
     starts = np.flatnonzero(np.r_[1, np.diff(idx)])
     return np.add.reduceat(d, starts, axis=-1), idx
-
-
-def mse_spatial(out: SpikeTensor, gt: SpikeTensor) -> float:
-    """Sum of squared differences of per-pixel counts pooled over
-    consecutive BLOCK_MS windows (the last may be partial)."""
-    a, b = out.data, gt.data
-    if a.shape != b.shape:
-        raise EventError(f"tensor shapes differ: {a.shape} vs {b.shape}")
-    d, _ = pooled_difference(a - b, out.dt)
-    return float(np.sum(d * d))
 
 
 def _pa_from_tensors(out_data: np.ndarray, gt_data: np.ndarray):
@@ -128,43 +112,31 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
             dt: float = 1.0) -> MetricsReport:
     """Joint spatio-temporal RMSE plus polarity accuracy for one pair.
 
-    Both streams are binned over their combined span into `steps` bins
-    of dt milliseconds.  `dropped` counts the events of both streams
-    that fall past the last bin.  Raises if the ground truth is empty or
-    the span is zero.
+    Both streams are binned from the start of their combined span into
+    `steps` bins of dt milliseconds.  `span_ms` is the part of the span
+    those bins grade: the whole span, or steps * dt if that is shorter.
+    `dropped` counts the events of both streams that fall past the last
+    bin.  Raises if the ground truth is empty or the span is zero.
     """
     if len(gt_stream) == 0:
         raise DegenerateStreamError("ground-truth stream is empty")
     t0, t1 = common_span(out_stream, gt_stream)
-    span_ms = (t1 - t0) / 1000.0
-    if span_ms <= 0:
+    if t1 == t0:
         raise DegenerateStreamError("zero time span")
     out_vox, out_dropped = to_voxel_grid(out_stream, steps, dt, origin=t0)
     gt_vox, gt_dropped = to_voxel_grid(gt_stream, steps, dt, origin=t0)
-    mse_t = mse_temporal(out_vox, gt_vox)
-    mse_s = mse_spatial(out_vox, gt_vox)
     n_p = int(np.count_nonzero(gt_vox.data.sum(axis=(0, 3)) > 0))
     if n_p == 0:
         raise DegenerateStreamError("no ground-truth events inside the grid")
     pa, vacuous = _pa_from_tensors(out_vox.data, gt_vox.data)
+    d = out_vox.data - gt_vox.data
+    mse_t = float(np.sum(d * d))
+    pooled, _ = pooled_difference(d, dt)
+    mse_s = float(np.sum(pooled * pooled))
+    span_ms = min((t1 - t0) / 1000.0, steps * dt)
     return MetricsReport(
         rmse_st=math.sqrt((mse_t + mse_s) / (span_ms * n_p)),
         mse_t_raw=mse_t, mse_s_raw=mse_s,
         mse_t_norm=mse_t / n_p, mse_s_norm=mse_s / n_p,
         pa_percent=pa, pa_vacuous=vacuous, n_p=n_p, span_ms=span_ms,
         dropped=out_dropped + gt_dropped)
-
-
-def polarity_accuracy(out_stream: EventStream, gt_stream: EventStream) -> float:
-    """Dominant-polarity agreement over cells occupied in both streams.
-
-    Uses 1 ms bins covering the combined span.  With no jointly
-    occupied (untied) cell the score is vacuously 100.
-    """
-    if len(out_stream) == 0 or len(gt_stream) == 0:
-        return 100.0
-    t0, t1 = common_span(out_stream, gt_stream)
-    steps = steps_to_cover(t1 - t0)
-    out_vox, _ = to_voxel_grid(out_stream, steps, 1.0, origin=t0)
-    gt_vox, _ = to_voxel_grid(gt_stream, steps, 1.0, origin=t0)
-    return _pa_from_tensors(out_vox.data, gt_vox.data)[0]

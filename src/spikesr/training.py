@@ -1,13 +1,19 @@
-"""Loss functions, reverse-mode gradients, Adam, and the training loop.
+"""The loss, reverse-mode gradients, Adam, and the training loop.
 
-The objective combines three squared-error views of the output spike
-tensor against ground truth, each weighted by a learned certainty:
+The objective (the paper's LearnSTPLoss) combines three squared-error
+views of the output spike tensor against ground truth, each weighted by
+a learned certainty:
 
     temporal   per-step squared norm, averaged over steps
     spatial    squared norm of firing counts pooled over 50 ms bins
     polarity   per-channel squared norm (positive and negative summed)
 
     total = sum_i exp(-log_var_i) * L_i + sum_i log_var_i
+
+The polarity and temporal terms sum the same squared differences, so
+the polarity term is always T times the temporal term, T the number of
+steps.  loss_total computes the difference once and returns the value,
+the three terms and the gradient at the output spikes together.
 
 The log-variances are trained jointly with the weights, so each term's
 weight w_i = exp(-log_var_i) adapts; w_i stays positive by construction.
@@ -44,33 +50,6 @@ class LossState:
         return np.exp(-np.asarray(self.log_var, dtype=np.float64))
 
 
-def _data(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def loss_temporal(out, gt) -> float:
-    """Mean over steps of the squared per-step difference norm."""
-    a, b = _data(out), _data(gt)
-    d = a - b
-    return float(np.sum(d * d)) / a.shape[-1]
-
-
-def loss_spatial(out, gt, dt: float = 1.0) -> float:
-    """Squared norm of count differences pooled over metrics.BLOCK_MS windows."""
-    a, b = _data(out), _data(gt)
-    d, _ = pooled_difference(a - b, dt)
-    return float(np.sum(d * d))
-
-
-def loss_polarity(out, gt) -> float:
-    """Per-polarity squared norms, summed over both channels."""
-    a, b = _data(out), _data(gt)
-    if a.shape[0] != 2:
-        raise TrainingError("polarity loss needs both channels")
-    d = a - b
-    return float(np.sum(d * d))
-
-
 @dataclass(frozen=True)
 class LossTerms:
     temporal: float
@@ -81,26 +60,23 @@ class LossTerms:
 
 
 def loss_total(out, gt, state: LossState, dt: float = 1.0):
-    """Certainty-weighted objective; returns (value, per-term breakdown)."""
-    lt = loss_temporal(out, gt)
-    ls = loss_spatial(out, gt, dt=dt)
-    lp = loss_polarity(out, gt)
+    """Certainty-weighted objective on [2, H, W, T] spike tensors.
+
+    Returns (value, per-term breakdown, d(value)/d(out)).
+    """
+    d = np.asarray(out, dtype=np.float64) - np.asarray(gt, dtype=np.float64)
+    if d.shape[0] != 2:
+        raise TrainingError("polarity loss needs both channels")
+    steps = d.shape[-1]
+    sq = float(np.sum(d * d))
+    pooled, idx = pooled_difference(d, dt)
+    lt, ls, lp = sq / steps, float(np.sum(pooled * pooled)), sq
     w = state.weights()
     reg = float(np.sum(state.log_var))
     total = float(w[0] * lt + w[1] * ls + w[2] * lp + reg)
-    return total, LossTerms(lt, ls, lp, w, reg)
-
-
-def loss_output_grad(out, gt, state: LossState, dt: float = 1.0) -> np.ndarray:
-    """d(total)/d(output spikes)."""
-    a, b = _data(out), _data(gt)
-    d = a - b
-    w = state.weights()
-    steps = a.shape[-1]
     g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
-    binned, idx = pooled_difference(d, dt)
-    g += 2.0 * w[1] * binned[..., idx]
-    return g
+    g += 2.0 * w[1] * pooled[..., idx]
+    return total, LossTerms(lt, ls, lp, w, reg), g
 
 
 @dataclass
@@ -117,9 +93,7 @@ def backward(spec: NetworkSpec, weights, caches, out, gt, state: LossState) -> G
     The log-variance gradient is 1 - w_i * L_i; weight gradients are the
     per-pass sums from model.backward_from_output.
     """
-    out_data, gt_data = _data(out), _data(gt)
-    total, terms = loss_total(out_data, gt_data, state, spec.dt_ms)
-    g_out = loss_output_grad(out_data, gt_data, state, spec.dt_ms)
+    total, terms, g_out = loss_total(out, gt, state, spec.dt_ms)
     g_w = backward_from_output(spec, weights, caches, g_out)
     losses = np.array([terms.temporal, terms.spatial, terms.polarity])
     g_lv = 1.0 - terms.weights * losses

@@ -97,7 +97,7 @@ def rmse_st_oracle(out_stream, gt_stream, steps):
     spans = [(s.t0, s.t1) for s in (out_stream, gt_stream) if len(s)]
     t0 = min(a for a, _ in spans)
     t1 = max(b for _, b in spans)
-    span_ms = (t1 - t0) / 1000.0
+    span_ms = min((t1 - t0) / 1000.0, steps)   # the part the 1 ms steps grade
     mse_t = mse_temporal_oracle(out_stream, gt_stream, steps, t0)
     mse_s = mse_spatial_oracle(out_stream, gt_stream, steps, t0)
     n_p = n_p_oracle(gt_stream, steps, t0)

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v` for the per-criterion
 verdict lines.  The training-smoke criterion performs a full 200-pair,
 30-epoch run and dominates the suite's runtime (several minutes).
 """
-import math
 import time
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 import helpers
 from spikesr.events import SpikeTensor, downsample_2x
 from spikesr.kernels import generate_spikes, refractory_kernel, spike_kernel
-from spikesr.metrics import polarity_accuracy, rmse_st
+from spikesr.metrics import rmse_st
 from spikesr.model import (backward_from_output, count_flops, count_params,
                            forward, init_weights, network_spec)
 from spikesr.synth import synth_moving_bar
@@ -89,13 +88,13 @@ def test_criterion_05_metric_oracle_equivalence():
         assert rep.mse_s_raw == want_s
         assert rep.n_p == want_np
         assert rep.rmse_st == pytest.approx(want_rmse, rel=1e-9)
-        pa_steps = max(1, math.ceil((max(out.t1, gt.t1) - min(out.t0, gt.t0)) / 1000))
-        want_pa = helpers.pa_oracle(out, gt, pa_steps, min(out.t0, gt.t0))[0]
-        assert polarity_accuracy(out, gt) == pytest.approx(want_pa, rel=1e-12)
+        t0 = min(s.t0 for s in (out, gt) if len(s))
+        assert rep.pa_percent == helpers.pa_oracle(out, gt, steps, t0)[0]
     for _ in range(20):
         s = helpers.random_stream(rng, 10, 10, 50, 80)
-        assert rmse_st(s, s, 50).rmse_st == 0.0
-        assert polarity_accuracy(s, s) == 100.0
+        rep = rmse_st(s, s, 50)
+        assert rep.rmse_st == 0.0
+        assert rep.pa_percent == 100.0
     print("PASS criterion 5: metrics match brute-force oracles on 50 streams "
           "+ 20 identity cases")
 

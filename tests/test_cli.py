@@ -255,6 +255,15 @@ class TestInfer:
                    "--input", tmp_path / "nope.evbin",
                    "--out", tmp_path / "x.evbin") == 1
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_non_positive_steps_is_usage_error(self, tmp_path, capsys, steps):
+        # the files do not exist, so only a check made before loading passes
+        assert run("infer", "--checkpoint", tmp_path / "nope.ckpt",
+                   "--input", tmp_path / "nope.evbin",
+                   "--out", tmp_path / "x.evbin", "--steps", steps) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--steps" in err[0]
+
 
 class TestEval:
     def test_single_pair_kv(self, trained, tmp_path, capsys):
@@ -326,6 +335,46 @@ class TestEval:
         corpus = make_corpus(tmp_path, n=2)
         assert run("eval", "--pred", corpus / "bar_000.lr.evbin",
                    "--gt", corpus / "bar_000.evbin") == 2
+        # a CSV prediction whose events do not fit the ground truth's sensor
+        hr_csv = tmp_path / "hr.csv"
+        save_events(load_events(corpus / "bar_000.evbin", "evbin"), hr_csv, "csv")
+        assert run("eval", "--pred", hr_csv, "--gt", corpus / "bar_000.lr.evbin") == 2
+
+    def test_csv_prediction_scores_like_evbin(self, trained, tmp_path, capsys):
+        # CSV stores no geometry; the prediction takes the ground truth's
+        corpus, ckpt, _ = trained
+        gt = corpus / "bar_000.evbin"
+        printed = []
+        for name in ("sr.evbin", "sr.csv"):
+            assert run("infer", "--checkpoint", ckpt, "--input",
+                       corpus / "bar_000.lr.evbin", "--out", tmp_path / name) == 0
+            capsys.readouterr()
+            assert run("eval", "--pred", tmp_path / name, "--gt", gt) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    def test_csv_sides_take_a_shared_geometry(self, tmp_path, capsys):
+        # neither stream reaches the 8x8 sensor's far edge, and the
+        # prediction stops short of the ground truth's largest coordinates
+        gt = EventStream([0, 1_000, 2_000, 3_000], [0, 5, 2, 6], [1, 3, 6, 2],
+                         [1, -1, 1, 1], 8, 8)
+        pred = EventStream([0, 1_500, 2_500], [0, 3, 2], [1, 3, 4], [1, 1, -1], 8, 8)
+        for stream, stem in ((gt, "gt"), (pred, "pred")):
+            for fmt in ("evbin", "csv"):
+                save_events(stream, tmp_path / f"{stem}.{fmt}", fmt)
+        printed = []
+        for p_fmt, g_fmt in (("evbin", "evbin"), ("csv", "evbin"), ("evbin", "csv"),
+                             ("csv", "csv")):
+            assert run("eval", "--pred", tmp_path / f"pred.{p_fmt}",
+                       "--gt", tmp_path / f"gt.{g_fmt}") == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[1:] == printed[:1] * 3
+
+    def test_non_positive_steps_is_usage_error(self, tmp_path, capsys):
+        assert run("eval", "--pred", tmp_path / "nope.evbin",
+                   "--gt", tmp_path / "nope.evbin", "--steps", 0) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--steps" in err[0]
 
     def test_needs_inputs(self):
         assert run("eval") == 2

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import EventError, EventStream, SpikeTensor, downsample_2x
-from spikesr.metrics import (DegenerateStreamError, MetricsReport,
-                             mse_spatial, mse_temporal, polarity_accuracy,
-                             rmse_st)
+from spikesr.events import EventError, EventStream, downsample_2x
+from spikesr.metrics import DegenerateStreamError, MetricsReport, rmse_st
 from spikesr.synth import synth_moving_bar
 
 
@@ -21,32 +19,23 @@ def stream_of(events, width, height, t0=None, t1=None):
 
 class TestMseTemporal:
     def test_identity(self, rng):
-        x = SpikeTensor(rng.integers(0, 4, (2, 3, 3, 10)).astype(float))
-        assert mse_temporal(x, x) == 0.0
+        s = helpers.random_stream(rng, 6, 6, 10, 40)
+        assert rmse_st(s, s, 10).mse_t_raw == 0.0
 
     def test_hand_value(self):
-        a = np.zeros((2, 1, 1, 3))
-        b = np.zeros((2, 1, 1, 3))
-        a[0, 0, 0] = [2, 0, 1]
-        b[0, 0, 0] = [0, 1, 1]
-        assert mse_temporal(SpikeTensor(a), SpikeTensor(b)) == 5.0
-
-    def test_shape_mismatch(self):
-        a = SpikeTensor(np.zeros((2, 2, 2, 4)))
-        b = SpikeTensor(np.zeros((2, 2, 2, 5)))
-        with pytest.raises(EventError):
-            mse_temporal(a, b)
+        # voxel counts at (0, 0), positive channel: out (2, 0, 1), gt (0, 1, 1)
+        out = stream_of([(100, 0, 0, 1), (200, 0, 0, 1), (2_100, 0, 0, 1)], 2, 2,
+                        t0=0, t1=3_000)
+        gt = stream_of([(1_100, 0, 0, 1), (2_100, 0, 0, 1)], 2, 2, t0=0, t1=3_000)
+        assert rmse_st(out, gt, 3).mse_t_raw == 5.0
 
 
 class TestMseSpatial:
     def test_partial_last_block(self):
         # 70 steps of 1 ms into 50 ms blocks: second block holds 20 steps
-        a = np.zeros((1, 1, 1, 70))
-        b = np.zeros((1, 1, 1, 70))
-        a[..., 60] = 3.0
-        b[..., 69] = 1.0
-        got = mse_spatial(SpikeTensor(a), SpikeTensor(b))
-        assert got == pytest.approx(4.0)
+        out = stream_of([(60_500, 0, 0, 1)] * 3, 1, 1, t0=0, t1=70_000)
+        gt = stream_of([(69_500, 0, 0, 1)], 1, 1, t0=0, t1=70_000)
+        assert rmse_st(out, gt, 70).mse_s_raw == pytest.approx(4.0)
 
 
 class TestRmseSt:
@@ -113,6 +102,18 @@ class TestRmseSt:
         assert half.dropped == late > 0
         assert rmse_st(empty, gt, 64).dropped == 0
 
+    def test_span_is_the_graded_part(self):
+        # 40 one-millisecond steps grade the first 40 ms of a 64 ms pair
+        gt = downsample_2x(synth_moving_bar(32, 32, 64.0, 0.3, 2.0, seed=1))
+        out = EventStream(gt.t[::2], gt.x[::2], gt.y[::2], gt.p[::2], gt.width, gt.height)
+        rep = rmse_st(out, gt, 40)
+        assert rep.dropped > 0
+        assert rep.span_ms == 40.0
+        assert rep.rmse_st == math.sqrt((rep.mse_t_raw + rep.mse_s_raw) / (40.0 * rep.n_p))
+        want, mse_t, mse_s, n_p = helpers.rmse_st_oracle(out, gt, 40)
+        assert (rep.mse_t_raw, rep.mse_s_raw, rep.n_p) == (mse_t, mse_s, n_p)
+        assert rep.rmse_st == pytest.approx(want, rel=1e-12)
+
     def test_normalized_fields(self, rng):
         gt = helpers.random_stream(rng, 6, 6, 30, 80)
         out = helpers.random_stream(rng, 6, 6, 30, 40)
@@ -124,49 +125,50 @@ class TestRmseSt:
 class TestPolarityAccuracy:
     def test_identity_100(self, rng):
         s = helpers.random_stream(rng, 6, 6, 30, 50)
-        assert polarity_accuracy(s, s) == 100.0
+        assert rmse_st(s, s, 30).pa_percent == 100.0
 
     def test_flipped_is_zero(self, rng):
         s = helpers.random_stream(rng, 6, 6, 30, 50)
         flipped = EventStream(s.t, s.x, s.y, -s.p, s.width, s.height,
                               t0=s.t0, t1=s.t1)
-        assert polarity_accuracy(flipped, s) == 0.0
+        assert rmse_st(flipped, s, 30).pa_percent == 0.0
 
     def test_half_agreement(self):
         # two occupied cells, one polarity match and one mismatch
         gt = stream_of([(500, 0, 0, 1), (500, 1, 1, -1)], 4, 4, t0=0, t1=1_000)
         out = stream_of([(500, 0, 0, 1), (500, 1, 1, 1)], 4, 4, t0=0, t1=1_000)
-        assert polarity_accuracy(out, gt) == 50.0
+        assert rmse_st(out, gt, 1).pa_percent == 50.0
 
     def test_tied_cells_excluded(self):
         # out has +1 and -1 in one cell (tied): cell drops from the count
         gt = stream_of([(500, 0, 0, 1), (500, 1, 1, 1)], 4, 4, t0=0, t1=1_000)
         out = stream_of([(200, 0, 0, 1), (700, 0, 0, -1),
                          (500, 1, 1, 1)], 4, 4, t0=0, t1=1_000)
-        assert polarity_accuracy(out, gt) == 100.0
+        assert rmse_st(out, gt, 1).pa_percent == 100.0
 
     def test_disjoint_cells_vacuous(self):
         gt = stream_of([(500, 0, 0, 1)], 4, 4, t0=0, t1=1_000)
         out = stream_of([(500, 3, 3, 1)], 4, 4, t0=0, t1=1_000)
-        assert polarity_accuracy(out, gt) == 100.0
+        rep = rmse_st(out, gt, 1)
+        assert rep.pa_percent == 100.0 and rep.pa_vacuous
 
     def test_empty_stream_vacuous(self):
-        gt = stream_of([(500, 0, 0, 1)], 4, 4)
+        gt = stream_of([(500, 0, 0, 1)], 4, 4, t0=0, t1=1_000)
         out = stream_of([], 4, 4)
-        assert polarity_accuracy(out, gt) == 100.0
+        rep = rmse_st(out, gt, 1)
+        assert rep.pa_percent == 100.0 and rep.pa_vacuous
 
     def test_symmetric(self, rng):
         a = helpers.random_stream(rng, 6, 6, 40, 60)
         b = helpers.random_stream(rng, 6, 6, 40, 60)
-        assert polarity_accuracy(a, b) == pytest.approx(polarity_accuracy(b, a))
+        assert rmse_st(a, b, 40).pa_percent == rmse_st(b, a, 40).pa_percent
 
     def test_matches_oracle(self, rng):
         for _ in range(10):
             a = helpers.random_stream(rng, 8, 8, 50, 100)
             b = helpers.random_stream(rng, 8, 8, 50, 100)
-            steps = max(1, math.ceil((max(a.t1, b.t1) - min(a.t0, b.t0)) / 1000))
-            want = helpers.pa_oracle(a, b, steps, min(a.t0, b.t0))[0]
-            assert polarity_accuracy(a, b) == pytest.approx(want)
+            want = helpers.pa_oracle(a, b, 50, min(a.t0, b.t0))[0]
+            assert rmse_st(a, b, 50).pa_percent == want
 
 
 class TestMetricsReport:

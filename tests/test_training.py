@@ -8,9 +8,8 @@ from spikesr.model import (ModelError, backward_from_output, forward, init_weigh
                            network_spec)
 from spikesr.synth import synth_moving_bar
 from spikesr.training import (EpochRow, LossState, TrainConfig, TrainingError,
-                              adam_step, backward, init_optim,
-                              loss_output_grad, loss_polarity, loss_spatial,
-                              loss_temporal, loss_total, resolve_mode, train)
+                              adam_step, backward, init_optim, loss_total,
+                              resolve_mode, train)
 
 
 def spatial_oracle(a, b, width_ms, dt):
@@ -22,12 +21,18 @@ def spatial_oracle(a, b, width_ms, dt):
     return float(np.sum(binned ** 2))
 
 
+def terms_of(out, gt, dt=1.0):
+    """Unweighted loss terms at unit weights."""
+    return loss_total(out, gt, LossState(), dt)[1]
+
+
 class TestLossTerms:
     def test_identity_zero(self, rng):
         x = rng.integers(0, 3, (2, 4, 4, 10)).astype(float)
-        assert loss_temporal(x, x) == 0.0
-        assert loss_spatial(x, x) == 0.0
-        assert loss_polarity(x, x) == 0.0
+        total, terms, grad = loss_total(x, x, LossState())
+        assert (terms.temporal, terms.spatial, terms.polarity) == (0.0, 0.0, 0.0)
+        assert total == 0.0
+        assert not np.any(grad)
 
     def test_temporal_hand_value(self):
         out = np.zeros((2, 1, 1, 4))
@@ -35,49 +40,53 @@ class TestLossTerms:
         out[0, 0, 0] = [1, 0, 2, 0]
         gt[0, 0, 0] = [0, 0, 1, 1]
         # diffs 1, 0, 1, -1 -> sum sq 3, over 4 steps
-        assert loss_temporal(out, gt) == pytest.approx(3 / 4)
+        assert terms_of(out, gt).temporal == pytest.approx(3 / 4)
 
     def test_spatial_bins_hand_value(self):
-        # 60 steps at 1 ms, 50 ms pooling: bins [0,50) and [50,60)
-        out = np.zeros((1, 1, 1, 60))
-        gt = np.zeros((1, 1, 1, 60))
-        out[..., 10] = 2.0
-        out[..., 55] = 1.0
-        gt[..., 49] = 1.0
+        # 60 steps at 1 ms, 50 ms pooling: bins [0,50) and [50,60);
+        # the second polarity channel stays zero on both sides
+        out = np.zeros((2, 1, 1, 60))
+        gt = np.zeros((2, 1, 1, 60))
+        out[0, ..., 10] = 2.0
+        out[0, ..., 55] = 1.0
+        gt[0, ..., 49] = 1.0
         # bin sums: out (2, 1), gt (1, 0) -> 1 + 1
-        assert loss_spatial(out, gt) == pytest.approx(2.0)
+        assert terms_of(out, gt).spatial == pytest.approx(2.0)
 
     def test_spatial_permute_within_bin_invariant(self, rng):
         base = rng.integers(0, 3, (2, 3, 3, 50)).astype(float)
         gt = rng.integers(0, 3, (2, 3, 3, 50)).astype(float)
         perm = base[..., rng.permutation(50)]
-        assert loss_spatial(perm, gt) == pytest.approx(loss_spatial(base, gt))
+        assert terms_of(perm, gt).spatial == pytest.approx(terms_of(base, gt).spatial)
 
     def test_spatial_matches_oracle(self, rng):
         a = rng.random((2, 4, 5, 37))
         b = rng.random((2, 4, 5, 37))
         # 37 steps of 1.5 ms: one full 50 ms block and a partial one
-        got = loss_spatial(a, b, dt=1.5)
+        got = terms_of(a, b, dt=1.5).spatial
         assert got == pytest.approx(spatial_oracle(a, b, 50.0, 1.5), rel=1e-12)
 
     def test_polarity_is_full_squared_norm(self, rng):
         a = rng.random((2, 3, 3, 8))
         b = rng.random((2, 3, 3, 8))
-        assert loss_polarity(a, b) == pytest.approx(float(np.sum((a - b) ** 2)))
+        terms = terms_of(a, b)
+        assert terms.polarity == pytest.approx(float(np.sum((a - b) ** 2)))
+        # the same sum as the temporal term, without the division by T
+        assert terms.polarity == pytest.approx(8 * terms.temporal, rel=1e-15)
 
     def test_polarity_needs_two_channels(self, rng):
         x = rng.random((1, 3, 3, 8))
         with pytest.raises(TrainingError):
-            loss_polarity(x, x)
+            loss_total(x, x, LossState())
 
     def test_total_unit_weights(self, rng):
         a = rng.random((2, 3, 3, 20))
         b = rng.random((2, 3, 3, 20))
         state = LossState()
-        total, terms = loss_total(a, b, state)
-        expect = (loss_temporal(a, b) + loss_spatial(a, b)
-                  + loss_polarity(a, b))
-        assert total == pytest.approx(expect)
+        total, terms, _ = loss_total(a, b, state)
+        sq = float(np.sum((a - b) ** 2))
+        expect = sq / 20 + spatial_oracle(a, b, 50.0, 1.0) + sq
+        assert total == pytest.approx(expect, rel=1e-12)
         assert terms.regulariser == 0.0
 
     def test_total_weighted_arithmetic(self, rng):
@@ -85,9 +94,9 @@ class TestLossTerms:
         a = rng.random((2, 2, 2, 10))
         b = rng.random((2, 2, 2, 10))
         state = LossState(log_var=np.array([math.log(2), 0.0, -math.log(2)]))
-        total, terms = loss_total(a, b, state)
-        expect = (0.5 * loss_temporal(a, b) + loss_spatial(a, b)
-                  + 2.0 * loss_polarity(a, b))
+        total, terms, _ = loss_total(a, b, state)
+        sq = float(np.sum((a - b) ** 2))
+        expect = 0.5 * sq / 10 + spatial_oracle(a, b, 50.0, 1.0) + 2.0 * sq
         assert total == pytest.approx(expect, rel=1e-12)
         assert terms.weights == pytest.approx([0.5, 1.0, 2.0])
 
@@ -97,15 +106,15 @@ class TestLossGradients:
         out = rng.random((2, 3, 3, 24))
         gt = rng.random((2, 3, 3, 24))
         state = LossState(log_var=rng.normal(0, 0.5, 3))
-        g = loss_output_grad(out, gt, state)
+        g = loss_total(out, gt, state)[2]
         h = 1e-5
         flat = out.ravel()
         for idx in rng.choice(flat.size, 12, replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            hi, _ = loss_total(out, gt, state)
+            hi = loss_total(out, gt, state)[0]
             flat[idx] = orig - h
-            lo, _ = loss_total(out, gt, state)
+            lo = loss_total(out, gt, state)[0]
             flat[idx] = orig
             assert g.ravel()[idx] == pytest.approx((hi - lo) / (2 * h), abs=1e-6)
 
