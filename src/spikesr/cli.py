@@ -73,6 +73,8 @@ def _read_pair_manifest(path):
 def cmd_synth(args):
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if not (math.isfinite(args.dur) and args.dur > 0):
+        raise UsageError(f"--dur must be a positive number of milliseconds, not {args.dur}")
     width, height = _parse_size(args.size)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

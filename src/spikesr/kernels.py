@@ -7,6 +7,11 @@ neuron fires whenever the membrane reaches threshold; there is no hard
 reset, suppression comes entirely from the refractory kernel.  Resting
 potential is zero.
 
+The PSP is a causal convolution along time (SLAYER's view), and its
+adjoint is the same convolution run backward; both are computed as one
+blocked banded product, the input's rows times slices of a small
+banded Toeplitz matrix.
+
 Kernels (t >= 0, zero before):
 
     spike       eps(t)   = (t / tau_s) * exp(1 - t / tau_s)
@@ -65,41 +70,55 @@ def refractory_kernel(tau_r: float, lam: float, dt: float, length: int) -> np.nd
     return -lam * np.exp(-k / tau_r)
 
 
-def _causal_filter(x: np.ndarray, kernel) -> np.ndarray:
-    """out[..., t] = sum_k kernel[k] * x[..., t - k], one shifted add per tap."""
-    kernel = np.asarray(kernel, dtype=np.float64)
+_BLOCK = 64   # output steps per matrix product
+
+
+def _banded_product(x: np.ndarray, taps: np.ndarray, first: int) -> np.ndarray:
+    """out[..., t] = sum_i taps[i] * x[..., t + first + i], with x zero outside [0, T).
+
+    A blocked banded product: each block of up to _BLOCK output steps is
+    the rows of x.reshape(-1, T) over the block's input window times a
+    slice of one small band matrix, band[r, c] = taps[r - c].  The band
+    holds (_BLOCK + K - 1) * _BLOCK floats whatever T is.
+    """
     T = x.shape[-1]
-    out = np.zeros_like(x)
-    for k in range(min(kernel.size, T)):
-        v = kernel[k]
-        if v == 0.0:
-            continue
-        if k == 0:
-            out += v * x
-        else:
-            out[..., k:] += v * x[..., :-k]
-    return out
+    K = taps.size
+    if K == 0:
+        return np.zeros_like(x)
+    rows = x.reshape(-1, T)
+    out = np.empty_like(rows)
+    B = min(_BLOCK, T)
+    lag = np.arange(B + K - 1)[:, None] - np.arange(B)[None, :]
+    band = np.where((lag >= 0) & (lag < K), taps[lag.clip(0, K - 1)], 0.0)
+    for b in range(0, T, B):
+        n = min(B, T - b)
+        lo, hi = max(0, b + first), min(T, b + first + n + K - 1)
+        np.matmul(rows[:, lo:hi], band[lo - b - first:hi - b - first, :n],
+                  out=out[:, b:b + n])
+    return out.reshape(x.shape)
 
 
 def apply_psp(spikes, kernel) -> np.ndarray:
     """Causal convolution of spike counts with a sampled kernel.
 
     spikes is any [..., T] array; out[..., t] = sum_k kernel[k] *
-    spikes[..., t - k].  Nothing leaks backward in time: an impulse at t
-    reproduces the kernel starting at t.
+    spikes[..., t - k], computed as a blocked banded product.  Nothing
+    leaks backward in time: an impulse at t reproduces the kernel
+    starting at t.
     """
-    return _causal_filter(np.asarray(spikes, dtype=np.float64), kernel)
+    x = np.asarray(spikes, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)[:x.shape[-1]]
+    return _banded_product(x, kernel[::-1], 1 - kernel.size)
 
 
 def apply_psp_adjoint(grad, kernel) -> np.ndarray:
     """Adjoint of apply_psp: the same causal filter run backward in time.
 
-    out[..., t] = sum_k kernel[k] * grad[..., t + k], computed by
-    filtering the time-reversed gradient and reversing the result.
+    out[..., t] = sum_k kernel[k] * grad[..., t + k], computed as the
+    same blocked banded product, reading the kernel over the steps after t.
     """
-    # a contiguous reversed copy keeps every shifted add on forward strides
-    g = np.ascontiguousarray(np.asarray(grad, dtype=np.float64)[..., ::-1])
-    return _causal_filter(g, kernel)[..., ::-1]
+    g = np.asarray(grad, dtype=np.float64)
+    return _banded_product(g, np.asarray(kernel, dtype=np.float64)[:g.shape[-1]], 0)
 
 
 def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):

@@ -173,3 +173,12 @@ def psp_oracle(x, kernel):
                 acc += kernel[k] * x[idx + (t - k,)]
             out[idx + (t,)] = acc
     return out
+
+
+def psp_matrix_oracle(steps, kernel):
+    """Dense [T, T] matrix of the causal filter: psp(x) = x @ m, m[s, s + k] = kernel[k]."""
+    m = np.zeros((steps, steps))
+    for s in range(steps):
+        for k in range(min(len(kernel), steps - s)):
+            m[s, s + k] = kernel[k]
+    return m

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import spikesr.cli
 import spikesr.model
 from spikesr.cli import main
 from spikesr.events import EventStream, downsample_2x
-from spikesr.io import load_events, save_events
+from spikesr.io import guess_format, load_events, save_events
 from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
 from spikesr.synth import synth_moving_bar
 from spikesr.training import TrainConfig, TrainingError
@@ -42,6 +44,14 @@ class TestSynth:
 
     def test_zero_count_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "c", "--n", 0) == 2
+
+    @pytest.mark.parametrize("dur", ["0", "-5", "nan", "inf"])
+    def test_bad_duration_is_usage_error(self, tmp_path, capsys, dur):
+        out = tmp_path / "c"
+        assert run("synth", "--out", out, "--n", 1, "--dur", dur) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--dur" in err[0]
+        assert not out.exists()
 
 
 class TestDownsample:
@@ -80,6 +90,30 @@ def trained(tmp_path_factory):
                "--out", ckpt, "--report", report)
     assert code == 0
     return corpus, ckpt, report
+
+
+C8_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "ultralight_c8.ckpt"
+
+
+@pytest.fixture(scope="module")
+def firing(tmp_path_factory):
+    """Dense 32x32 bars and the committed criterion-8 checkpoint, which fires on them.
+
+    The `trained` network emits no events, so eval tests that must score a
+    non-empty prediction run their infer step through this pair instead.
+    """
+    corpus = tmp_path_factory.mktemp("firing")
+    names = [f"bar_{i:03d}.evbin" for i in range(2)]
+    for i, name in enumerate(names):
+        save_events(synth_moving_bar(32, 32, 64.0, 0.3, 6.0, seed=i), corpus / name, "evbin")
+    (corpus / "manifest.txt").write_text("\n".join(names) + "\n")
+    assert run("downsample", "--manifest", corpus / "manifest.txt") == 0
+    return corpus, C8_CHECKPOINT
+
+
+def infer_nonempty(ckpt, lr_path, out, *extra):
+    assert run("infer", "--checkpoint", ckpt, "--input", lr_path, "--out", out, *extra) == 0
+    assert len(load_events(out, guess_format(out))) > 0
 
 
 class TestTrain:
@@ -266,11 +300,10 @@ class TestInfer:
 
 
 class TestEval:
-    def test_single_pair_kv(self, trained, tmp_path, capsys):
-        corpus, ckpt, _ = trained
+    def test_single_pair_kv(self, firing, tmp_path, capsys):
+        corpus, ckpt = firing
         sr = tmp_path / "sr.evbin"
-        run("infer", "--checkpoint", ckpt, "--input",
-            corpus / "bar_000.lr.evbin", "--out", sr, "--steps", 32)
+        infer_nonempty(ckpt, corpus / "bar_000.lr.evbin", sr, "--steps", 32)
         capsys.readouterr()
         assert run("eval", "--pred", sr, "--gt", corpus / "bar_000.evbin",
                    "--steps", 32) == 0
@@ -289,13 +322,12 @@ class TestEval:
         assert float(kv["rmse_st"]) == 0.0
         assert float(kv["pa_percent"]) == 100.0
 
-    def test_batch_manifest_csv(self, tmp_path, trained, capsys):
-        corpus, ckpt, _ = trained
+    def test_batch_manifest_csv(self, tmp_path, firing, capsys):
+        corpus, ckpt = firing
         preds = []
         for i in range(2):
             sr = corpus / f"sr_{i}.evbin"
-            run("infer", "--checkpoint", ckpt, "--input",
-                corpus / f"bar_{i:03d}.lr.evbin", "--out", sr, "--steps", 32)
+            infer_nonempty(ckpt, corpus / f"bar_{i:03d}.lr.evbin", sr, "--steps", 32)
             preds.append((sr.name, f"bar_{i:03d}.evbin"))
         manifest = corpus / "eval.txt"
         manifest.write_text("\n".join(f"{a},{b}" for a, b in preds) + "\n")
@@ -340,14 +372,13 @@ class TestEval:
         save_events(load_events(corpus / "bar_000.evbin", "evbin"), hr_csv, "csv")
         assert run("eval", "--pred", hr_csv, "--gt", corpus / "bar_000.lr.evbin") == 2
 
-    def test_csv_prediction_scores_like_evbin(self, trained, tmp_path, capsys):
+    def test_csv_prediction_scores_like_evbin(self, firing, tmp_path, capsys):
         # CSV stores no geometry; the prediction takes the ground truth's
-        corpus, ckpt, _ = trained
+        corpus, ckpt = firing
         gt = corpus / "bar_000.evbin"
         printed = []
         for name in ("sr.evbin", "sr.csv"):
-            assert run("infer", "--checkpoint", ckpt, "--input",
-                       corpus / "bar_000.lr.evbin", "--out", tmp_path / name) == 0
+            infer_nonempty(ckpt, corpus / "bar_000.lr.evbin", tmp_path / name)
             capsys.readouterr()
             assert run("eval", "--pred", tmp_path / name, "--gt", gt) == 0
             printed.append(capsys.readouterr().out)

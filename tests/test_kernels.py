@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
+from spikesr.kernels import _BLOCK as B
 from spikesr.kernels import (NeuronConfig, apply_psp, apply_psp_adjoint,
                              generate_spikes, kernel_length, refractory_kernel,
                              soft_spike_grad, soft_spikes, spike_kernel,
@@ -91,6 +93,50 @@ class TestApplyPsp:
         else:
             g = rng.random((2, 3, steps))
         assert np.max(np.abs(apply_psp_adjoint(g, kern) - g @ dense)) < 1e-12
+
+
+class TestBlockedFilter:
+    """The filter walks T in blocks of B steps; these cases cross block edges."""
+
+    @pytest.mark.parametrize("taps", [9, 32, 200])   # 200 is longer than 3B + 5
+    def test_matches_oracle_across_blocks(self, rng, taps):
+        kern = rng.standard_normal(taps)
+        for steps in (1, taps - 1, taps, B - 1, B, B + 1, B + taps, 3 * B + 5):
+            x = rng.standard_normal((2, 3, steps))
+            assert np.max(np.abs(apply_psp(x, kern) - helpers.psp_oracle(x, kern))) < 1e-12
+            dense = helpers.psp_matrix_oracle(steps, kern)
+            assert np.max(np.abs(apply_psp_adjoint(x, kern) - x @ dense.T)) < 1e-12
+
+    @pytest.mark.parametrize("steps", [B + 7, 3 * B + 5])
+    def test_non_contiguous_and_1d_input(self, rng, steps):
+        kern = rng.standard_normal(32)
+        dense = helpers.psp_matrix_oracle(steps, kern)
+        sliced = rng.standard_normal((2, 6, 2 * steps))[:, ::2, ::2]
+        assert not sliced.flags.c_contiguous
+        for x in (sliced, rng.standard_normal(steps)):
+            out = apply_psp(x, kern)
+            assert out.shape == x.shape
+            assert np.max(np.abs(out - x @ dense)) < 1e-12
+            assert np.max(np.abs(apply_psp_adjoint(x, kern) - x @ dense.T)) < 1e-12
+
+    def test_zero_steps_give_empty_output(self):
+        kern = spike_kernel(4.0, 1.0, 32)
+        for f in (apply_psp, apply_psp_adjoint):
+            out = f(np.zeros((3, 0)), kern)
+            assert out.shape == (3, 0)
+
+    def test_memory_does_not_grow_with_steps(self, rng):
+        # a dense T x T matrix would take 128 MB at T = 4000
+        x = (rng.random((1, 4000)) < 0.05).astype(float)
+        kern = spike_kernel(4.0, 1.0, 32)
+        for f in (apply_psp, apply_psp_adjoint):
+            tracemalloc.start()
+            try:
+                out = f(x, kern)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes < 1_000_000
 
 
 class TestGenerateSpikes:
