@@ -202,7 +202,8 @@ def cmd_infer(args):
               file=sys.stderr)
     save_events(result, out_path, guess_format(out_path))
     print(f"{args.input} -> {out_path} ({len(result)} events at "
-          f"{result.width}x{result.height})")
+          f"{result.width}x{result.height}) events_in={len(stream)} "
+          f"events_out={len(result)} dropped={dropped}")
     return 0
 
 

@@ -115,39 +115,56 @@ def steps_to_cover(span_us: int, dt_ms: float = 1.0) -> int:
     return max(1, math.ceil(span_us / (dt_ms * US_PER_MS)))
 
 
-def to_voxel_grid(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
-    """Bin a stream into a [2, H, W, T] count tensor.
+def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
+    """Grid coordinates of the events a grid of `steps` bins keeps.
 
     Bin index is floor((t - t0) / dt), with t0 the stream's own start
     unless `origin` overrides it.  An event sitting exactly on the
     closing edge of the grid (t - t0 == T * dt) is folded into the last
-    bin; anything else past the last bin is dropped.  Returns the tensor
-    together with the dropped-event count.
+    bin; anything else past the last bin is dropped.  Returns the
+    (channel, y, x, bin) int64 arrays of the kept events, in stream
+    order and so with bins non-decreasing, and the dropped-event count.
     """
     if steps < 1:
         raise EventError("step count must be positive")
     dt_us = dt * US_PER_MS
-    data = np.zeros((2, stream.height, stream.width, steps), dtype=np.float64)
-    dropped = 0
-    if len(stream):
-        rel = stream.t - (stream.t0 if origin is None else int(origin))
-        bins = np.floor(rel / dt_us).astype(np.int64)
-        edge = (bins == steps) & (rel == steps * dt_us)
-        bins[edge] = steps - 1
-        keep = (bins >= 0) & (bins < steps)
-        dropped = int(np.count_nonzero(~keep))
-        ch = (stream.p[keep] != 1).astype(np.int64)  # +1 -> 0, -1 -> 1
-        np.add.at(data, (ch, stream.y[keep], stream.x[keep], bins[keep]), 1.0)
-    return SpikeTensor(data, dt=dt), dropped
+    rel = stream.t - (stream.t0 if origin is None else int(origin))
+    bins = np.floor(rel / dt_us).astype(np.int64)
+    edge = (bins == steps) & (rel == steps * dt_us)
+    bins[edge] = steps - 1
+    keep = (bins >= 0) & (bins < steps)
+    ch = (stream.p[keep] != 1).astype(np.int64)  # +1 -> 0, -1 -> 1
+    return (ch, stream.y[keep], stream.x[keep], bins[keep]), int(np.count_nonzero(~keep))
 
 
-def from_voxel_grid(tensor: SpikeTensor, t0: int = 0) -> EventStream:
+def voxel_window(coords, height: int, width: int, start: int, stop: int,
+                 dt: float = 1.0) -> SpikeTensor:
+    """Count tensor [2, H, W, stop - start] of bins [start, stop) of event_bins' coordinates."""
+    ch, y, x, bins = coords
+    lo, hi = np.searchsorted(bins, (start, stop))
+    data = np.zeros((2, height, width, stop - start), dtype=np.float64)
+    np.add.at(data, (ch[lo:hi], y[lo:hi], x[lo:hi], bins[lo:hi] - start), 1.0)
+    return SpikeTensor(data, dt=dt)
+
+
+def to_voxel_grid(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
+    """Bin a stream into a [2, H, W, T] count tensor, binned by event_bins.
+
+    Returns the tensor together with the dropped-event count.
+    """
+    coords, dropped = event_bins(stream, steps, dt, origin)
+    return voxel_window(coords, stream.height, stream.width, 0, steps, dt), dropped
+
+
+def from_voxel_grid(tensor: SpikeTensor, t0: int = 0, first_bin: int = 0) -> EventStream:
     """Expand a count tensor back into events.
 
     Each voxel with value v emits round(v) events stamped at its bin
-    centre, t0 + (bin + 0.5) * dt.  Events come out in the row-major
-    order of the time-major [T, C, H, W] view: by bin, then channel, row
-    and column, so the result is time sorted and deterministic.
+    centre, t0 + (bin + 0.5) * dt, where the tensor's first bin is bin
+    `first_bin` of the grid that starts at t0.  Events come out in the
+    row-major order of the time-major [T, C, H, W] view: by bin, then
+    channel, row and column, so the result is time sorted and
+    deterministic.
     """
     counts = np.rint(tensor.data).astype(np.int64).transpose(3, 0, 1, 2)
     bins, ch, ys, xs = np.nonzero(counts > 0)
@@ -155,7 +172,7 @@ def from_voxel_grid(tensor: SpikeTensor, t0: int = 0) -> EventStream:
         return EventStream.empty(tensor.width, tensor.height)
     reps = counts[bins, ch, ys, xs]
     dt_us = tensor.dt * US_PER_MS
-    t = np.repeat(np.rint(t0 + (bins + 0.5) * dt_us).astype(np.int64), reps)
+    t = np.repeat(np.rint(t0 + (bins + first_bin + 0.5) * dt_us).astype(np.int64), reps)
     x = np.repeat(xs, reps)
     y = np.repeat(ys, reps)
     p = np.repeat(np.where(ch == 0, 1, -1).astype(np.int64), reps)

@@ -73,42 +73,50 @@ def refractory_kernel(tau_r: float, lam: float, dt: float, length: int) -> np.nd
 _BLOCK = 64   # output steps per matrix product
 
 
-def _banded_product(x: np.ndarray, taps: np.ndarray, first: int) -> np.ndarray:
-    """out[..., t] = sum_i taps[i] * x[..., t + first + i], with x zero outside [0, T).
+def _banded_product(x: np.ndarray, taps: np.ndarray, first: int, start: int = 0) -> np.ndarray:
+    """out[..., t - start] = sum_i taps[i] * x[..., t + first + i] for t in [start, T),
+    with x zero outside [0, T).
 
     A blocked banded product: each block of up to _BLOCK output steps is
     the rows of x.reshape(-1, T) over the block's input window times a
     slice of one small band matrix, band[r, c] = taps[r - c].  The band
-    holds (_BLOCK + K - 1) * _BLOCK floats whatever T is.
+    holds (_BLOCK + K - 1) * _BLOCK floats whatever T is.  The steps
+    before `start` feed the filter but get no output of their own.
     """
     T = x.shape[-1]
     K = taps.size
-    if K == 0:
-        return np.zeros_like(x)
+    shape = x.shape[:-1] + (T - start,)
+    if K == 0 or start == T:
+        return np.zeros(shape)
     rows = x.reshape(-1, T)
-    out = np.empty_like(rows)
-    B = min(_BLOCK, T)
+    out = np.empty((rows.shape[0], T - start))
+    B = min(_BLOCK, T - start)
     lag = np.arange(B + K - 1)[:, None] - np.arange(B)[None, :]
     band = np.where((lag >= 0) & (lag < K), taps[lag.clip(0, K - 1)], 0.0)
-    for b in range(0, T, B):
+    for b in range(start, T, B):
         n = min(B, T - b)
         lo, hi = max(0, b + first), min(T, b + first + n + K - 1)
         np.matmul(rows[:, lo:hi], band[lo - b - first:hi - b - first, :n],
-                  out=out[:, b:b + n])
-    return out.reshape(x.shape)
+                  out=out[:, b - start:b - start + n])
+    return out.reshape(shape)
 
 
-def apply_psp(spikes, kernel) -> np.ndarray:
+def apply_psp(spikes, kernel, history: int = 0) -> np.ndarray:
     """Causal convolution of spike counts with a sampled kernel.
 
     spikes is any [..., T] array; out[..., t] = sum_k kernel[k] *
     spikes[..., t - k], computed as a blocked banded product.  Nothing
     leaks backward in time: an impulse at t reproduces the kernel
-    starting at t.
+    starting at t.  The first `history` steps are the stream's past:
+    they feed the filter, but only the T - history steps after them get
+    an output, so carrying the last len(kernel) - 1 steps of one window
+    into the next gives the whole stream's result.  It is bit for bit
+    the same where the window starts on the whole stream's _BLOCK grid;
+    elsewhere BLAS may order a block's sums differently.
     """
     x = np.asarray(spikes, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)[:x.shape[-1]]
-    return _banded_product(x, kernel[::-1], 1 - kernel.size)
+    return _banded_product(x, kernel[::-1], 1 - kernel.size, history)
 
 
 def apply_psp_adjoint(grad, kernel) -> np.ndarray:
@@ -121,7 +129,7 @@ def apply_psp_adjoint(grad, kernel) -> np.ndarray:
     return _banded_product(g, np.asarray(kernel, dtype=np.float64)[:g.shape[-1]], 0)
 
 
-def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):
+def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0, past=None):
     """Run the threshold/refractory dynamics over a drive tensor.
 
     drive is [..., T]: the summed weighted PSP reaching each neuron at
@@ -129,6 +137,12 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):
     counts and the full membrane trace.  A neuron emits at most one
     spike per step; each emission adds the refractory kernel to the
     following steps (the spiking step itself is not suppressed).
+
+    past, if given, is [..., P]: the neurons' spikes over the P steps
+    just before the drive's first step.  Their refractory traces are
+    added first, in time order, so with P = len(refractory kernel) - 1
+    each membrane sums the same terms in the same order as one run over
+    the whole stream.
     """
     x = np.asarray(drive, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -138,13 +152,19 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0):
     gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt))
     u = x.copy()
     spikes = np.zeros_like(u)
-    for t in range(T):
-        fired = u[..., t] >= cfg.v_th
-        if fired.any():
+    if past is None:
+        past = np.zeros(x.shape[:-1] + (0,))
+    past = np.reshape(past, x.shape[:-1] + (-1,))
+    for t in range(-past.shape[-1], T):
+        if t < 0:
+            fired = past[..., t] > 0
+        else:
+            fired = u[..., t] >= cfg.v_th
             spikes[..., t][fired] = 1.0
-            end = min(T, t + gamma.size)
-            if end > t + 1:
-                u[..., t + 1:end][fired] += gamma[1:end - t]
+        if fired.any():
+            lo, end = max(t + 1, 0), min(T, t + gamma.size)
+            if end > lo:
+                u[..., lo:end][fired] += gamma[lo - t:end - t]
     if squeeze:
         return spikes[0], u[0]
     return spikes, u

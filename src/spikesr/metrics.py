@@ -1,17 +1,17 @@
 """Stream-level quality metrics.
 
 rmse_st compares a reconstructed stream against ground truth on one
-grid of dt-millisecond steps.  It forms the voxel difference d once and
-reports a joint spatio-temporal RMSE:
+grid of dt-millisecond steps.  It forms the voxel difference d once,
+one 50 ms block at a time, and reports a joint spatio-temporal RMSE:
 
     rmse_st = sqrt((mse_t + mse_s) / (span_ms * n_p))
 
 where mse_t sums d squared over every voxel, mse_s sums the squares of
-d pooled over 50 ms blocks (pooled_difference, shared with the spatial
-loss), span_ms is the part of the pair's span the grid grades, and n_p
-counts pixels touched by at least one ground-truth event inside the
-grid.  Both raw sums and the per-pixel (divided by n_p) forms are
-reported.
+d pooled over 50 ms blocks (the blocks pooled_difference pools over for
+the spatial loss), span_ms is the part of the pair's span the grid
+grades, and n_p counts pixels touched by at least one ground-truth
+event inside the grid.  Both raw sums and the per-pixel (divided by
+n_p) forms are reported.
 
 Polarity accuracy looks at every (x, y, step) cell occupied in both
 streams, takes the dominant polarity on each side (ties drop the cell),
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventError, EventStream, to_voxel_grid
+from .events import EventError, EventStream, event_bins, voxel_window
 
 # Width of the time blocks that the spatial metric and the spatial loss pool over.
 BLOCK_MS = 50.0
@@ -72,28 +72,29 @@ class MetricsReport:
         return ",".join(parts)
 
 
+def _blocks(steps: int, dt: float):
+    """Block of each of `steps` dt-millisecond steps, floor(t * dt / BLOCK_MS),
+    and the first step of every block; the last block may be partial."""
+    idx = np.floor(np.arange(steps) * dt / BLOCK_MS).astype(np.int64)
+    return idx, np.flatnonzero(np.r_[1, np.diff(idx)])
+
+
 def pooled_difference(d: np.ndarray, dt: float):
     """Sum a [..., T] difference tensor over consecutive BLOCK_MS windows.
 
-    Step t of dt milliseconds falls in block floor(t * dt / BLOCK_MS);
-    the last block may be partial.  Returns (pooled [..., n_blocks],
-    block index of every step).
+    Returns (pooled [..., n_blocks], block index of every step).
     """
-    idx = np.floor(np.arange(d.shape[-1]) * dt / BLOCK_MS).astype(np.int64)
-    starts = np.flatnonzero(np.r_[1, np.diff(idx)])
+    idx, starts = _blocks(d.shape[-1], dt)
     return np.add.reduceat(d, starts, axis=-1), idx
 
 
-def _pa_from_tensors(out_data: np.ndarray, gt_data: np.ndarray):
+def _pa_counts(out_data: np.ndarray, gt_data: np.ndarray):
+    """(agreeing cells, cells with a dominant polarity on both sides)."""
     both = (out_data.sum(axis=0) > 0) & (gt_data.sum(axis=0) > 0)
     dom_out = np.sign(out_data[0] - out_data[1])
     dom_gt = np.sign(gt_data[0] - gt_data[1])
     valid = both & (dom_out != 0) & (dom_gt != 0)
-    omega = int(np.count_nonzero(valid))
-    if omega == 0:
-        return 100.0, True
-    matches = int(np.count_nonzero(valid & (dom_out == dom_gt)))
-    return 100.0 * matches / omega, False
+    return int(np.count_nonzero(valid & (dom_out == dom_gt))), int(np.count_nonzero(valid))
 
 
 def common_span(out_stream: EventStream, gt_stream: EventStream):
@@ -123,16 +124,28 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     t0, t1 = common_span(out_stream, gt_stream)
     if t1 == t0:
         raise DegenerateStreamError("zero time span")
-    out_vox, out_dropped = to_voxel_grid(out_stream, steps, dt, origin=t0)
-    gt_vox, gt_dropped = to_voxel_grid(gt_stream, steps, dt, origin=t0)
-    n_p = int(np.count_nonzero(gt_vox.data.sum(axis=(0, 3)) > 0))
+    out_bins, out_dropped = event_bins(out_stream, steps, dt, origin=t0)
+    gt_bins, gt_dropped = event_bins(gt_stream, steps, dt, origin=t0)
+    h, w = gt_stream.height, gt_stream.width
+    touched = np.zeros((h, w), dtype=bool)
+    mse_t = mse_s = 0.0
+    matches = omega = 0
+    _, starts = _blocks(steps, dt)
+    for start, stop in zip(starts, [*starts[1:], steps]):
+        # counts are integers, so these sums are exact in any order
+        out = voxel_window(out_bins, h, w, start, stop, dt).data
+        gt = voxel_window(gt_bins, h, w, start, stop, dt).data
+        touched |= gt.sum(axis=(0, 3)) > 0
+        agree, cells = _pa_counts(out, gt)
+        matches, omega = matches + agree, omega + cells
+        d = out - gt
+        mse_t += float(np.sum(d * d))
+        pooled = d.sum(axis=-1)
+        mse_s += float(np.sum(pooled * pooled))
+    n_p = int(np.count_nonzero(touched))
     if n_p == 0:
         raise DegenerateStreamError("no ground-truth events inside the grid")
-    pa, vacuous = _pa_from_tensors(out_vox.data, gt_vox.data)
-    d = out_vox.data - gt_vox.data
-    mse_t = float(np.sum(d * d))
-    pooled, _ = pooled_difference(d, dt)
-    mse_s = float(np.sum(pooled * pooled))
+    pa, vacuous = (100.0 * matches / omega, False) if omega else (100.0, True)
     span_ms = min((t1 - t0) / 1000.0, steps * dt)
     return MetricsReport(
         rmse_st=math.sqrt((mse_t + mse_s) / (span_ms * n_p)),

@@ -182,3 +182,32 @@ def psp_matrix_oracle(steps, kernel):
         for k in range(min(len(kernel), steps - s)):
             m[s, s + k] = kernel[k]
     return m
+
+
+def fire_oracle(drive, cfg, dt=1.0, past=None):
+    """Per-neuron, per-step SRM loop: u[t] = drive[t] + sum of gamma[t - s] over
+    the neuron's earlier spikes s, fire when u[t] >= v_th.
+
+    gamma[k] = -lam * exp(-k dt / tau_r) for k < ceil(8 tau_r / dt).  past,
+    [..., P], holds spikes at steps -P..-1; they count like any earlier
+    spike.  Returns (spikes, u) shaped like drive.
+    """
+    drive = np.asarray(drive, dtype=float)
+    gamma = [-cfg.lam * math.exp(-k * dt / cfg.tau_r)
+             for k in range(math.ceil(8.0 * cfg.tau_r / dt))]
+    spikes = np.zeros_like(drive)
+    u = np.zeros_like(drive)
+    steps = drive.shape[-1]
+    for idx in np.ndindex(drive.shape[:-1]):
+        fired = [] if past is None else [s - past.shape[-1] for s in range(past.shape[-1])
+                                         if past[idx + (s,)] > 0]
+        for t in range(steps):
+            acc = float(drive[idx + (t,)])
+            for s in fired:
+                if t - s < len(gamma):
+                    acc += gamma[t - s]
+            u[idx + (t,)] = acc
+            if acc >= cfg.v_th:
+                spikes[idx + (t,)] = 1.0
+                fired.append(t)
+    return spikes, u

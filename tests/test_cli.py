@@ -6,7 +6,7 @@ import pytest
 import spikesr.cli
 import spikesr.model
 from spikesr.cli import main
-from spikesr.events import EventStream, downsample_2x
+from spikesr.events import EventStream, downsample_2x, to_voxel_grid
 from spikesr.io import guess_format, load_events, save_events
 from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
 from spikesr.synth import synth_moving_bar
@@ -256,7 +256,19 @@ class TestInfer:
         monkeypatch.setattr(spikesr.model, "forward", recording)
         assert run("infer", "--checkpoint", ckpt, "--input", src,
                    "--out", tmp_path / "sr.evbin") == 0
-        assert steps == [32]
+        assert sum(steps) == 32   # over however many windows super_resolve cuts
+
+    def test_prints_events_in_out_and_dropped(self, firing, tmp_path, capsys):
+        corpus, ckpt = firing
+        lr_path, out = corpus / "bar_000.lr.evbin", tmp_path / "sr.evbin"
+        infer_nonempty(ckpt, lr_path, out, "--steps", 32)
+        lr = load_events(lr_path, "evbin")
+        dropped = to_voxel_grid(lr, 32)[1]
+        assert dropped > 0
+        n_out = len(load_events(out, "evbin"))
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.endswith(f"({n_out} events at 32x32) events_in={len(lr)} "
+                             f"events_out={n_out} dropped={dropped}")
 
     def test_empty_input_warns_but_succeeds(self, trained, tmp_path, capsys):
         _, ckpt, _ = trained

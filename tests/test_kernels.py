@@ -138,6 +138,36 @@ class TestBlockedFilter:
                 tracemalloc.stop()
             assert peak - out.nbytes < 1_000_000
 
+    def test_window_with_history_matches_whole_stream(self, rng):
+        # windows on the block grid compute the same matrix products as the
+        # whole stream: history 0 (first window), K - 1, and, with 100 taps,
+        # all 64 steps there are (shorter than K - 1)
+        steps = 3 * B + 5
+        x = rng.integers(0, 3, (2, 3, steps)).astype(float)
+        seen = set()
+        for kern in (spike_kernel(1.0, 1.0, 8), spike_kernel(4.0, 1.0, 32),
+                     spike_kernel(12.5, 1.0, 100)):
+            whole = apply_psp(x, kern)
+            for a in range(0, steps, B):
+                h = min(a, kern.size - 1)
+                seen.add("none" if h == 0 else "full" if h == kern.size - 1 else "short")
+                got = apply_psp(x[..., a - h:a + B], kern, history=h)
+                assert np.array_equal(got, whole[..., a:a + B])
+        assert seen == {"none", "full", "short"}
+
+    def test_window_off_the_block_grid_matches_to_rounding(self, rng):
+        # elsewhere the products are cut differently, and BLAS may order
+        # a block's sums differently
+        steps = 2 * B + 9
+        x = rng.integers(0, 3, (2, 3, steps)).astype(float)
+        kern = spike_kernel(4.0, 1.0, 32)
+        whole = apply_psp(x, kern)
+        for width in (1, 7, B + 1):
+            for a in range(0, steps, width):
+                h = min(a, kern.size - 1)
+                got = apply_psp(x[..., a - h:a + width], kern, history=h)
+                assert np.allclose(got, whole[..., a:a + width], rtol=1e-12, atol=1e-12)
+
 
 class TestGenerateSpikes:
     def test_zero_drive_silent(self):
@@ -183,6 +213,30 @@ class TestGenerateSpikes:
         sp, u = generate_spikes(drive, CONV_NEURON)
         assert sp[0] == 1.0 and u[0] == 30.0
         assert u[1] == 30.0 - 1.0 * math.exp(-1)
+
+    @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
+    def test_matches_fire_oracle(self, rng, cfg):
+        drive = rng.uniform(0.5, 1.3, (3, 4, 50)) * cfg.v_th
+        sp, u = generate_spikes(drive, cfg)
+        want_sp, want_u = helpers.fire_oracle(drive, cfg)
+        assert np.array_equal(sp, want_sp) and sp.any()
+        assert np.max(np.abs(u - want_u)) < 1e-12
+
+    @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
+    def test_carried_past_spikes_match_fire_oracle(self, rng, cfg):
+        drive = rng.uniform(0.5, 1.3, (3, 4, 50)) * cfg.v_th
+        tail = kernel_length(cfg.tau_r, 1.0) - 1
+        for length in (1, tail, tail + 5):
+            past = (rng.random((3, 4, length)) < 0.5).astype(float)
+            sp, u = generate_spikes(drive, cfg, past=past)
+            want_sp, want_u = helpers.fire_oracle(drive, cfg, past=past)
+            assert np.array_equal(sp, want_sp)
+            assert np.max(np.abs(u - want_u)) < 1e-12
+        # a second window fed the first one's last spikes continues the whole run exactly
+        whole_sp, whole_u = generate_spikes(drive, cfg)
+        head, _ = generate_spikes(drive[..., :20], cfg)
+        sp, u = generate_spikes(drive[..., 20:], cfg, past=head[..., max(0, 20 - tail):])
+        assert np.array_equal(sp, whole_sp[..., 20:]) and np.array_equal(u, whole_u[..., 20:])
 
 
 class TestSurrogate:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestRmseSt:
         want, mse_t, mse_s, n_p = helpers.rmse_st_oracle(out, gt, 40)
         assert (rep.mse_t_raw, rep.mse_s_raw, rep.n_p) == (mse_t, mse_s, n_p)
         assert rep.rmse_st == pytest.approx(want, rel=1e-12)
+
+    def test_memory_does_not_grow_with_steps(self):
+        # whole-grid voxel tensors of both streams would grow with the step count
+        gt = downsample_2x(synth_moving_bar(32, 32, 20.0, 0.3, 2.0, seed=1))
+        out = EventStream(gt.t[::2], gt.x[::2], gt.y[::2], gt.p[::2], gt.width, gt.height)
+        peaks = []
+        for steps in (150, 1200):
+            tracemalloc.start()
+            try:
+                rmse_st(out, gt, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     def test_normalized_fields(self, rng):
         gt = helpers.random_stream(rng, 6, 6, 30, 80)

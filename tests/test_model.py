@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import SpikeTensor, downsample_2x
+from spikesr import model
+from spikesr.events import EventStream, SpikeTensor, downsample_2x, from_voxel_grid, to_voxel_grid
 from spikesr.model import (CHECKPOINT_MAGIC, ModelError, NetworkSpec,
                            bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
@@ -223,6 +225,43 @@ class TestSuperResolve:
         out, dropped = super_resolve(spec, init_weights(spec, seed=0), stream, steps=32)
         assert dropped == 0
         assert (out.width, out.height) == (32, 32)
+
+    @pytest.mark.parametrize("variant,dt_ms", [("dual_layer", 1.0), ("ultralight", 1.0),
+                                               ("ultralight", 2.0)])
+    def test_windows_equal_the_whole_stream(self, rng, monkeypatch, variant, dt_ms):
+        spec = network_spec(variant, dt_ms)
+        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        steps = int(40 / dt_ms)
+        edge = int(steps * dt_ms * 1000)   # on the grid's closing edge: folded into the last bin
+        noise = helpers.random_stream(rng, 6, 5, 50.0, 1500)
+        stream = EventStream(np.append(noise.t, edge), np.append(noise.x, 3),
+                             np.append(noise.y, 2), np.append(noise.p, -1), 6, 5)
+        assert np.count_nonzero(stream.t > edge) > 0
+        vox, want_dropped = to_voxel_grid(stream, steps, dt_ms)
+        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
+        assert len(want) > 0
+        for window in (1, 7, 64, steps):
+            monkeypatch.setattr(model, "_WINDOW", window)
+            got, dropped = super_resolve(spec, weights, stream, steps)
+            assert dropped == want_dropped
+            assert (got.width, got.height) == (want.width, want.height)
+            for k in "txyp":
+                assert np.array_equal(getattr(got, k), getattr(want, k)), (window, k)
+
+    def test_memory_does_not_grow_with_steps(self):
+        # a whole-stream pass holds every layer's intermediates for all T steps
+        spec = network_spec("ultralight")
+        weights = init_weights(spec, seed=0)
+        stream = downsample_2x(synth_moving_bar(32, 32, 20.0, 0.3, 2.0, seed=1))
+        peaks = []
+        for steps in (150, 1200):
+            tracemalloc.start()
+            try:
+                super_resolve(spec, weights, stream, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 class TestCheckpoint:
