@@ -12,6 +12,14 @@ adjoint is the same convolution run backward; both are computed as one
 blocked banded product, the input's rows times slices of a small
 banded Toeplitz matrix.
 
+Spike generation is event-driven.  NeuronConfig enforces lam >= 0, so
+every refractory term is <= 0, and adding one never raises a double: a
+membrane never exceeds its drive, and a neuron fires only at a step
+where its drive alone reaches threshold.  generate_spikes therefore
+runs its time loop only over the neurons whose drive reaches threshold
+or whose carried past holds a spike, and only at those past spikes and
+the steps where such a drive reaches threshold.
+
 Kernels (t >= 0, zero before):
 
     spike       eps(t)   = (t / tau_s) * exp(1 - t / tau_s)
@@ -37,6 +45,8 @@ class NeuronConfig:
 
     lam is the refractory magnitude; tau_rho and rho shape the surrogate
     derivative width and peak.  Time constants are in milliseconds.
+    lam >= 0 keeps every refractory term <= 0, which generate_spikes
+    relies on.
     """
 
     v_th: float
@@ -143,31 +153,42 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0, past=None):
     added first, in time order, so with P = len(refractory kernel) - 1
     each membrane sums the same terms in the same order as one run over
     the whole stream.
+
+    The loop is event-driven.  NeuronConfig enforces lam >= 0, so every
+    refractory term is <= 0 and adding one never raises a double: a
+    neuron can fire only at a step where its drive alone reaches v_th.
+    The loop therefore visits only the rows whose drive reaches v_th
+    somewhere or whose past holds a spike, and of those only the past
+    steps holding a spike and the steps where some such row's drive
+    reaches v_th; at each of those steps it tests only the rows whose
+    drive reaches v_th there.  Every other row keeps spikes 0 and
+    u = drive.
     """
     x = np.asarray(drive, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     T = x.shape[-1]
+    n = math.prod(x.shape[:-1])
+    u = x.copy().reshape(n, T)
+    spikes = np.zeros((n, T))
+    crossing = u >= cfg.v_th
+    past = np.zeros(x.shape[:-1] + (0,)) if past is None else past
+    prior = np.reshape(past, (n, np.shape(past)[-1])) > 0
+    live = np.flatnonzero(crossing.any(-1) | prior.any(-1))
+    v, s, crossing, prior = u[live], spikes[live], crossing[live], prior[live]
+    P = prior.shape[-1]
     gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt))
-    u = x.copy()
-    spikes = np.zeros_like(u)
-    if past is None:
-        past = np.zeros(x.shape[:-1] + (0,))
-    past = np.reshape(past, x.shape[:-1] + (-1,))
-    for t in range(-past.shape[-1], T):
+    for t in np.concatenate([np.flatnonzero(prior.any(0)) - P,
+                             np.flatnonzero(crossing.any(0))]).tolist():
         if t < 0:
-            fired = past[..., t] > 0
+            fired = np.flatnonzero(prior[:, t + P])
         else:
-            fired = u[..., t] >= cfg.v_th
-            spikes[..., t][fired] = 1.0
-        if fired.any():
-            lo, end = max(t + 1, 0), min(T, t + gamma.size)
-            if end > lo:
-                u[..., lo:end][fired] += gamma[lo - t:end - t]
-    if squeeze:
-        return spikes[0], u[0]
-    return spikes, u
+            reach = np.flatnonzero(crossing[:, t])
+            fired = reach[v[reach, t] >= cfg.v_th]
+            s[fired, t] = 1.0
+        lo, end = max(t + 1, 0), min(T, t + gamma.size)
+        if end > lo and fired.size:
+            v[fired, lo:end] += gamma[lo - t:end - t]
+    u[live], spikes[live] = v, s
+    return spikes.reshape(x.shape), u.reshape(x.shape)
 
 
 def soft_spikes(drive, cfg: NeuronConfig):

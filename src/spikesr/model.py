@@ -229,10 +229,13 @@ class LayerState:
 
 
 def _carry(past, new, n):
-    """A copy of the last n steps of past followed by new (past may be None)."""
-    new = new[..., max(0, new.shape[-1] - n):]
-    both = new if past is None else np.concatenate([past, new], axis=-1)
-    return both[..., max(0, both.shape[-1] - n):].copy()
+    """A copy of the last n steps of past followed by new (past may be None).
+
+    past is read only when new alone holds fewer than n steps.
+    """
+    if past is not None and new.shape[-1] < n:
+        new = np.concatenate([past, new], axis=-1)
+    return new[..., max(0, new.shape[-1] - n):].copy()
 
 
 def _psp(in_spikes, neuron, dt, state):
@@ -290,7 +293,7 @@ def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str, st
                                   st1)
     bypass = bilinear_upsample_2x(c1.psp)
     s2, c2 = spiking_upconv_forward(s1, weights[1], n2, bypass, spec.dt_ms, spike_mode, st2)
-    return s2, ForwardCache(c1, c2, spike_mode)
+    return s2, None if state else ForwardCache(c1, c2, spike_mode)
 
 
 def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=None):
@@ -304,7 +307,9 @@ def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=Non
     the input the next window of that stream: forward keeps one pair of
     LayerStates per pass in it (see super_resolve).  Without it the
     input is a whole stream.  Returns (output SpikeTensor, per-pass
-    caches).
+    caches).  The caches are for training's backward pass; nothing
+    differentiates through a streamed window, so with a `state` the
+    cache list is empty and no pass's caches outlive it.
     """
     if spike_mode not in ("hard", "soft"):
         raise ModelError(f"unknown spike mode {spike_mode!r}")
@@ -323,7 +328,7 @@ def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=Non
     results = [_forward_pass(spec, weights, x[i:i + c], spike_mode, state and state[k])
                for k, i in enumerate(passes)]
     out = np.concatenate([r[0] for r in results], axis=0)
-    return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results]
+    return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results if r[1] is not None]
 
 
 def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,

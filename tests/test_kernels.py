@@ -238,6 +238,33 @@ class TestGenerateSpikes:
         sp, u = generate_spikes(drive[..., 20:], cfg, past=head[..., max(0, 20 - tail):])
         assert np.array_equal(sp, whole_sp[..., 20:]) and np.array_equal(u, whole_u[..., 20:])
 
+    @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
+    @pytest.mark.parametrize("dt", [1.0, 2.0])
+    @pytest.mark.parametrize("steps", [0, 1, 40])
+    def test_sparse_activity_matches_fire_oracle(self, rng, cfg, dt, steps):
+        # rows 0-5 never reach threshold, rows 6-11 reach it at one isolated step,
+        # rows 12-17 stay below it but carry past spikes: the rows and steps the
+        # loop skips must come out as the oracle's too
+        drive = rng.uniform(-0.5, 0.95, (18, steps)) * cfg.v_th
+        if steps:
+            drive[np.arange(6, 12), rng.integers(0, steps, 6)] = 1.2 * cfg.v_th
+        past = np.zeros((18, kernel_length(cfg.tau_r, dt) - 1))
+        past[12:] = rng.random((6, past.shape[-1])) < 0.5
+        past[12:, -1] = 1.0
+        sp, u = generate_spikes(drive.reshape(3, 6, steps), cfg, dt, past.reshape(3, 6, -1))
+        sp, u = sp.reshape(18, steps), u.reshape(18, steps)
+        want_sp, want_u = helpers.fire_oracle(drive, cfg, dt, past)
+        assert np.array_equal(sp, want_sp)
+        assert np.all(np.abs(u - want_u) < 1e-12)
+        assert u[:6].tobytes() == drive[:6].tobytes()
+        assert np.array_equal(sp[6:12].sum(-1), np.full(6, min(steps, 1)))
+        assert not sp[12:].any()
+        for row in (2, 7, 13):   # a 1-D drive is one neuron
+            sp1, u1 = generate_spikes(drive[row], cfg, dt, past[row])
+            want_sp1, want_u1 = helpers.fire_oracle(drive[row], cfg, dt, past[row])
+            assert np.array_equal(sp1, want_sp1) and np.array_equal(sp1, sp[row])
+            assert np.all(np.abs(u1 - want_u1) < 1e-12) and u1.tobytes() == u[row].tobytes()
+
 
 class TestSurrogate:
     def test_peak_at_threshold(self):

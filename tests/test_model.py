@@ -164,6 +164,19 @@ class TestForward:
             assert set(np.unique(out.data)) <= {0.0, 1.0}
             assert len(caches) == passes
 
+    def test_streamed_forward_keeps_no_caches(self, rng):
+        # only training differentiates, and it never streams
+        for variant, passes in (("dual_layer", 1), ("ultralight", 2)):
+            spec = network_spec(variant)
+            weights = init_weights(spec, seed=1)
+            inp = random_input(rng)
+            state = []
+            streamed, caches = forward(spec, weights, inp, state=state)
+            assert caches == [] and len(state) == passes
+            whole, caches = forward(spec, weights, inp)
+            assert len(caches) == passes
+            assert np.array_equal(streamed.data, whole.data)
+
     def test_mode_variant_pairing_enforced(self):
         # super_resolve's optional mode is checked against the variant, then ignored
         stream = downsample_2x(synth_moving_bar(16, 16, 16.0, 0.3, 2.0, seed=2))
