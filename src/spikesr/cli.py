@@ -17,8 +17,8 @@ import numpy as np
 from .events import US_PER_MS, EventError, EventStream, steps_to_cover
 from .io import EventFormatError, guess_format, load_events, save_events
 from .metrics import MetricsReport, common_span, rmse_st
-from .model import (VARIANTS, ModelError, count_flops, count_params, load_checkpoint,
-                    network_spec, save_checkpoint, super_resolve)
+from .model import (LAYER_LAYOUTS, VARIANTS, ModelError, count_flops, count_params,
+                    load_checkpoint, network_spec, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
 from .training import TrainConfig, TrainingError, train
 
@@ -294,9 +294,10 @@ def cmd_render(args):
     stream = _load_stream(args.input)
     prefix = Path(args.out)
     if args.every is not None:
-        if args.every <= 0:
-            raise UsageError("--every must be positive milliseconds")
-        window = int(round(args.every * US_PER_MS))
+        window = round(args.every * US_PER_MS) if math.isfinite(args.every) else 0
+        if window < 1:
+            raise UsageError(f"--every must be a number of milliseconds that rounds to at "
+                             f"least one microsecond, not {args.every}")
         n = max(1, math.ceil(stream.span_us / window)) if stream.span_us else 1
         for k in range(n):
             lo = stream.t0 + k * window
@@ -323,10 +324,10 @@ def cmd_info(args):
         raise UsageError("info needs --variant or --checkpoint")
     print(f"variant: {spec.variant}")
     print(f"params: {count_params(spec)}")
-    for i, (layer, neuron) in enumerate(zip(spec.layers, spec.neuron_cfgs)):
-        print(f"layer {i}: {layer.kind} {layer.in_channels}->{layer.out_channels} "
-              f"kernel {layer.kernel_h}x{layer.kernel_w} stride {layer.stride} "
-              f"pad {layer.padding}")
+    for i, (layer, neuron, (kind, stride, pad)) in enumerate(
+            zip(spec.layers, spec.neuron_cfgs, LAYER_LAYOUTS)):
+        print(f"layer {i}: {kind} {layer.in_channels}->{layer.out_channels} "
+              f"kernel {layer.kernel_h}x{layer.kernel_w} stride {stride} pad {pad}")
         print(f"neuron {i}: v_th={neuron.v_th} tau_s={neuron.tau_s} "
               f"tau_r={neuron.tau_r} lam={neuron.lam} tau_rho={neuron.tau_rho} "
               f"rho={neuron.rho}")

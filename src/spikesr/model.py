@@ -3,9 +3,9 @@
 Two fixed architectures, both upscaling 2x spatially while preserving
 the time axis:
 
-  dual_layer   conv 2->8, 5x5, stride 1, pad 2, then transposed conv
-               8->2, 2x2, stride 2.  Both polarity channels are
-               processed jointly in one pass.
+  dual_layer   conv 2->8, 5x5, stride 1, pad 2, so layer 1 is same-size
+               padded, then transposed conv 8->2, 2x2, stride 2.  Both
+               polarity channels are processed jointly in one pass.
   ultralight   the same shape with 1-channel input and output.  The two
                polarity channels are run through the shared weights as
                two independent passes and concatenated.
@@ -44,24 +44,19 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class LayerConfig:
-    kind: str  # "conv" or "transposed_conv"
     in_channels: int
     out_channels: int
     kernel_h: int
     kernel_w: int
-    stride: int
-    padding: int
 
     @property
     def weight_shape(self):
         return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
 
-    def out_hw(self, h, w):
-        if self.kind == "conv":
-            return ((h + 2 * self.padding - self.kernel_h) // self.stride + 1,
-                    (w + 2 * self.padding - self.kernel_w) // self.stride + 1)
-        return ((h - 1) * self.stride - 2 * self.padding + self.kernel_h,
-                (w - 1) * self.stride - 2 * self.padding + self.kernel_w)
+
+# (kind, stride, padding) of each layer, as the checkpoint header and `info`
+# spell them: the fixed layout that conv_drive and upconv2x_drive compute.
+LAYER_LAYOUTS = (("conv", 1, 2), ("transposed_conv", 2, 0))
 
 
 @dataclass(frozen=True)
@@ -78,8 +73,7 @@ class NetworkSpec:
     @property
     def layers(self):
         c = 2 if self.variant == "dual_layer" else 1
-        return (LayerConfig("conv", c, 8, 5, 5, 1, 2),
-                LayerConfig("transposed_conv", 8, c, 2, 2, 2, 0))
+        return LayerConfig(c, 8, 5, 5), LayerConfig(8, c, 2, 2)
 
 
 def network_spec(variant: str, dt_ms: float = 1.0) -> NetworkSpec:
@@ -119,37 +113,33 @@ def count_params(spec: NetworkSpec) -> int:
 def count_flops(spec: NetworkSpec, h: int, w: int, t: int) -> int:
     """Multiply-accumulate cost, 2 * k_h * k_w * c_in * c_out * h_out * w_out * T per layer.
 
-    Counted over all of forward's passes (two when the first layer takes
-    one channel).
+    Layer 1 outputs (h, w) and layer 2 (2h, 2w).  Counted over all of
+    forward's passes (two when the first layer takes one channel).
     """
     if h < 1 or w < 1 or t < 0:
         raise ModelError("dimensions must be positive (t may be zero)")
-    total = 0
-    ch, cw = h, w
-    for layer in spec.layers:
-        oh, ow = layer.out_hw(ch, cw)
-        total += 2 * layer.kernel_h * layer.kernel_w * layer.in_channels \
-            * layer.out_channels * oh * ow * t
-        ch, cw = oh, ow
+    total = sum(2 * int(np.prod(layer.weight_shape)) * pixels * t
+                for layer, pixels in zip(spec.layers, (h * w, 4 * h * w)))
     return 2 // spec.layers[0].in_channels * total
 
 
 # ---------------------------------------------------------------------------
 # drive computations and their adjoints
 
-def conv_drive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """2-D convolution applied at every time step; x is [C, H, W, T]."""
-    kh, kw = w.shape[2], w.shape[3]
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    return np.tensordot(w, win, axes=([1, 2, 3], [0, 4, 5]))
+def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """[C, H, W, T, kh, kw] view of the kh x kw patch around every pixel of
+    x, zero padded by k // 2 so there is one patch per input pixel."""
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    return sliding_window_view(xp, (kh, kw), axis=(1, 2))
 
 
-def conv_weight_adjoint(x: np.ndarray, g: np.ndarray, kh: int, kw: int,
-                        stride: int, padding: int) -> np.ndarray:
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    return np.tensordot(g, win, axes=([1, 2, 3], [1, 2, 3]))
+def conv_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-size 2-D convolution (stride 1) applied at every time step; x is [C, H, W, T]."""
+    return np.tensordot(w, _patches(x, w.shape[2], w.shape[3]), axes=([1, 2, 3], [0, 4, 5]))
+
+
+def conv_weight_adjoint(x: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    return np.tensordot(g, _patches(x, kh, kw), axes=([1, 2, 3], [1, 2, 3]))
 
 
 def upconv2x_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,15 +248,15 @@ def _fire(drive, neuron, dt, spike_mode, state):
     return spikes, u
 
 
-def spiking_conv_forward(in_spikes, weights, layer: LayerConfig, neuron: NeuronConfig,
-                         dt: float = 1.0, spike_mode: str = "hard", state=None):
-    """PSP, convolutional drive, then spike generation for one layer.
+def spiking_conv_forward(in_spikes, weights, neuron: NeuronConfig, dt: float = 1.0,
+                         spike_mode: str = "hard", state=None):
+    """PSP, same-size convolutional drive, then spike generation for one layer.
 
     `state`, a LayerState, makes in_spikes the next window of a stream:
     the layer reads its past from it and leaves its own there.
     """
     psp = _psp(in_spikes, neuron, dt, state)
-    drive = conv_drive(psp, weights, layer.stride, layer.padding)
+    drive = conv_drive(psp, weights)
     spikes, u = _fire(drive, neuron, dt, spike_mode, state)
     return spikes, LayerCache(psp, u)
 
@@ -289,8 +279,7 @@ def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str, st
     """One pass through both layers for a [C, H, W, T] input slice."""
     n1, n2 = spec.neuron_cfgs
     st1, st2 = state or (None, None)
-    s1, c1 = spiking_conv_forward(x, weights[0], spec.layers[0], n1, spec.dt_ms, spike_mode,
-                                  st1)
+    s1, c1 = spiking_conv_forward(x, weights[0], n1, spec.dt_ms, spike_mode, st1)
     bypass = bilinear_upsample_2x(c1.psp)
     s2, c2 = spiking_upconv_forward(s1, weights[1], n2, bypass, spec.dt_ms, spike_mode, st2)
     return s2, None if state else ForwardCache(c1, c2, spike_mode)
@@ -351,8 +340,7 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     g_psp1 = upconv2x_input_adjoint(g_drive2, weights[1])
     g_spikes1 = apply_psp_adjoint(g_psp1, eps2)
     g_drive1 = g_spikes1 * deriv(cache.layer1.u, n1)
-    g_w1 = conv_weight_adjoint(cache.layer1.psp, g_drive1, l1.kernel_h, l1.kernel_w,
-                               l1.stride, l1.padding)
+    g_w1 = conv_weight_adjoint(cache.layer1.psp, g_drive1, l1.kernel_h, l1.kernel_w)
     return [g_w1, g_w2]
 
 
@@ -421,9 +409,10 @@ def _header(spec: NetworkSpec, seed: int) -> list[str]:
     lines = [CHECKPOINT_MAGIC.decode(), f"variant={spec.variant}",
              f"scale={spec.scale}", f"dt_ms={spec.dt_ms!r}", f"seed={seed}",
              f"n_layers={len(spec.layers)}"]
-    for i, (layer, n) in enumerate(zip(spec.layers, spec.neuron_cfgs)):
-        lines.append(f"layer{i}={layer.kind} {layer.in_channels} {layer.out_channels} "
-                     f"{layer.kernel_h} {layer.kernel_w} {layer.stride} {layer.padding}")
+    for i, (layer, n, (kind, stride, pad)) in enumerate(
+            zip(spec.layers, spec.neuron_cfgs, LAYER_LAYOUTS)):
+        lines.append(f"layer{i}={kind} {layer.in_channels} {layer.out_channels} "
+                     f"{layer.kernel_h} {layer.kernel_w} {stride} {pad}")
         lines.append(f"neuron{i}={n.v_th!r} {n.tau_s!r} {n.tau_r!r} "
                      f"{n.lam!r} {n.tau_rho!r} {n.rho!r}")
     return lines

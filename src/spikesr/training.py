@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import from_voxel_grid, to_voxel_grid
+from .events import event_bins, to_voxel_grid
 from .metrics import DegenerateStreamError, pooled_difference, rmse_st
 from .model import (VARIANTS, NetworkSpec, backward_from_output, forward, init_weights,
-                    network_spec)
+                    network_spec, super_resolve)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -198,15 +198,14 @@ def _validate_pairs(pairs, what):
                 f"{what} pair {i}: {hr.width}x{hr.height} is not 2x {lr.width}x{lr.height}")
 
 
-def _validation_rmse(spec, weights, val_data, steps, dt):
-    """Mean RMSE over the validation pairs, and the indices of the pairs
-    left out because their RMSE is undefined."""
+def _validation_rmse(spec, weights, val_pairs, steps):
+    """Mean RMSE of super_resolve's output over the validation pairs, and
+    the indices of the pairs left out because their RMSE is undefined."""
     scores, skipped = [], set()
-    for i, (lr_vox, _, lr_stream, hr_stream) in enumerate(val_data):
-        out, _ = forward(spec, weights, lr_vox)
-        pred = from_voxel_grid(out, t0=lr_stream.t0)
+    for i, (lr_stream, hr_stream) in enumerate(val_pairs):
+        pred, _ = super_resolve(spec, weights, lr_stream, steps)
         try:
-            scores.append(rmse_st(pred, hr_stream, steps, dt).rmse_st)
+            scores.append(rmse_st(pred, hr_stream, steps, spec.dt_ms).rmse_st)
         except DegenerateStreamError:
             skipped.add(i)
     return (float(np.mean(scores)) if scores else float("nan")), skipped
@@ -217,34 +216,31 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
 
     Per-sample gradients are averaged over each shuffled mini-batch and
     fed to Adam; the loss log-variances train alongside the weights.
-    Validation RMSE is computed on event streams round-tripped through
-    the network output, so it matches a later infer + eval on the same
-    pair exactly.  `progress`, if given, is called with each EpochRow as
-    it completes.  The result counts the events that fell outside the
-    cfg.steps-long grids and the validation pairs left out of the RMSE.
+    Validation runs super_resolve, the call infer makes, and scores its
+    output streams, so the validation RMSE matches a later infer + eval
+    on the same pair exactly.  `progress`, if given, is called with each
+    EpochRow as it completes.  The result counts the events that fell
+    outside the cfg.steps-long grids and the validation pairs left out
+    of the RMSE.
     """
     _validate_pairs(pairs, "training")
     _validate_pairs(val_pairs, "validation")
     spec = network_spec(cfg.variant, cfg.dt_ms)
     weights = init_weights(spec, cfg.seed)
     state = LossState()
-    dropped = 0
-
-    def prepare(pair_list):
-        nonlocal dropped
-        data = []
-        for lr_stream, hr_stream in pair_list:
-            lr_vox, lr_dropped = to_voxel_grid(lr_stream, cfg.steps, cfg.dt_ms)
-            hr_vox, hr_dropped = to_voxel_grid(hr_stream, cfg.steps, cfg.dt_ms,
-                                               origin=lr_stream.t0)
-            dropped += lr_dropped + hr_dropped
-            data.append((lr_vox, hr_vox.data, lr_stream, hr_stream))
-        return data
-
-    train_data = prepare(pairs)
-    val_data = prepare(val_pairs)
+    # validation pairs are only counted here: super_resolve bins them as it runs
+    dropped = sum(event_bins(lr, cfg.steps, cfg.dt_ms)[1]
+                  + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1]
+                  for lr, hr in val_pairs)
+    train_data = []
+    for lr_stream, hr_stream in pairs:
+        lr_vox, lr_dropped = to_voxel_grid(lr_stream, cfg.steps, cfg.dt_ms)
+        hr_vox, hr_dropped = to_voxel_grid(hr_stream, cfg.steps, cfg.dt_ms,
+                                           origin=lr_stream.t0)
+        dropped += lr_dropped + hr_dropped
+        train_data.append((lr_vox, hr_vox.data))
     rng = np.random.default_rng(cfg.seed)
-    initial_val, skipped = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
+    initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
     params = weights + [state.log_var]
     opt = init_optim(params, lr=cfg.lr)
     rows = []
@@ -256,7 +252,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             acc_w = [np.zeros_like(w) for w in weights]
             acc_lv = np.zeros(3)
             for j in batch:
-                lr_vox, hr_data, _, _ = train_data[j]
+                lr_vox, hr_data = train_data[j]
                 out, caches = forward(spec, weights, lr_vox)
                 grads = backward(spec, weights, caches, out.data, hr_data, state)
                 if not np.isfinite(grads.loss):
@@ -269,7 +265,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             n = len(batch)
             adam_step(params, [a / n for a in acc_w] + [acc_lv / n], opt)
         w = state.weights()
-        val, epoch_skipped = _validation_rmse(spec, weights, val_data, cfg.steps, cfg.dt_ms)
+        val, epoch_skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
         skipped |= epoch_skipped
         rows.append(EpochRow(epoch, epoch_loss / len(train_data),
                              float(w[0]), float(w[1]), float(w[2]), val))

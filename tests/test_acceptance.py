@@ -39,13 +39,11 @@ def test_criterion_02_flop_formula():
         for variant in ("dual_layer", "ultralight"):
             spec = network_spec(variant)
             expect = 0
-            ch, cw = h, w
-            for layer in spec.layers:
-                oh, ow = layer.out_hw(ch, cw)
+            # layer 1 keeps the input size, layer 2 doubles it
+            for layer, (oh, ow) in zip(spec.layers, ((h, w), (2 * h, 2 * w))):
                 expect += (2 * layer.kernel_h * layer.kernel_w
                            * layer.in_channels * layer.out_channels
                            * oh * ow * t)
-                ch, cw = oh, ow
             if variant == "ultralight":
                 expect *= 2
             assert count_flops(spec, h, w, t) == expect

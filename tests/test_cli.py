@@ -466,11 +466,16 @@ class TestRender:
         assert [f.name for f in frames] == ["f_0000.ppm", "f_0001.ppm",
                                             "f_0002.ppm"]
 
-    def test_bad_every_is_usage_error(self, tmp_path):
+    def test_bad_every_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "s.evbin"
         save_events(EventStream.empty(2, 2), path, "evbin")
-        assert run("render", "--input", path, "--out", tmp_path / "f",
-                   "--every", 0) == 2
+        # 1e-4 ms rounds to a window of 0 microseconds
+        for every in ("0", "nan", "inf", "1e-4"):
+            assert run("render", "--input", path, "--out", tmp_path / "f",
+                       "--every", every) == 2, every
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "--every" in err[0], every
+        assert not list(tmp_path.glob("f*"))
 
 
 class TestInfo:
@@ -480,6 +485,18 @@ class TestInfo:
         assert "params: 232" in out
         assert run("info", "--variant", "dual_layer") == 0
         assert "params: 464" in capsys.readouterr().out
+
+    def test_variant_layer_lines(self, capsys):
+        layers = {}
+        for variant in ("dual_layer", "ultralight"):
+            assert run("info", "--variant", variant) == 0
+            layers[variant] = [line for line in capsys.readouterr().out.splitlines()
+                               if line.startswith("layer ")]
+        assert layers == {
+            "dual_layer": ["layer 0: conv 2->8 kernel 5x5 stride 1 pad 2",
+                           "layer 1: transposed_conv 8->2 kernel 2x2 stride 2 pad 0"],
+            "ultralight": ["layer 0: conv 1->8 kernel 5x5 stride 1 pad 2",
+                           "layer 1: transposed_conv 8->1 kernel 2x2 stride 2 pad 0"]}
 
     def test_flops_line(self, capsys):
         assert run("info", "--variant", "dual_layer", "--dims", "10x10x10") == 0

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from spikesr import training
 from spikesr.events import EventStream, SpikeTensor, downsample_2x
+from spikesr.metrics import rmse_st
 from spikesr.model import (ModelError, backward_from_output, forward, init_weights,
-                           network_spec)
+                           network_spec, super_resolve)
 from spikesr.synth import synth_moving_bar
 from spikesr.training import (EpochRow, LossState, TrainConfig, TrainingError,
                               adam_step, backward, init_optim, loss_total,
@@ -297,3 +299,28 @@ class TestTrainReportsWhatItLeftOut:
         assert (with_empty.val_skipped, alone.val_skipped) == (1, 0)
         # the skipped pair leaves the mean over the others unchanged
         assert with_empty.rows == alone.rows
+
+
+class TestValidationIsInference:
+    def test_initial_rmse_is_mean_over_super_resolve(self, monkeypatch):
+        # scaled-up initial weights, so the network fires and the outputs are not empty
+        def firing_init(spec, seed):
+            return [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed))]
+
+        monkeypatch.setattr(training, "init_weights", firing_init)
+        val = []
+        for dur in (32.0, 48.0):   # a 16-step grid of 2 ms holds the first, not the second
+            hr = synth_moving_bar(16, 16, dur, 0.3, 3.0, seed=7)
+            val.append((downsample_2x(hr), hr))
+        lr_past = val[1][0]
+        assert np.count_nonzero(lr_past.t - lr_past.t0 > 32_000) > 0
+        cfg = TrainConfig(variant="dual_layer", epochs=0, steps=16, dt_ms=2.0, seed=4)
+        res = train(cfg, tiny_pairs(1), val)
+        spec = network_spec("dual_layer", 2.0)
+        weights = firing_init(spec, cfg.seed)
+        scores = []
+        for lr, hr in val:
+            pred, _ = super_resolve(spec, weights, lr, cfg.steps)
+            assert len(pred) > 0
+            scores.append(rmse_st(pred, hr, cfg.steps, cfg.dt_ms).rmse_st)
+        assert res.initial_val_rmse == float(np.mean(scores))
