@@ -1,7 +1,12 @@
 """Event file formats: CSV, packed binary (evbin), and ATIS 40-bit (nmnist_bin).
 
 CSV is the interchange format: a `t_us,x,y,p` header followed by one
-event per line, p written as 1 or -1, LF line endings.
+event per line, p written as 1 or -1, LF line endings.  Every CSV file
+needs the header; it stores no geometry, so the loader infers it from
+the largest coordinates unless width and height are given.  A record is
+four comma-separated integers in the syntax Python's `int()` accepts
+(sign, leading zeros, underscores, surrounding spaces); blank lines,
+CRLF endings and whitespace around the header are accepted too.
 
 evbin is the compact native format:
 
@@ -20,6 +25,7 @@ fixed at 34 x 34.
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
 
@@ -28,6 +34,12 @@ import numpy as np
 from .events import EventError, EventStream
 
 CSV_HEADER = "t_us,x,y,p"
+# Within these bytes np.loadtxt and int() accept the same fields and read
+# the same values; any other byte sends a file to the line-by-line parser.
+_CSV_ARRAY_BYTES = b"0123456789+-,\n"
+# Events formatted per write, so the writer's extra memory stays flat.
+CSV_CHUNK_EVENTS = 4096
+_INT64 = np.iinfo(np.int64)
 EVBIN_MAGIC = b"EVS1"
 EVBIN_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 NMNIST_WIDTH = 34
@@ -61,13 +73,38 @@ def _check_order(t, path):
                 f"{path}: timestamp regression of {-worst} us exceeds tolerance")
 
 
-def _load_csv(path, width, height):
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
+def _parse_csv_array(raw):
+    """The records of a CSV file as an [n, 4] int64 array, or None.
+
+    Parses the whole body in one call when the file opens with the exact
+    header line and holds only digits, signs, commas and LF.  Returns
+    None for any file it does not take or np.loadtxt refuses; the line
+    parser then gives the same result or the error for it.
+    """
+    head = (CSV_HEADER + "\n").encode()
+    body = raw[len(head):]
+    if not raw.startswith(head) or body.translate(None, _CSV_ARRAY_BYTES):
+        return None
+    if body.count(b"\n") == len(body):
+        return np.empty((0, 4), dtype=np.int64)   # np.loadtxt warns on empty input
+    try:
+        arr = np.loadtxt(io.StringIO(body.decode()), delimiter=",", dtype=np.int64,
+                         ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return arr if arr.shape[1] == 4 else None
+
+
+def _parse_csv_lines(raw, path):
+    """The records of a CSV file, one line at a time.
+
+    Defines the accepted syntax and the error for every rejected file.
+    """
     offset = 0
     header = None
+    out_of_range = None
     rows = []
-    for line in lines:
+    for line in raw.split(b"\n"):
         stripped = line.strip()
         if stripped:
             if header is None:
@@ -79,13 +116,26 @@ def _load_csv(path, width, height):
                 if len(parts) != 4:
                     raise EventFormatError(f"{path}: malformed record at byte {offset}")
                 try:
-                    rows.append([int(v) for v in parts])
+                    row = [int(v) for v in parts]
                 except ValueError:
                     raise EventFormatError(f"{path}: malformed record at byte {offset}") from None
+                if out_of_range is None and (min(row) < _INT64.min or max(row) > _INT64.max):
+                    out_of_range = offset
+                rows.append(row)
         offset += len(line) + 1
     if header is None:
         raise EventFormatError(f"{path}: empty file, expected {CSV_HEADER!r} header")
-    arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    # reported last, so a file with another fault keeps that fault's message
+    if out_of_range is not None:
+        raise EventFormatError(f"{path}: malformed record at byte {out_of_range}")
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def _load_csv(path, width, height):
+    raw = Path(path).read_bytes()
+    arr = _parse_csv_array(raw)
+    if arr is None:
+        arr = _parse_csv_lines(raw, path)
     _check_order(arr[:, 0], path)
     width, height = _infer_geometry(arr[:, 1], arr[:, 2], width, height)
     try:
@@ -153,8 +203,12 @@ def save_events(stream: EventStream, path, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "wb") as fh:
             fh.write((CSV_HEADER + "\n").encode())
-            for i in range(len(stream)):
-                fh.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n".encode())
+            for lo in range(0, len(stream), CSV_CHUNK_EVENTS):
+                part = slice(lo, lo + CSV_CHUNK_EVENTS)
+                block = np.column_stack(
+                    (stream.t[part], stream.x[part], stream.y[part], stream.p[part]))
+                text = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+                fh.write(text.encode())
         return
     if fmt == "evbin":
         if stream.width > 0xFFFF or stream.height > 0xFFFF:

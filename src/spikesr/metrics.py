@@ -47,9 +47,11 @@ class MetricsReport:
     n_p: int
     span_ms: float
     dropped: int
+    n_pred: int
+    n_gt: int
 
     FIELDS = ("rmse_st", "mse_t_raw", "mse_s_raw", "mse_t_norm", "mse_s_norm",
-              "pa_percent", "pa_vacuous", "n_p", "span_ms", "dropped")
+              "pa_percent", "pa_vacuous", "n_p", "span_ms", "dropped", "n_pred", "n_gt")
 
     def to_kv(self) -> str:
         lines = []
@@ -117,7 +119,8 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     `steps` bins of dt milliseconds.  `span_ms` is the part of the span
     those bins grade: the whole span, or steps * dt if that is shorter.
     `dropped` counts the events of both streams that fall past the last
-    bin.  Raises if the ground truth is empty or the span is zero.
+    bin; `n_pred` and `n_gt` are the event counts of the two streams.
+    Raises if the ground truth is empty or the span is zero.
     """
     if len(gt_stream) == 0:
         raise DegenerateStreamError("ground-truth stream is empty")
@@ -152,4 +155,4 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
         mse_t_raw=mse_t, mse_s_raw=mse_s,
         mse_t_norm=mse_t / n_p, mse_s_norm=mse_s / n_p,
         pa_percent=pa, pa_vacuous=vacuous, n_p=n_p, span_ms=span_ms,
-        dropped=out_dropped + gt_dropped)
+        dropped=out_dropped + gt_dropped, n_pred=len(out_stream), n_gt=len(gt_stream))

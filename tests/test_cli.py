@@ -74,6 +74,16 @@ class TestDownsample:
         assert (corpus / "bar_001.lr.evbin").exists()
         assert not (corpus / "bar_000.lr.evbin").exists()
 
+    def test_out_of_range_csv_isolated(self, tmp_path, capsys):
+        (tmp_path / "big.csv").write_text("t_us,x,y,p\n99999999999999999999,2,3,1\n")
+        (tmp_path / "ok.csv").write_text("t_us,x,y,p\n1000,2,3,1\n")
+        (tmp_path / "manifest.txt").write_text("big.csv\nok.csv\n")
+        assert run("downsample", "--manifest", tmp_path / "manifest.txt") == 1
+        assert (tmp_path / "ok.lr.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith("big.csv: malformed record at byte 11")
+
     def test_no_inputs_is_usage_error(self):
         assert run("downsample") == 2
 
@@ -358,6 +368,25 @@ class TestEval:
         for name in ("rmse_st", "pa_percent"):
             want = np.mean([float(row[name]) for row in rows])
             assert float(mean[name]) == pytest.approx(want)
+
+    def test_reports_event_counts(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, n=2)
+        pred, gt = corpus / "bar_000.evbin", corpus / "bar_001.evbin"
+        n_pred, n_gt = len(load_events(pred, "evbin")), len(load_events(gt, "evbin"))
+        assert n_pred != n_gt
+        capsys.readouterr()
+        assert run("eval", "--pred", pred, "--gt", gt) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split("=")[0] for line in lines[-3:]] == ["dropped", "n_pred", "n_gt"]
+        kv = dict(line.split("=") for line in lines)
+        assert (int(kv["n_pred"]), int(kv["n_gt"])) == (n_pred, n_gt)
+        (corpus / "eval.txt").write_text(f"{pred.name},{gt.name}\n")
+        assert run("eval", "--manifest", corpus / "eval.txt", "--out", tmp_path / "e.csv") == 0
+        header, row, mean = [line.split(",") for line in
+                             (tmp_path / "e.csv").read_text().splitlines()]
+        assert header[:2] == ["pred", "rmse_st"] and header[-3:] == ["dropped", "n_pred", "n_gt"]
+        assert row[1] == kv["rmse_st"] and row[-2:] == [str(n_pred), str(n_gt)]
+        assert mean[-2:] == ["", ""]
 
     def test_warns_about_dropped_events(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, n=1)

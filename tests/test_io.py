@@ -1,10 +1,12 @@
 import gc
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import helpers
+import spikesr.io
 from spikesr.events import EventStream
 from spikesr.io import (EventFormatError, guess_format, load_events, save_events)
 from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
@@ -16,7 +18,108 @@ def streams_equal(a, b):
             and (a.width, a.height) == (b.width, b.height))
 
 
+def csv_rendering(s):
+    """A stream as CSV bytes, formatted one event at a time."""
+    return ("t_us,x,y,p\n" + "".join(
+        f"{t},{x},{y},{p}\n" for t, x, y, p in zip(s.t, s.x, s.y, s.p))).encode()
+
+
+# Edge inputs of the CSV reader, each with the stream it loads to, as
+# (events, width, height), or the message it is rejected with after the
+# "<path>: " prefix.  The line-by-line parser defines these results; the
+# array parse must give the same ones for every file it takes.
+CSV_EDGE_CASES = [
+    pytest.param(b"t_us,x,y,p\r\n1000,3,4,1\r\n2000,1,0,-1\r\n", None,
+                 ([(1000, 3, 4, 1), (2000, 1, 0, -1)], 4, 5), id="crlf"),
+    pytest.param(b"t_us,x,y,p\n\n1000,3,4,1\n  \n\t\n2000,1,0,-1\n\n", None,
+                 ([(1000, 3, 4, 1), (2000, 1, 0, -1)], 4, 5), id="blank_and_whitespace_lines"),
+    pytest.param(b"\nt_us,x,y,p\n1000,3,4,1\n", None,
+                 ([(1000, 3, 4, 1)], 4, 5), id="blank_line_before_header"),
+    pytest.param(b" t_us,x,y,p\t\n1000,3,4,1\n", None,
+                 ([(1000, 3, 4, 1)], 4, 5), id="whitespace_around_header"),
+    pytest.param(b"t_us,x,y,p\n 1000 ,\t3, 4 ,1\t\n", None,
+                 ([(1000, 3, 4, 1)], 4, 5), id="spaces_and_tabs_around_fields"),
+    pytest.param(b"t_us,x,y,p\n+5,3,4,+1\n", None, ([(5, 3, 4, 1)], 4, 5), id="plus_sign"),
+    pytest.param(b"t_us,x,y,p\n01,03,4,01\n", None, ([(1, 3, 4, 1)], 4, 5), id="leading_zeros"),
+    pytest.param(b"t_us,x,y,p\n1_000,3,4,1\n", None, ([(1000, 3, 4, 1)], 4, 5), id="underscore"),
+    pytest.param(b"t_us,x,y,p\n1.0,3,4,1\n", None, "malformed record at byte 11", id="decimal"),
+    pytest.param(b"t_us,x,y,p\n1e3,3,4,1\n", None, "malformed record at byte 11", id="exponent"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1\n# note\n", None, "malformed record at byte 22",
+                 id="hash"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1,\n", None, "malformed record at byte 11",
+                 id="trailing_comma"),
+    pytest.param(b"t_us,x,y,p\n1000,,4,1\n", None, "malformed record at byte 11",
+                 id="empty_field"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4\n", None, "malformed record at byte 11",
+                 id="three_fields"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1,0\n", None, "malformed record at byte 11",
+                 id="five_fields"),
+    pytest.param(b"t_us,x,y,p\n", None, ([], 1, 1), id="header_only"),
+    pytest.param(b"t_us,x,y,p\n", (8, 6), ([], 8, 6), id="header_only_given_geometry"),
+    pytest.param(b"t_us,x,y,p\n99999999999999999999,2,3,1\n", None,
+                 "malformed record at byte 11", id="outside_int64"),
+    pytest.param(b"t_us,x,y,p\n-5,2,3,1\n", None, "negative timestamp", id="negative_t"),
+    pytest.param(b"1000,3,4,1\n", None, "missing 't_us,x,y,p' header at byte 0",
+                 id="missing_header"),
+    pytest.param(b"t_us,x,y,p\n100000,1,0,1\n0,2,0,-1\n", None,
+                 ([(0, 2, 0, -1), (100000, 1, 0, 1)], 3, 1), id="regression_of_100ms"),
+    pytest.param(b"t_us,x,y,p\n100001,1,0,1\n0,2,0,-1\n", None,
+                 "timestamp regression of 100001 us exceeds tolerance",
+                 id="regression_over_100ms"),
+    # np.loadtxt reads these bytes as whitespace, int() does not
+    pytest.param(b"t_us,x,y,p\n\x1c1000,3,4,1\n", None, "malformed record at byte 11",
+                 id="unit_separator"),
+    pytest.param(b"t_us,x,y,p\n\xa01000,3,4,1\n", None, "malformed record at byte 11",
+                 id="no_break_space"),
+]
+
+
 class TestCsv:
+    @pytest.mark.parametrize("raw,geometry,expected", CSV_EDGE_CASES)
+    def test_edge_input(self, tmp_path, raw, geometry, expected):
+        f = tmp_path / "edge.csv"
+        f.write_bytes(raw)
+        if isinstance(expected, str):
+            with pytest.raises(EventFormatError) as caught:
+                load_events(f, "csv", *(geometry or ()))
+            assert str(caught.value) == f"{f}: {expected}"
+        else:
+            events, width, height = expected
+            want = EventStream(*(np.array(events, dtype=np.int64).reshape(-1, 4).T),
+                               width, height)
+            assert streams_equal(load_events(f, "csv", *(geometry or ())), want)
+
+    def test_array_parse_agrees_with_line_parser(self, rng):
+        written = csv_rendering(helpers.random_stream(rng, 12, 9, 25, 200))
+        taken = 0
+        for raw in [case.values[0] for case in CSV_EDGE_CASES] + [written]:
+            arr = spikesr.io._parse_csv_array(raw)
+            if arr is not None:
+                taken += 1
+                assert np.array_equal(arr, spikesr.io._parse_csv_lines(raw, "edge.csv"))
+        assert spikesr.io._parse_csv_array(written) is not None and taken > 1
+
+    def test_write_matches_per_event_rendering(self, tmp_path, rng):
+        n = 2 * spikesr.io.CSV_CHUNK_EVENTS + 17
+        t = np.sort(rng.integers(0, 10 ** 12, n))
+        s = EventStream(t, rng.integers(0, 300, n), rng.integers(0, 200, n),
+                        rng.choice([-1, 1], n), 300, 200)
+        f = tmp_path / "chunks.csv"
+        save_events(s, f, "csv")
+        assert f.read_bytes() == csv_rendering(s)
+
+    def test_write_memory_flat_in_stream_length(self, tmp_path, rng):
+        def peak(n):
+            s = helpers.random_stream(rng, 64, 64, 10_000, n)
+            tracemalloc.start()
+            try:
+                save_events(s, tmp_path / "m.csv", "csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chunk = spikesr.io.CSV_CHUNK_EVENTS
+        assert peak(12 * chunk) - peak(3 * chunk) < 64 * 1024
+
     def test_parse_basic(self, tmp_path):
         f = tmp_path / "two.csv"
         f.write_text("t_us,x,y,p\n1000,3,4,1\n2000,3,4,-1\n")

@@ -187,6 +187,13 @@ class TestPolarityAccuracy:
 
 
 class TestMetricsReport:
+    def test_event_counts_follow_dropped(self, rng):
+        gt = helpers.random_stream(rng, 6, 6, 30, 60)
+        out = helpers.random_stream(rng, 6, 6, 30, 25)
+        rep = rmse_st(out, gt, 20)
+        assert MetricsReport.FIELDS[-3:] == ("dropped", "n_pred", "n_gt")
+        assert (rep.n_pred, rep.n_gt) == (25, 60) and rep.dropped > 0
+
     def test_kv_and_csv_round_trip(self, rng):
         gt = helpers.random_stream(rng, 6, 6, 30, 60)
         out = helpers.random_stream(rng, 6, 6, 30, 30)
