@@ -118,7 +118,9 @@ def cmd_downsample(args):
             pairs.append((out, path))
             print(f"{path} -> {out} ({len(lr)} events)")
         except (OSError, EventError) as exc:
-            failures.append(f"{path}: {exc}")
+            # the loaders' messages and an OSError's filename already name the file
+            named = str(exc).startswith(f"{path}: ") or getattr(exc, "filename", None)
+            failures.append(str(exc) if named else f"{path}: {exc}")
     if args.manifest and pairs:
         pairs_path = Path(args.manifest).parent / "pairs.txt"
         pairs_path.write_text(

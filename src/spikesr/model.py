@@ -17,6 +17,16 @@ Neither layer has a bias.  The final drive additionally receives the
 first layer's input PSP, bilinearly upsampled to output resolution, as
 a parameter-free bypass that hands the low-resolution signal straight
 to the output neurons.
+
+Layer 2 filters after its transposed conv: upconv(PSP(s)) = PSP(upconv(s)).
+Both maps are linear, the PSP convolves each pixel's time series with
+one kernel shared by every channel and pixel, and the transposed conv
+mixes channels and pixels within each step, so the two commute exactly
+in real arithmetic; in floating point only the order of the sums
+changes.  The PSP then filters c_out channels at 2H x 2W instead of 8
+channels at H x W: for ultralight (c_out = 1) that halves layer 2's PSP
+work and the input steps a streamed window carries, for dual_layer
+(c_out = 2) they stay the same size.
 """
 
 from __future__ import annotations
@@ -194,8 +204,9 @@ def bilinear_upsample_2x(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    """Intermediates a backward pass needs: input PSP and membrane trace."""
-    psp: np.ndarray
+    """Intermediates a backward pass needs: what the layer's weights act on
+    (layer 1's input PSP, layer 2's input spikes) and the membrane trace."""
+    conv_in: np.ndarray
     u: np.ndarray
 
 
@@ -265,14 +276,15 @@ def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass=None
                            dt: float = 1.0, spike_mode: str = "hard", state=None):
     """2x2 stride-2 transposed-conv layer; `bypass` is added to the drive before firing.
 
-    `state` is as for spiking_conv_forward.
+    The PSP filters the transposed conv's output, not its input (see the
+    module docstring), so `state` carries [c_out, 2H, 2W] input steps.
+    `state` is otherwise as for spiking_conv_forward.
     """
-    psp = _psp(in_spikes, neuron, dt, state)
-    drive = upconv2x_drive(psp, weights)
+    drive = _psp(upconv2x_drive(in_spikes, weights), neuron, dt, state)
     if bypass is not None:
         drive = drive + bypass
     spikes, u = _fire(drive, neuron, dt, spike_mode, state)
-    return spikes, LayerCache(psp, u)
+    return spikes, LayerCache(in_spikes, u)
 
 
 def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str, state):
@@ -280,7 +292,7 @@ def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str, st
     n1, n2 = spec.neuron_cfgs
     st1, st2 = state or (None, None)
     s1, c1 = spiking_conv_forward(x, weights[0], n1, spec.dt_ms, spike_mode, st1)
-    bypass = bilinear_upsample_2x(c1.psp)
+    bypass = bilinear_upsample_2x(c1.conv_in)
     s2, c2 = spiking_upconv_forward(s1, weights[1], n2, bypass, spec.dt_ms, spike_mode, st2)
     return s2, None if state else ForwardCache(c1, c2, spike_mode)
 
@@ -325,8 +337,8 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     """Weight gradients for one pass given the loss gradient at its output.
 
     Reverse of _forward_pass: through the output threshold (surrogate in
-    hard mode, exact sigmoid derivative in soft mode), the transposed
-    conv, the interlayer PSP, the hidden threshold, and the first conv.
+    hard mode, exact sigmoid derivative in soft mode), the interlayer
+    PSP, the transposed conv, the hidden threshold, and the first conv.
     The refractory trace is treated as constant, and the bypass carries
     no parameters, so nothing flows back past the first layer's drive.
     """
@@ -335,12 +347,11 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     deriv = soft_spike_grad if cache.spike_mode == "soft" else surrogate_grad
     eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms))
 
-    g_drive2 = g_out * deriv(cache.layer2.u, n2)
-    g_w2 = upconv2x_weight_adjoint(cache.layer2.psp, g_drive2)
-    g_psp1 = upconv2x_input_adjoint(g_drive2, weights[1])
-    g_spikes1 = apply_psp_adjoint(g_psp1, eps2)
+    g_conv2 = apply_psp_adjoint(g_out * deriv(cache.layer2.u, n2), eps2)
+    g_w2 = upconv2x_weight_adjoint(cache.layer2.conv_in, g_conv2)
+    g_spikes1 = upconv2x_input_adjoint(g_conv2, weights[1])
     g_drive1 = g_spikes1 * deriv(cache.layer1.u, n1)
-    g_w1 = conv_weight_adjoint(cache.layer1.psp, g_drive1, l1.kernel_h, l1.kernel_w)
+    g_w1 = conv_weight_adjoint(cache.layer1.conv_in, g_drive1, l1.kernel_h, l1.kernel_w)
     return [g_w1, g_w2]
 
 
@@ -372,8 +383,9 @@ def resolve_mode(variant: str, mode: str | None) -> str:
     return own
 
 
-# Steps per forward call in super_resolve.  On a 300-step 64x64 input (2 cores, one
-# BLAS thread) 32 steps peaked at 189 MiB RSS and 64 at 250 MiB, at the same speed.
+# Steps per forward call in super_resolve.  `infer` of a 300-step 64x64 input (2 cores,
+# one BLAS thread) peaked at 143-152 MiB own RSS with 32 steps, 210-213 MiB with 64 and
+# 124-127 MiB with 16; 64 ran no faster, 16 about 18 % slower.
 _WINDOW = 32
 
 

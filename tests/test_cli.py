@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spikesr.cli
+import spikesr.events
 import spikesr.model
 from spikesr.cli import main
 from spikesr.events import EventStream, downsample_2x, to_voxel_grid
@@ -86,6 +87,24 @@ class TestDownsample:
 
     def test_no_inputs_is_usage_error(self):
         assert run("downsample") == 2
+
+    def test_each_failure_names_its_path_once(self, tmp_path, capsys, monkeypatch):
+        noise, big, missing = (tmp_path / n for n in ("noise.evbin", "big.csv", "missing.csv"))
+        noise.write_bytes(b"garbage")
+        big.write_text("t_us,x,y,p\n99999999999999999999,2,3,1\n")
+        assert run("downsample", noise, big, missing) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, path in zip(err, (noise, big, missing)):
+            assert line.startswith("error: ") and line.count(str(path)) == 1, line
+        # a message that does not name its file gets the path put in front
+        (tmp_path / "ok.csv").write_text("t_us,x,y,p\n1000,2,3,1\n")
+
+        def refuse(stream):
+            raise spikesr.events.EventError("no room")
+        monkeypatch.setattr(spikesr.events, "downsample_2x", refuse)
+        assert run("downsample", tmp_path / "ok.csv") == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'ok.csv'}: no room\n"
 
 
 @pytest.fixture(scope="module")

@@ -167,6 +167,47 @@ class TestForward:
             assert len(caches) == passes
             assert np.array_equal(streamed.data, whole.data)
 
+    @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
+    def test_soft_forward_matches_oracles_in_paper_order(self, rng, variant):
+        # the paper's order filters layer 2's input spikes, then applies the
+        # transposed conv; forward filters after the conv, so they must commute
+        spec = network_spec(variant)
+        w1, w2 = [k * w for k, w in zip((3.0, 20.0), init_weights(spec, seed=6))]
+        x = random_input(rng, h=5, w=4, t=16).data
+
+        def eps(n):
+            k = np.arange(math.ceil(8.0 * n.tau_s))
+            return (k / n.tau_s) * np.exp(1.0 - k / n.tau_s)
+
+        def soft(u, n):
+            return 1.0 / (1.0 + np.exp(-(u - n.v_th) / (n.tau_rho * n.v_th)))
+
+        n1, n2 = spec.neuron_cfgs
+        c = spec.layers[0].in_channels
+        want = []
+        for i in range(0, 2, c):
+            psp1 = helpers.psp_oracle(x[i:i + c], eps(n1))
+            s1 = soft(helpers.conv_drive_oracle(psp1, w1, stride=1, pad=2), n1)
+            drive2 = (helpers.upconv2x_oracle(helpers.psp_oracle(s1, eps(n2)), w2)
+                      + helpers.bilinear2x_oracle(psp1))
+            want.append(soft(drive2, n2))
+        want = np.concatenate(want)
+        got, _ = forward(spec, [w1, w2], x, spike_mode="soft")
+        assert 0.01 < want.min() and want.max() < 0.99   # off the sigmoid's flat ends
+        np.testing.assert_allclose(got.data, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
+    def test_layer2_carries_its_conv_output(self, rng, variant):
+        # layer 2 filters after its transposed conv, so a window leaves the
+        # conv's c_out channels at 2H x 2W behind, not its 8 input channels
+        spec = network_spec(variant)
+        state = []
+        forward(spec, init_weights(spec, seed=1), random_input(rng, h=5, w=4, t=40),
+                state=state)
+        taps = math.ceil(8.0 * spec.neuron_cfgs[1].tau_s)   # len(eps2) at dt 1 ms
+        for _, layer2 in state:
+            assert layer2.inputs.shape == (spec.layers[1].out_channels, 10, 8, taps - 1)
+
     def test_mode_variant_pairing_enforced(self):
         # super_resolve's optional mode is checked against the variant, then ignored
         stream = downsample_2x(synth_moving_bar(16, 16, 16.0, 0.3, 2.0, seed=2))
