@@ -110,16 +110,17 @@ def cmd_downsample(args):
     failures = []
     pairs = []
     for path in hr_paths:
+        out = _lr_path(path)
         try:
             stream = _load_stream(path)
             lr = downsample_2x(stream)
-            out = _lr_path(path)
             save_events(lr, out, guess_format(out))
             pairs.append((out, path))
             print(f"{path} -> {out} ({len(lr)} events)")
         except (OSError, EventError) as exc:
-            # the loaders' messages and an OSError's filename already name the file
-            named = str(exc).startswith(f"{path}: ") or getattr(exc, "filename", None)
+            # io's messages and an OSError's filename already name the file
+            named = (str(exc).startswith((f"{path}: ", f"{out}: "))
+                     or getattr(exc, "filename", None))
             failures.append(str(exc) if named else f"{path}: {exc}")
     if args.manifest and pairs:
         pairs_path = Path(args.manifest).parent / "pairs.txt"
@@ -192,9 +193,12 @@ def _check_steps(steps):
 
 def cmd_infer(args):
     _check_steps(args.steps)
+    out_path = Path(args.out)
+    if guess_format(out_path) == "nmnist_bin":
+        raise UsageError(f"{out_path}: cannot write format 'nmnist_bin', "
+                         f"use a .csv or .evbin output")
     spec, weights, _, _ = load_checkpoint(args.checkpoint)
     stream = _load_stream(args.input)
-    out_path = Path(args.out)
     if len(stream) == 0:
         print("warning: empty input stream, writing empty output", file=sys.stderr)
     steps = args.steps if args.steps is not None else steps_to_cover(stream.span_us, spec.dt_ms)

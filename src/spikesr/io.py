@@ -45,8 +45,6 @@ EVBIN_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 NMNIST_WIDTH = 34
 NMNIST_HEIGHT = 34
 
-FORMATS = ("csv", "evbin", "nmnist_bin")
-
 # Regressions up to this many microseconds are tolerated and sorted away;
 # anything larger is treated as corruption.
 REGRESSION_TOLERANCE_US = 100_000
@@ -54,14 +52,6 @@ REGRESSION_TOLERANCE_US = 100_000
 
 class EventFormatError(EventError):
     """Malformed or truncated event file."""
-
-
-def _infer_geometry(x, y, width, height):
-    if width is None:
-        width = int(x.max()) + 1 if x.size else 1
-    if height is None:
-        height = int(y.max()) + 1 if y.size else 1
-    return width, height
 
 
 def _check_order(t, path):
@@ -131,21 +121,14 @@ def _parse_csv_lines(raw, path):
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _load_csv(path, width, height):
-    raw = Path(path).read_bytes()
+def _decode_csv(raw, path):
     arr = _parse_csv_array(raw)
     if arr is None:
         arr = _parse_csv_lines(raw, path)
-    _check_order(arr[:, 0], path)
-    width, height = _infer_geometry(arr[:, 1], arr[:, 2], width, height)
-    try:
-        return EventStream(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], width, height)
-    except EventError as exc:
-        raise EventFormatError(f"{path}: {exc}") from None
+    return arr.T, None
 
 
-def _load_evbin(path, width, height):
-    raw = Path(path).read_bytes()
+def _decode_evbin(raw, path):
     if len(raw) < 16 or raw[:4] != EVBIN_MAGIC:
         raise EventFormatError(f"{path}: bad evbin magic at byte 0")
     w, h, count = struct.unpack_from("<HHQ", raw, 4)
@@ -155,47 +138,48 @@ def _load_evbin(path, width, height):
         raise EventFormatError(
             f"{path}: expected {need} record bytes, found {len(body)} at byte 16")
     rec = np.frombuffer(body, dtype=EVBIN_RECORD)
-    t = rec["t"].astype(np.int64)
-    _check_order(t, path)
-    if width is not None and width != w or height is not None and height != h:
-        raise EventFormatError(f"{path}: header geometry {w}x{h} contradicts override")
-    try:
-        return EventStream(t, rec["x"].astype(np.int64), rec["y"].astype(np.int64),
-                           rec["p"].astype(np.int64), w, h)
-    except EventError as exc:
-        raise EventFormatError(f"{path}: {exc}") from None
+    return [rec[f].astype(np.int64) for f in "txyp"], (w, h)
 
 
-def _load_nmnist(path):
-    raw = Path(path).read_bytes()
+def _decode_nmnist(raw, path):
     if len(raw) % 5:
         raise EventFormatError(
             f"{path}: truncated record at byte {len(raw) - len(raw) % 5}")
     rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 5).astype(np.int64)
-    x = rec[:, 0]
-    y = rec[:, 1]
     p = np.where(rec[:, 2] & 0x80, 1, -1)
     t = ((rec[:, 2] & 0x7F) << 16) | (rec[:, 3] << 8) | rec[:, 4]
-    _check_order(t, path)
-    try:
-        return EventStream(t, x, y, p, NMNIST_WIDTH, NMNIST_HEIGHT)
-    except EventError as exc:
-        raise EventFormatError(f"{path}: {exc}") from None
+    return (t, rec[:, 0], rec[:, 1], p), (NMNIST_WIDTH, NMNIST_HEIGHT)
+
+
+# Each decoder turns a file's bytes into its (t, x, y, p) arrays and the
+# (width, height) the file stores, or None where it stores none.
+_DECODERS = {"csv": _decode_csv, "evbin": _decode_evbin, "nmnist_bin": _decode_nmnist}
 
 
 def load_events(path, fmt: str, width: int | None = None, height: int | None = None) -> EventStream:
     """Read a stream from disk; fmt is one of csv, evbin, nmnist_bin.
 
-    Geometry comes from the file where the format carries it, otherwise
-    from max coordinate + 1, unless width/height are given explicitly.
+    Geometry comes from the file where the format stores it, and a given
+    width or height must then agree with it; otherwise it is width and
+    height where given and max coordinate + 1 where not.
     """
-    if fmt == "csv":
-        return _load_csv(path, width, height)
-    if fmt == "evbin":
-        return _load_evbin(path, width, height)
-    if fmt == "nmnist_bin":
-        return _load_nmnist(path)
-    raise EventFormatError(f"unknown format {fmt!r}")
+    if fmt not in _DECODERS:
+        raise EventFormatError(f"unknown format {fmt!r}")
+    (t, x, y, p), stored = _DECODERS[fmt](Path(path).read_bytes(), path)
+    _check_order(t, path)
+    if stored is not None:
+        if width not in (None, stored[0]) or height not in (None, stored[1]):
+            raise EventFormatError(
+                f"{path}: stored geometry {stored[0]}x{stored[1]} contradicts override")
+        width, height = stored
+    if width is None:
+        width = int(x.max()) + 1 if x.size else 1
+    if height is None:
+        height = int(y.max()) + 1 if y.size else 1
+    try:
+        return EventStream(t, x, y, p, width, height)
+    except EventError as exc:
+        raise EventFormatError(f"{path}: {exc}") from None
 
 
 def save_events(stream: EventStream, path, fmt: str) -> None:
@@ -212,7 +196,7 @@ def save_events(stream: EventStream, path, fmt: str) -> None:
         return
     if fmt == "evbin":
         if stream.width > 0xFFFF or stream.height > 0xFFFF:
-            raise EventFormatError("geometry does not fit evbin u16 header")
+            raise EventFormatError(f"{path}: geometry does not fit evbin u16 header")
         rec = np.empty(len(stream), dtype=EVBIN_RECORD)
         rec["t"] = stream.t
         rec["x"] = stream.x
@@ -223,7 +207,7 @@ def save_events(stream: EventStream, path, fmt: str) -> None:
             fh.write(struct.pack("<HHQ", stream.width, stream.height, len(stream)))
             fh.write(rec.tobytes())
         return
-    raise EventFormatError(f"cannot write format {fmt!r}")
+    raise EventFormatError(f"{path}: cannot write format {fmt!r}")
 
 
 def guess_format(path) -> str:

@@ -7,9 +7,9 @@ one 50 ms block at a time, and reports a joint spatio-temporal RMSE:
     rmse_st = sqrt((mse_t + mse_s) / (span_ms * n_p))
 
 where mse_t sums d squared over every voxel, mse_s sums the squares of
-d pooled over 50 ms blocks (the blocks pooled_difference pools over for
-the spatial loss), span_ms is the part of the pair's span the grid
-grades, and n_p counts pixels touched by at least one ground-truth
+d pooled over each 50 ms block that `blocks` lays out (the spatial loss
+pools over the same blocks), span_ms is the part of the pair's span the
+grid grades, and n_p counts pixels touched by at least one ground-truth
 event inside the grid.  Both raw sums and the per-pixel (divided by
 n_p) forms are reported.
 
@@ -74,20 +74,15 @@ class MetricsReport:
         return ",".join(parts)
 
 
-def _blocks(steps: int, dt: float):
-    """Block of each of `steps` dt-millisecond steps, floor(t * dt / BLOCK_MS),
-    and the first step of every block; the last block may be partial."""
-    idx = np.floor(np.arange(steps) * dt / BLOCK_MS).astype(np.int64)
-    return idx, np.flatnonzero(np.r_[1, np.diff(idx)])
+def blocks(steps: int, dt: float):
+    """(start, stop) of each BLOCK_MS block of `steps` dt-millisecond steps.
 
-
-def pooled_difference(d: np.ndarray, dt: float):
-    """Sum a [..., T] difference tensor over consecutive BLOCK_MS windows.
-
-    Returns (pooled [..., n_blocks], block index of every step).
+    Step t falls in block floor(t * dt / BLOCK_MS); the last block may
+    be partial.
     """
-    idx, starts = _blocks(d.shape[-1], dt)
-    return np.add.reduceat(d, starts, axis=-1), idx
+    idx = np.floor(np.arange(steps) * dt / BLOCK_MS)
+    starts = np.flatnonzero(np.r_[1, np.diff(idx)]).tolist()
+    return list(zip(starts, starts[1:] + [steps]))
 
 
 def _pa_counts(out_data: np.ndarray, gt_data: np.ndarray):
@@ -133,8 +128,7 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     touched = np.zeros((h, w), dtype=bool)
     mse_t = mse_s = 0.0
     matches = omega = 0
-    _, starts = _blocks(steps, dt)
-    for start, stop in zip(starts, [*starts[1:], steps]):
+    for start, stop in blocks(steps, dt):
         # counts are integers, so these sums are exact in any order
         out = voxel_window(out_bins, h, w, start, stop, dt).data
         gt = voxel_window(gt_bins, h, w, start, stop, dt).data

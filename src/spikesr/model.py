@@ -10,8 +10,8 @@ the time axis:
                polarity channels are run through the shared weights as
                two independent passes and concatenated.
 
-The pass layout follows from the first layer's input width: forward
-cuts the two polarity channels into passes of that many channels.
+The pass layout follows from the first layer's input width; forward,
+backward_from_output and count_flops all read it from NetworkSpec.passes.
 
 Neither layer has a bias.  The final drive additionally receives the
 first layer's input PSP, bilinearly upsampled to output resolution, as
@@ -85,6 +85,12 @@ class NetworkSpec:
         c = 2 if self.variant == "dual_layer" else 1
         return LayerConfig(c, 8, 5, 5), LayerConfig(8, c, 2, 2)
 
+    @property
+    def passes(self):
+        """The polarity channels of each pass, slices of the first layer's input width."""
+        c = self.layers[0].in_channels
+        return tuple(slice(i, i + c) for i in range(0, 2, c))
+
 
 def network_spec(variant: str, dt_ms: float = 1.0) -> NetworkSpec:
     """The spec of one of the two variants, stepping dt_ms milliseconds."""
@@ -124,13 +130,13 @@ def count_flops(spec: NetworkSpec, h: int, w: int, t: int) -> int:
     """Multiply-accumulate cost, 2 * k_h * k_w * c_in * c_out * h_out * w_out * T per layer.
 
     Layer 1 outputs (h, w) and layer 2 (2h, 2w).  Counted over all of
-    forward's passes (two when the first layer takes one channel).
+    spec.passes.
     """
     if h < 1 or w < 1 or t < 0:
         raise ModelError("dimensions must be positive (t may be zero)")
     total = sum(2 * int(np.prod(layer.weight_shape)) * pixels * t
                 for layer, pixels in zip(spec.layers, (h * w, 4 * h * w)))
-    return 2 // spec.layers[0].in_channels * total
+    return len(spec.passes) * total
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,6 @@ def _carry(past, new, n):
 def _psp(in_spikes, neuron, dt, state):
     """The layer's input PSP, fed first by the inputs `state` carries."""
     eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt))
-    if state is None:
-        return apply_psp(in_spikes, eps)
     x = in_spikes if state.inputs is None else np.concatenate([state.inputs, in_spikes], -1)
     state.inputs = _carry(None, x, eps.size - 1)
     return apply_psp(x, eps, x.shape[-1] - in_spikes.shape[-1])
@@ -252,18 +256,16 @@ def _psp(in_spikes, neuron, dt, state):
 def _fire(drive, neuron, dt, spike_mode, state):
     if spike_mode == "soft":
         return soft_spikes(drive, neuron)
-    if state is None:
-        return generate_spikes(drive, neuron, dt)
     spikes, u = generate_spikes(drive, neuron, dt, state.spikes)
     state.spikes = _carry(state.spikes, spikes, kernel_length(neuron.tau_r, dt) - 1)
     return spikes, u
 
 
-def spiking_conv_forward(in_spikes, weights, neuron: NeuronConfig, dt: float = 1.0,
-                         spike_mode: str = "hard", state=None):
+def spiking_conv_forward(in_spikes, weights, neuron: NeuronConfig, dt: float,
+                         spike_mode: str, state: LayerState):
     """PSP, same-size convolutional drive, then spike generation for one layer.
 
-    `state`, a LayerState, makes in_spikes the next window of a stream:
+    in_spikes is the next window of a stream whose past `state` holds:
     the layer reads its past from it and leaves its own there.
     """
     psp = _psp(in_spikes, neuron, dt, state)
@@ -272,45 +274,43 @@ def spiking_conv_forward(in_spikes, weights, neuron: NeuronConfig, dt: float = 1
     return spikes, LayerCache(psp, u)
 
 
-def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass=None,
-                           dt: float = 1.0, spike_mode: str = "hard", state=None):
+def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass: np.ndarray,
+                           dt: float, spike_mode: str, state: LayerState):
     """2x2 stride-2 transposed-conv layer; `bypass` is added to the drive before firing.
 
     The PSP filters the transposed conv's output, not its input (see the
     module docstring), so `state` carries [c_out, 2H, 2W] input steps.
     `state` is otherwise as for spiking_conv_forward.
     """
-    drive = _psp(upconv2x_drive(in_spikes, weights), neuron, dt, state)
-    if bypass is not None:
-        drive = drive + bypass
+    drive = _psp(upconv2x_drive(in_spikes, weights), neuron, dt, state) + bypass
     spikes, u = _fire(drive, neuron, dt, spike_mode, state)
     return spikes, LayerCache(in_spikes, u)
 
 
-def _forward_pass(spec: NetworkSpec, weights, x: np.ndarray, spike_mode: str, state):
+def _forward_pass(spec, weights, x, spike_mode, states, keep_cache):
     """One pass through both layers for a [C, H, W, T] input slice."""
     n1, n2 = spec.neuron_cfgs
-    st1, st2 = state or (None, None)
+    st1, st2 = states
     s1, c1 = spiking_conv_forward(x, weights[0], n1, spec.dt_ms, spike_mode, st1)
     bypass = bilinear_upsample_2x(c1.conv_in)
     s2, c2 = spiking_upconv_forward(s1, weights[1], n2, bypass, spec.dt_ms, spike_mode, st2)
-    return s2, None if state else ForwardCache(c1, c2, spike_mode)
+    return s2, ForwardCache(c1, c2, spike_mode) if keep_cache else None
 
 
 def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=None):
     """Super-resolve one [2, H, W, T] tensor to [2, 2H, 2W, T].
 
-    The input is cut into passes of the first layer's input width, each
-    pass runs through the shared weights, and the outputs are stacked:
-    one joint pass for dual_layer, one pass per polarity for ultralight.
-    The input's step size must be spec.dt_ms (a bare array is taken to
-    have it).  `state`, a list that is empty at a stream's start, makes
-    the input the next window of that stream: forward keeps one pair of
-    LayerStates per pass in it (see super_resolve).  Without it the
-    input is a whole stream.  Returns (output SpikeTensor, per-pass
-    caches).  The caches are for training's backward pass; nothing
-    differentiates through a streamed window, so with a `state` the
-    cache list is empty and no pass's caches outlive it.
+    The input is cut into spec.passes, each pass runs through the shared
+    weights, and the outputs are stacked: one joint pass for dual_layer,
+    one pass per polarity for ultralight.  The input's step size must be
+    spec.dt_ms (a bare array is taken to have it).  `state`, a list that
+    is empty at a stream's start, makes the input the next window of
+    that stream: forward keeps one pair of LayerStates per pass in it
+    (see super_resolve).  Without it the input is a whole stream, its
+    only window, run on fresh LayerStates.  Returns (output SpikeTensor,
+    per-pass caches).  The caches are for training's backward pass;
+    nothing differentiates through a streamed window, so with a `state`
+    the cache list is empty and no pass's caches outlive it.
     """
     if spike_mode not in ("hard", "soft"):
         raise ModelError(f"unknown spike mode {spike_mode!r}")
@@ -322,14 +322,14 @@ def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=Non
     x = tensor.data
     if x.shape[0] != 2:
         raise ModelError("network input must carry both polarity channels")
-    c = spec.layers[0].in_channels
-    passes = range(0, 2, c)
-    if state == []:
-        state.extend((LayerState(), LayerState()) for _ in passes)
-    results = [_forward_pass(spec, weights, x[i:i + c], spike_mode, state and state[k])
-               for k, i in enumerate(passes)]
+    whole = state is None
+    state = [] if whole else state
+    if not state:
+        state.extend((LayerState(), LayerState()) for _ in spec.passes)
+    results = [_forward_pass(spec, weights, x[p], spike_mode, st, whole)
+               for p, st in zip(spec.passes, state)]
     out = np.concatenate([r[0] for r in results], axis=0)
-    return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results if r[1] is not None]
+    return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results if whole]
 
 
 def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
@@ -358,14 +358,13 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
 def backward_from_output(spec: NetworkSpec, weights, caches, g_out: np.ndarray):
     """Accumulate weight gradients across passes.
 
-    Pass k produced output channels [k*c, (k+1)*c), with c the last
-    layer's output width, so the total gradient is the sum of each
-    pass's contribution to its own slice of g_out.
+    Each pass produced the output channels of its spec.passes slice, so
+    the total gradient is the sum of each pass's contribution to its own
+    slice of g_out.
     """
     grads = [np.zeros_like(w) for w in weights]
-    c = spec.layers[-1].out_channels
-    for k, cache in enumerate(caches):
-        for acc, g in zip(grads, backward_pass(spec, weights, cache, g_out[k * c:(k + 1) * c])):
+    for p, cache in zip(spec.passes, caches):
+        for acc, g in zip(grads, backward_pass(spec, weights, cache, g_out[p])):
             acc += g
     return grads
 

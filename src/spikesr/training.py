@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import event_bins, to_voxel_grid
-from .metrics import DegenerateStreamError, pooled_difference, rmse_st
+from .metrics import DegenerateStreamError, blocks, rmse_st
 from .model import (VARIANTS, NetworkSpec, backward_from_output, forward, init_weights,
                     network_spec, super_resolve)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
@@ -69,13 +69,16 @@ def loss_total(out, gt, state: LossState, dt: float = 1.0):
         raise TrainingError("polarity loss needs both channels")
     steps = d.shape[-1]
     sq = float(np.sum(d * d))
-    pooled, idx = pooled_difference(d, dt)
-    lt, ls, lp = sq / steps, float(np.sum(pooled * pooled)), sq
     w = state.weights()
+    g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
+    ls = 0.0
+    for start, stop in blocks(steps, dt):
+        pooled = d[..., start:stop].sum(axis=-1, keepdims=True)
+        ls += float(np.sum(pooled * pooled))
+        g[..., start:stop] += 2.0 * w[1] * pooled
+    lt, lp = sq / steps, sq
     reg = float(np.sum(state.log_var))
     total = float(w[0] * lt + w[1] * ls + w[2] * lp + reg)
-    g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
-    g += 2.0 * w[1] * pooled[..., idx]
     return total, LossTerms(lt, ls, lp, w, reg), g
 
 

@@ -330,6 +330,18 @@ class TestInfer:
                    "--input", tmp_path / "nope.evbin",
                    "--out", tmp_path / "x.evbin") == 1
 
+    def test_unwritable_output_is_usage_error_before_any_work(self, firing, tmp_path,
+                                                              capsys, monkeypatch):
+        corpus, ckpt = firing
+        calls = []
+        monkeypatch.setattr(spikesr.cli, "super_resolve", lambda *a: calls.append(a))
+        out = tmp_path / "sr.bin"
+        assert run("infer", "--checkpoint", ckpt, "--input", corpus / "bar_000.lr.evbin",
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("steps", [0, -3])
     def test_non_positive_steps_is_usage_error(self, tmp_path, capsys, steps):
         # the files do not exist, so only a check made before loading passes

@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 import warnings
 
@@ -240,6 +241,30 @@ class TestNmnist:
         f.write_bytes(bytes(7))
         with pytest.raises(EventFormatError, match="byte 5"):
             load_events(f, "nmnist_bin")
+
+
+@pytest.mark.parametrize("fmt", ["evbin", "nmnist_bin"])
+def test_stored_geometry_and_override_must_agree(tmp_path, fmt):
+    f = tmp_path / "s"
+    if fmt == "evbin":
+        save_events(EventStream([1000], [1], [2], [1], 8, 8), f, "evbin")
+    else:
+        f.write_bytes(bytes([0x05, 0x07, 0x80, 0x03, 0xE8]))
+    stored = load_events(f, fmt)
+    same = load_events(f, fmt, width=stored.width, height=stored.height)
+    assert streams_equal(same, stored)
+    for override in ({"width": 10}, {"height": 10}, {"width": 10, "height": 10}):
+        with pytest.raises(EventFormatError, match=f"^{re.escape(str(f))}: .*contradicts"):
+            load_events(f, fmt, **override)
+
+
+def test_save_errors_name_their_path(tmp_path):
+    f = tmp_path / "s.bin"
+    with pytest.raises(EventFormatError, match=f"^{re.escape(str(f))}: cannot write"):
+        save_events(EventStream.empty(4, 4), f, "nmnist_bin")
+    f = tmp_path / "wide.evbin"
+    with pytest.raises(EventFormatError, match=f"^{re.escape(str(f))}: geometry does not fit"):
+        save_events(EventStream.empty(70000, 4), f, "evbin")
 
 
 def test_guess_format():

@@ -31,6 +31,10 @@ class TestNetworkSpec:
         assert u.layers[0].in_channels == 1 and u.layers[1].out_channels == 1
         assert d.scale == 2
 
+    def test_passes(self):
+        assert network_spec("dual_layer").passes == (slice(0, 2),)
+        assert network_spec("ultralight").passes == (slice(0, 1), slice(1, 2))
+
     def test_unknown_variant(self):
         with pytest.raises(ModelError):
             network_spec("resnet50")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from spikesr import training
-from spikesr.events import EventStream, SpikeTensor, downsample_2x
-from spikesr.metrics import rmse_st
+from spikesr.events import EventStream, SpikeTensor, downsample_2x, to_voxel_grid
+from spikesr.metrics import blocks, common_span, rmse_st
 from spikesr.model import (ModelError, backward_from_output, forward, init_weights,
                            network_spec, super_resolve)
 from spikesr.synth import synth_moving_bar
@@ -103,6 +104,22 @@ class TestLossTerms:
         assert terms.weights == pytest.approx([0.5, 1.0, 2.0])
 
 
+class TestLossSharesTheMetricsBlocks:
+    def test_unweighted_terms_equal_the_metrics_raw_sums(self, rng):
+        # 143 steps of 0.7 ms: blocks of 72 and 71 steps
+        steps, dt = 143, 0.7
+        assert blocks(steps, dt) == [(0, 72), (72, 143)]
+        pred = helpers.random_stream(rng, 6, 5, 100, 400)
+        gt = helpers.random_stream(rng, 6, 5, 100, 300, t0=60)
+        t0, _ = common_span(pred, gt)
+        out = to_voxel_grid(pred, steps, dt, origin=t0)[0].data
+        ref = to_voxel_grid(gt, steps, dt, origin=t0)[0].data
+        terms = terms_of(out, ref, dt)
+        report = rmse_st(pred, gt, steps, dt)
+        assert terms.polarity == report.mse_t_raw
+        assert terms.spatial == report.mse_s_raw
+
+
 class TestLossGradients:
     def test_output_grad_matches_finite_difference(self, rng):
         out = rng.random((2, 3, 3, 24))
@@ -117,6 +134,27 @@ class TestLossGradients:
             hi = loss_total(out, gt, state)[0]
             flat[idx] = orig - h
             lo = loss_total(out, gt, state)[0]
+            flat[idx] = orig
+            assert g.ravel()[idx] == pytest.approx((hi - lo) / (2 * h), abs=1e-6)
+
+    def test_output_grad_across_a_block_boundary(self, rng):
+        # 37 steps of 1.5 ms: blocks [0, 34) and [34, 37)
+        assert blocks(37, 1.5) == [(0, 34), (34, 37)]
+        out = rng.random((2, 3, 3, 37))
+        gt = rng.random((2, 3, 3, 37))
+        state = LossState(log_var=rng.normal(0, 0.5, 3))
+        g = loss_total(out, gt, state, 1.5)[2]
+        h = 1e-5
+        flat = out.ravel()
+        t_of = np.unravel_index(np.arange(flat.size), out.shape)[-1]
+        picks = [rng.choice(np.flatnonzero(near), 4, replace=False)
+                 for near in (t_of == 33, t_of == 34, t_of < 33, t_of > 34)]
+        for idx in np.concatenate(picks):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            hi = loss_total(out, gt, state, 1.5)[0]
+            flat[idx] = orig - h
+            lo = loss_total(out, gt, state, 1.5)[0]
             flat[idx] = orig
             assert g.ravel()[idx] == pytest.approx((hi - lo) / (2 * h), abs=1e-6)
 
