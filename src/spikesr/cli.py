@@ -94,7 +94,9 @@ def cmd_synth(args):
 
 
 def _lr_path(hr_path: Path) -> Path:
-    return hr_path.with_name(hr_path.stem + ".lr" + hr_path.suffix)
+    """`<stem>.lr<suffix>`; `<stem>.lr.evbin` for a `.bin` input, a read-only format."""
+    suffix = ".evbin" if guess_format(hr_path) == "nmnist_bin" else hr_path.suffix
+    return hr_path.with_name(hr_path.stem + ".lr" + suffix)
 
 
 def cmd_downsample(args):

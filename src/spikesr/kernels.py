@@ -12,13 +12,16 @@ adjoint is the same convolution run backward; both are computed as one
 blocked banded product, the input's rows times slices of a small
 banded Toeplitz matrix.
 
-Spike generation is event-driven.  NeuronConfig enforces lam >= 0, so
-every refractory term is <= 0, and adding one never raises a double: a
-membrane never exceeds its drive, and a neuron fires only at a step
-where its drive alone reaches threshold.  generate_spikes therefore
-runs its time loop only over the neurons whose drive reaches threshold
-or whose carried past holds a spike, and only at those past spikes and
-the steps where such a drive reaches threshold.
+Spike generation decides most cells with one comparison.  NeuronConfig
+enforces lam >= 0, so every refractory term is <= 0, and a membrane is
+its drive plus some of the terms gamma[K-1], ..., gamma[1], added in
+that order.  Let d* be the least double whose chain d + gamma[K-1] +
+... + gamma[1], rounded add by add, reaches v_th.  Each rounded add is
+monotone in its operand, and leaving out a non-positive term never
+lowers the result, so a drive >= d* fires whatever the neuron's past
+and a drive < v_th never fires.  Only drives in [v_th, d*) are decided
+from their row's history, in time order.  The membrane trace itself is
+rebuilt by membrane, which only training's backward pass needs.
 
 Kernels (t >= 0, zero before):
 
@@ -33,6 +36,7 @@ threshold is a symmetric exponential around the threshold:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +50,7 @@ class NeuronConfig:
     lam is the refractory magnitude; tau_rho and rho shape the surrogate
     derivative width and peak.  Time constants are in milliseconds.
     lam >= 0 keeps every refractory term <= 0, which generate_spikes
-    relies on.
+    and its certain-fire threshold rely on.
     """
 
     v_th: float
@@ -139,56 +143,130 @@ def apply_psp_adjoint(grad, kernel) -> np.ndarray:
     return _banded_product(g, np.asarray(kernel, dtype=np.float64)[:g.shape[-1]], 0)
 
 
+@functools.lru_cache(maxsize=None)
+def _refractory(cfg: NeuronConfig, dt: float):
+    """(gamma, d*): the refractory kernel, read-only, and the least double
+    whose chain d + gamma[K-1] + ... + gamma[1], rounded add by add,
+    reaches v_th (v_th itself when every term is 0).
+
+    The chain is monotone in d, so a bisection over doubles finds d*.
+    """
+    gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt))
+    gamma.setflags(write=False)
+    terms = gamma[:0:-1].tolist()
+
+    def reaches(d):
+        for g in terms:
+            d += g
+        return d >= cfg.v_th
+
+    lo, hi = cfg.v_th, cfg.v_th - 2.0 * sum(terms)
+    if reaches(lo):
+        return gamma, lo
+    while not reaches(hi):
+        hi *= 2.0
+    while True:   # lo never reaches v_th, hi does
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return gamma, hi
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+
+
 def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0, past=None):
     """Run the threshold/refractory dynamics over a drive tensor.
 
     drive is [..., T]: the summed weighted PSP reaching each neuron at
-    each step.  Returns (spikes, u) of the same shape: binary spike
-    counts and the full membrane trace.  A neuron emits at most one
-    spike per step; each emission adds the refractory kernel to the
-    following steps (the spiking step itself is not suppressed).
+    each step.  A neuron emits at most one spike per step; each emission
+    adds the refractory kernel to the following steps (the spiking step
+    itself is not suppressed).  past, if given, is [..., P]: the
+    neurons' spikes over the P steps just before the drive's first step,
+    counted like any earlier spike.
 
-    past, if given, is [..., P]: the neurons' spikes over the P steps
-    just before the drive's first step.  Their refractory traces are
-    added first, in time order, so with P = len(refractory kernel) - 1
-    each membrane sums the same terms in the same order as one run over
-    the whole stream.
+    Returns (spikes, next_past), as scipy.signal.lfilter returns its
+    output and final state: binary spike counts shaped like drive, and a
+    copy of the last K - 1 steps of past and spikes together (all of
+    them if fewer), K = kernel_length(tau_r, dt).  Fed back as the next
+    window's past, it makes that window's spikes the whole stream's.
+    membrane rebuilds the membrane trace.
 
-    The loop is event-driven.  NeuronConfig enforces lam >= 0, so every
-    refractory term is <= 0 and adding one never raises a double: a
-    neuron can fire only at a step where its drive alone reaches v_th.
-    The loop therefore visits only the rows whose drive reaches v_th
-    somewhere or whose past holds a spike, and of those only the past
-    steps holding a spike and the steps where some such row's drive
-    reaches v_th; at each of those steps it tests only the rows whose
-    drive reaches v_th there.  Every other row keeps spikes 0 and
-    u = drive.
+    A neuron's membrane at step t is d = drive[t] plus gamma[k] for each
+    of its spikes k steps earlier, 0 < k < K, added with k descending.
+    Every term is <= 0 (lam >= 0), each rounded add is monotone, and
+    leaving out a term never lowers the sum, so the membrane lies
+    between the chain of all K - 1 terms and d itself: d >= d*
+    (_refractory) fires and d < v_th does not, whatever the past.  Only
+    the cells with d in [v_th, d*) are decided from their row's history,
+    step by step in time order; each such step gathers its cells' last
+    K - 1 history steps, adds their terms to d with one ordered cumsum
+    and compares.
     """
     x = np.asarray(drive, dtype=np.float64)
     T = x.shape[-1]
     n = math.prod(x.shape[:-1])
-    u = x.copy().reshape(n, T)
+    gamma, d_star = _refractory(cfg, dt)
+    tail = gamma.size - 1
+    past = np.zeros(x.shape[:-1] + (0,)) if past is None else np.asarray(past, dtype=np.float64)
+    flat = x.reshape(-1)
+    cells = np.flatnonzero(flat >= cfg.v_th)   # the drives that may fire
+    drives = flat[cells]
+    certain = drives >= d_star
     spikes = np.zeros((n, T))
-    crossing = u >= cfg.v_th
-    past = np.zeros(x.shape[:-1] + (0,)) if past is None else past
-    prior = np.reshape(past, (n, np.shape(past)[-1])) > 0
-    live = np.flatnonzero(crossing.any(-1) | prior.any(-1))
-    v, s, crossing, prior = u[live], spikes[live], crossing[live], prior[live]
-    P = prior.shape[-1]
-    gamma = refractory_kernel(cfg.tau_r, cfg.lam, dt, kernel_length(cfg.tau_r, dt))
-    for t in np.concatenate([np.flatnonzero(prior.any(0)) - P,
-                             np.flatnonzero(crossing.any(0))]).tolist():
-        if t < 0:
-            fired = np.flatnonzero(prior[:, t + P])
-        else:
-            reach = np.flatnonzero(crossing[:, t])
-            fired = reach[v[reach, t] >= cfg.v_th]
-            s[fired, t] = 1.0
-        lo, end = max(t + 1, 0), min(T, t + gamma.size)
-        if end > lo and fired.size:
-            v[fired, lo:end] += gamma[lo - t:end - t]
-    u[live], spikes[live] = v, s
-    return spikes.reshape(x.shape), u.reshape(x.shape)
+    spikes.reshape(-1)[cells[certain]] = 1.0
+    cells, drives = cells[~certain], drives[~certain]   # drive in [v_th, d*)
+    if cells.size:
+        rows, steps = np.divmod(cells, T)
+        first = np.diff(rows, prepend=-1) != 0   # rows come sorted
+        live, rows = rows[first], np.cumsum(first) - 1
+        hist = np.zeros((live.size, tail + T))   # step s sits at column tail + s
+        prior = past.reshape(n, past.shape[-1])[live, max(0, past.shape[-1] - tail):]
+        hist[:, tail - prior.shape[-1]:tail] = prior
+        hist[:, tail:] = spikes[live]
+        order = np.argsort(steps, kind="stable")
+        rows, steps = rows[order], steps[order]
+        chain = np.empty((cells.size, tail + 1))
+        chain[:, 0] = drives[order]
+        terms = gamma[:0:-1]
+        bounds = np.flatnonzero(np.diff(steps, prepend=-1, append=T)).tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            t, r = int(steps[a]), rows[a:b]
+            np.multiply(hist[r, t:t + tail], terms, out=chain[a:b, 1:])
+            hist[r[np.cumsum(chain[a:b], axis=1)[:, -1] >= cfg.v_th], tail + t] = 1.0
+        spikes[live] = hist[:, tail:]
+    spikes = spikes.reshape(x.shape)
+    history = spikes if T >= tail else np.concatenate([past, spikes], axis=-1)
+    return spikes, history[..., max(0, history.shape[-1] - tail):].copy()
+
+
+def membrane(drive, spikes, cfg: NeuronConfig, dt: float = 1.0, past=None) -> np.ndarray:
+    """The membrane trace of neurons that fired `spikes`, as generate_spikes
+    (drive, cfg, dt, past) returns them, under that drive and past.
+
+    u[..., t] = drive[..., t] + gamma[k] * history[..., t - k] for
+    k = K - 1, ..., 1 in that order, history being past followed by
+    spikes: the sum generate_spikes compares with v_th.  A zero history
+    step adds -0.0, which changes no bit; rows with no spike in their
+    history keep u = drive.
+    """
+    x = np.asarray(drive, dtype=np.float64)
+    T = x.shape[-1]
+    n = math.prod(x.shape[:-1])
+    gamma = _refractory(cfg, dt)[0]
+    tail = gamma.size - 1
+    hist = np.reshape(spikes, (n, T))
+    if past is not None:
+        prior = np.reshape(past, (n, np.shape(past)[-1]))
+        hist = np.concatenate([prior[:, max(0, prior.shape[-1] - tail):], hist], axis=-1)
+    Q = hist.shape[-1] - T   # history steps before step 0
+    u = x.reshape(n, T).copy()
+    rows = np.flatnonzero(hist != 0) // hist.shape[-1]
+    live = rows[np.diff(rows, prepend=-1) != 0]
+    if live.size:
+        v, h = u[live], hist[live]
+        for k in range(min(tail, T + Q - 1), 0, -1):   # lags that reach into the window
+            lo = max(0, k - Q)
+            v[:, lo:] += gamma[k] * h[:, lo + Q - k:T + Q - k]
+        u[live] = v
+    return u.reshape(x.shape)
 
 
 def soft_spikes(drive, cfg: NeuronConfig):
@@ -216,4 +294,10 @@ def surrogate_grad(u, cfg: NeuronConfig) -> np.ndarray:
     Strictly positive, symmetric about v_th, peak rho / (tau_rho * v_th).
     """
     width = cfg.tau_rho * cfg.v_th
-    return (cfg.rho / width) * np.exp(-np.abs(np.asarray(u, dtype=np.float64) - cfg.v_th) / width)
+    g = np.array(u, dtype=np.float64)   # one buffer, each step in place
+    np.subtract(g, cfg.v_th, out=g)
+    np.abs(g, out=g)
+    np.negative(g, out=g)
+    np.divide(g, width, out=g)
+    np.exp(g, out=g)
+    return np.multiply(cfg.rho / width, g, out=g)

@@ -40,8 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import EventStream, SpikeTensor, event_bins, from_voxel_grid, voxel_window
 from .kernels import (NeuronConfig, apply_psp, apply_psp_adjoint, generate_spikes,
-                      kernel_length, soft_spike_grad, soft_spikes, spike_kernel,
-                      surrogate_grad)
+                      kernel_length, membrane, soft_spike_grad, soft_spikes,
+                      spike_kernel, surrogate_grad)
 
 VARIANTS = ("dual_layer", "ultralight")
 
@@ -211,9 +211,11 @@ def bilinear_upsample_2x(x: np.ndarray) -> np.ndarray:
 @dataclass
 class LayerCache:
     """Intermediates a backward pass needs: what the layer's weights act on
-    (layer 1's input PSP, layer 2's input spikes) and the membrane trace."""
+    (layer 1's input PSP, layer 2's input spikes), the drive and the
+    layer's spikes, from which backward_pass rebuilds the membrane trace."""
     conv_in: np.ndarray
-    u: np.ndarray
+    drive: np.ndarray
+    spikes: np.ndarray
 
 
 @dataclass
@@ -235,30 +237,19 @@ class LayerState:
     spikes: np.ndarray | None = None
 
 
-def _carry(past, new, n):
-    """A copy of the last n steps of past followed by new (past may be None).
-
-    past is read only when new alone holds fewer than n steps.
-    """
-    if past is not None and new.shape[-1] < n:
-        new = np.concatenate([past, new], axis=-1)
-    return new[..., max(0, new.shape[-1] - n):].copy()
-
-
 def _psp(in_spikes, neuron, dt, state):
     """The layer's input PSP, fed first by the inputs `state` carries."""
     eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt))
     x = in_spikes if state.inputs is None else np.concatenate([state.inputs, in_spikes], -1)
-    state.inputs = _carry(None, x, eps.size - 1)
+    state.inputs = x[..., max(0, x.shape[-1] - eps.size + 1):].copy()
     return apply_psp(x, eps, x.shape[-1] - in_spikes.shape[-1])
 
 
 def _fire(drive, neuron, dt, spike_mode, state):
     if spike_mode == "soft":
-        return soft_spikes(drive, neuron)
-    spikes, u = generate_spikes(drive, neuron, dt, state.spikes)
-    state.spikes = _carry(state.spikes, spikes, kernel_length(neuron.tau_r, dt) - 1)
-    return spikes, u
+        return soft_spikes(drive, neuron)[0]
+    spikes, state.spikes = generate_spikes(drive, neuron, dt, state.spikes)
+    return spikes
 
 
 def spiking_conv_forward(in_spikes, weights, neuron: NeuronConfig, dt: float,
@@ -270,8 +261,8 @@ def spiking_conv_forward(in_spikes, weights, neuron: NeuronConfig, dt: float,
     """
     psp = _psp(in_spikes, neuron, dt, state)
     drive = conv_drive(psp, weights)
-    spikes, u = _fire(drive, neuron, dt, spike_mode, state)
-    return spikes, LayerCache(psp, u)
+    spikes = _fire(drive, neuron, dt, spike_mode, state)
+    return spikes, LayerCache(psp, drive, spikes)
 
 
 def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass: np.ndarray,
@@ -283,8 +274,8 @@ def spiking_upconv_forward(in_spikes, weights, neuron: NeuronConfig, bypass: np.
     `state` is otherwise as for spiking_conv_forward.
     """
     drive = _psp(upconv2x_drive(in_spikes, weights), neuron, dt, state) + bypass
-    spikes, u = _fire(drive, neuron, dt, spike_mode, state)
-    return spikes, LayerCache(in_spikes, u)
+    spikes = _fire(drive, neuron, dt, spike_mode, state)
+    return spikes, LayerCache(in_spikes, drive, spikes)
 
 
 def _forward_pass(spec, weights, x, spike_mode, states, keep_cache):
@@ -329,7 +320,10 @@ def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=Non
     results = [_forward_pass(spec, weights, x[p], spike_mode, st, whole)
                for p, st in zip(spec.passes, state)]
     out = np.concatenate([r[0] for r in results], axis=0)
-    return SpikeTensor(out, dt=tensor.dt), [r[1] for r in results if whole]
+    caches = [r[1] for r in results if whole]
+    for p, cache in zip(spec.passes, caches):
+        cache.layer2.spikes = out[p]   # a view, so no cache holds a second copy
+    return SpikeTensor(out, dt=tensor.dt), caches
 
 
 def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
@@ -339,18 +333,24 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     Reverse of _forward_pass: through the output threshold (surrogate in
     hard mode, exact sigmoid derivative in soft mode), the interlayer
     PSP, the transposed conv, the hidden threshold, and the first conv.
-    The refractory trace is treated as constant, and the bypass carries
-    no parameters, so nothing flows back past the first layer's drive.
+    The derivatives are taken at the membrane: rebuilt by
+    kernels.membrane in hard mode, the drive itself in soft mode.  The
+    refractory trace is treated as constant, and the bypass carries no
+    parameters, so nothing flows back past the first layer's drive.
     """
     l1 = spec.layers[0]
     n1, n2 = spec.neuron_cfgs
-    deriv = soft_spike_grad if cache.spike_mode == "soft" else surrogate_grad
-    eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms))
+    soft = cache.spike_mode == "soft"
+    deriv = soft_spike_grad if soft else surrogate_grad
 
-    g_conv2 = apply_psp_adjoint(g_out * deriv(cache.layer2.u, n2), eps2)
+    def u(layer, neuron):
+        return layer.drive if soft else membrane(layer.drive, layer.spikes, neuron, spec.dt_ms)
+
+    eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms))
+    g_conv2 = apply_psp_adjoint(g_out * deriv(u(cache.layer2, n2), n2), eps2)
     g_w2 = upconv2x_weight_adjoint(cache.layer2.conv_in, g_conv2)
     g_spikes1 = upconv2x_input_adjoint(g_conv2, weights[1])
-    g_drive1 = g_spikes1 * deriv(cache.layer1.u, n1)
+    g_drive1 = g_spikes1 * deriv(u(cache.layer1, n1), n1)
     g_w1 = conv_weight_adjoint(cache.layer1.conv_in, g_drive1, l1.kernel_h, l1.kernel_w)
     return [g_w1, g_w2]
 
@@ -383,8 +383,9 @@ def resolve_mode(variant: str, mode: str | None) -> str:
 
 
 # Steps per forward call in super_resolve.  `infer` of a 300-step 64x64 input (2 cores,
-# one BLAS thread) peaked at 143-152 MiB own RSS with 32 steps, 210-213 MiB with 64 and
-# 124-127 MiB with 16; 64 ran no faster, 16 about 18 % slower.
+# one BLAS thread, started from a small helper process so ru_maxrss is its own) peaked
+# at 143-150 MiB with 32 steps, 212-213 MiB with 64 and 123-126 MiB with 16; in-process,
+# 16 and 64 both ran 12-16 % slower than 32.
 _WINDOW = 32
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import helpers
 from spikesr.events import SpikeTensor, downsample_2x
-from spikesr.kernels import generate_spikes, refractory_kernel, spike_kernel
+from spikesr.kernels import generate_spikes, membrane, refractory_kernel, spike_kernel
 from spikesr.metrics import rmse_st
 from spikesr.model import (backward_from_output, count_flops, count_params,
                            forward, init_weights, network_spec)
@@ -65,7 +65,8 @@ def test_criterion_04_hand_simulation():
     eps = spike_kernel(1.0, 1.0, 8)
     drive = np.zeros(8)
     drive[1:] = 40.0 * eps[:7]
-    spikes, u = generate_spikes(drive, neuron)
+    spikes, _ = generate_spikes(drive, neuron)
+    u = membrane(drive, spikes, neuron)
     assert list(np.flatnonzero(spikes)) == [2]
     assert u[2] == 40.0
     print("PASS criterion 4: 40*eps(t-1) fixture spikes exactly once, at t=2")

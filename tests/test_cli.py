@@ -85,6 +85,18 @@ class TestDownsample:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert err[0].endswith("big.csv: malformed record at byte 11")
 
+    def test_nmnist_bin_gets_an_evbin_twin(self, tmp_path):
+        # nmnist_bin cannot be written, so the twin of d.bin is d.lr.evbin
+        (tmp_path / "d.bin").write_bytes(bytes([0x05, 0x07, 0x80, 0x03, 0xE8,
+                                                0x20, 0x21, 0x00, 0x07, 0xD0]))
+        (tmp_path / "manifest.txt").write_text("d.bin\n")
+        assert run("downsample", "--manifest", tmp_path / "manifest.txt") == 0
+        lr = load_events(tmp_path / "d.lr.evbin", "evbin")
+        assert (lr.width, lr.height) == (17, 17)
+        assert lr.t.tolist() == [1000, 2000] and lr.p.tolist() == [1, -1]
+        assert (lr.x.tolist(), lr.y.tolist()) == ([2, 16], [3, 16])
+        assert (tmp_path / "pairs.txt").read_text() == "d.lr.evbin,d.bin\n"
+
     def test_no_inputs_is_usage_error(self):
         assert run("downsample") == 2
 

@@ -6,10 +6,11 @@ import pytest
 
 import helpers
 from spikesr.kernels import _BLOCK as B
+from spikesr.kernels import _refractory
 from spikesr.kernels import (NeuronConfig, apply_psp, apply_psp_adjoint,
-                             generate_spikes, kernel_length, refractory_kernel,
-                             soft_spike_grad, soft_spikes, spike_kernel,
-                             surrogate_grad)
+                             generate_spikes, kernel_length, membrane,
+                             refractory_kernel, soft_spike_grad, soft_spikes,
+                             spike_kernel, surrogate_grad)
 
 CONV_NEURON = NeuronConfig(v_th=30, tau_s=1, tau_r=1, lam=1, tau_rho=1, rho=10)
 UPCONV_NEURON = NeuronConfig(v_th=100, tau_s=4, tau_r=4, lam=1, tau_rho=10, rho=100)
@@ -171,7 +172,9 @@ class TestBlockedFilter:
 
 class TestGenerateSpikes:
     def test_zero_drive_silent(self):
-        sp, u = generate_spikes(np.zeros((4, 4, 10)), CONV_NEURON)
+        drive = np.zeros((4, 4, 10))
+        sp, _ = generate_spikes(drive, CONV_NEURON)
+        u = membrane(drive, sp, CONV_NEURON)
         assert np.all(sp == 0) and np.all(u == 0)
 
     def test_single_spike_with_refractory_suppression(self):
@@ -180,7 +183,8 @@ class TestGenerateSpikes:
         eps = spike_kernel(1.0, 1.0, 8)
         drive = np.zeros(8)
         drive[1:] = 40.0 * eps[:7]
-        sp, u = generate_spikes(drive, CONV_NEURON)
+        sp, _ = generate_spikes(drive, CONV_NEURON)
+        u = membrane(drive, sp, CONV_NEURON)
         assert list(np.flatnonzero(sp)) == [2]
         assert u[2] == 40.0
         assert abs(u[3] - (40.0 * eps[2] - math.exp(-1))) < 1e-12
@@ -194,7 +198,8 @@ class TestGenerateSpikes:
     def test_at_most_one_spike_per_step_and_threshold_on_spike(self, rng):
         for _ in range(10):
             drive = rng.uniform(-10, 80, (3, 3, 40))
-            sp, u = generate_spikes(drive, CONV_NEURON)
+            sp, _ = generate_spikes(drive, CONV_NEURON)
+            u = membrane(drive, sp, CONV_NEURON)
             assert set(np.unique(sp)) <= {0.0, 1.0}
             assert np.all(u[sp == 1.0] >= CONV_NEURON.v_th)
 
@@ -210,14 +215,16 @@ class TestGenerateSpikes:
     def test_refractory_starts_next_step(self):
         # constant drive at threshold: spike at t=0 must not erase itself
         drive = np.full(4, 30.0)
-        sp, u = generate_spikes(drive, CONV_NEURON)
+        sp, _ = generate_spikes(drive, CONV_NEURON)
+        u = membrane(drive, sp, CONV_NEURON)
         assert sp[0] == 1.0 and u[0] == 30.0
         assert u[1] == 30.0 - 1.0 * math.exp(-1)
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
     def test_matches_fire_oracle(self, rng, cfg):
         drive = rng.uniform(0.5, 1.3, (3, 4, 50)) * cfg.v_th
-        sp, u = generate_spikes(drive, cfg)
+        sp, _ = generate_spikes(drive, cfg)
+        u = membrane(drive, sp, cfg)
         want_sp, want_u = helpers.fire_oracle(drive, cfg)
         assert np.array_equal(sp, want_sp) and sp.any()
         assert np.max(np.abs(u - want_u)) < 1e-12
@@ -228,14 +235,19 @@ class TestGenerateSpikes:
         tail = kernel_length(cfg.tau_r, 1.0) - 1
         for length in (1, tail, tail + 5):
             past = (rng.random((3, 4, length)) < 0.5).astype(float)
-            sp, u = generate_spikes(drive, cfg, past=past)
+            sp, _ = generate_spikes(drive, cfg, past=past)
+            u = membrane(drive, sp, cfg, past=past)
             want_sp, want_u = helpers.fire_oracle(drive, cfg, past=past)
             assert np.array_equal(sp, want_sp)
             assert np.max(np.abs(u - want_u)) < 1e-12
         # a second window fed the first one's last spikes continues the whole run exactly
-        whole_sp, whole_u = generate_spikes(drive, cfg)
-        head, _ = generate_spikes(drive[..., :20], cfg)
-        sp, u = generate_spikes(drive[..., 20:], cfg, past=head[..., max(0, 20 - tail):])
+        whole_sp, _ = generate_spikes(drive, cfg)
+        whole_u = membrane(drive, whole_sp, cfg)
+        head, head_past = generate_spikes(drive[..., :20], cfg)
+        assert np.array_equal(head_past, whole_sp[..., max(0, 20 - tail):20])
+        past = head[..., max(0, 20 - tail):]
+        sp, _ = generate_spikes(drive[..., 20:], cfg, past=past)
+        u = membrane(drive[..., 20:], sp, cfg, past=past)
         assert np.array_equal(sp, whole_sp[..., 20:]) and np.array_equal(u, whole_u[..., 20:])
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
@@ -251,7 +263,8 @@ class TestGenerateSpikes:
         past = np.zeros((18, kernel_length(cfg.tau_r, dt) - 1))
         past[12:] = rng.random((6, past.shape[-1])) < 0.5
         past[12:, -1] = 1.0
-        sp, u = generate_spikes(drive.reshape(3, 6, steps), cfg, dt, past.reshape(3, 6, -1))
+        sp, _ = generate_spikes(drive.reshape(3, 6, steps), cfg, dt, past.reshape(3, 6, -1))
+        u = membrane(drive.reshape(3, 6, steps), sp, cfg, dt, past.reshape(3, 6, -1))
         sp, u = sp.reshape(18, steps), u.reshape(18, steps)
         want_sp, want_u = helpers.fire_oracle(drive, cfg, dt, past)
         assert np.array_equal(sp, want_sp)
@@ -260,10 +273,45 @@ class TestGenerateSpikes:
         assert np.array_equal(sp[6:12].sum(-1), np.full(6, min(steps, 1)))
         assert not sp[12:].any()
         for row in (2, 7, 13):   # a 1-D drive is one neuron
-            sp1, u1 = generate_spikes(drive[row], cfg, dt, past[row])
+            sp1, _ = generate_spikes(drive[row], cfg, dt, past[row])
+            u1 = membrane(drive[row], sp1, cfg, dt, past[row])
             want_sp1, want_u1 = helpers.fire_oracle(drive[row], cfg, dt, past[row])
             assert np.array_equal(sp1, want_sp1) and np.array_equal(sp1, sp[row])
             assert np.all(np.abs(u1 - want_u1) < 1e-12) and u1.tobytes() == u[row].tobytes()
+
+    @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON,
+                                     NeuronConfig(v_th=30, tau_s=1, tau_r=3, lam=0,
+                                                  tau_rho=1, rho=10)])
+    @pytest.mark.parametrize("dt", [1.0, 2.0])
+    def test_certain_fire_boundary(self, cfg, dt):
+        # a full past of K - 1 spikes puts every refractory term on the cell at t = 0,
+        # so d* fires and the double just below it does not, nor does v_th unless lam = 0
+        d_star = _refractory(cfg, dt)[1]
+        assert (d_star == cfg.v_th) == (cfg.lam == 0)
+        drive = np.array([[d_star], [np.nextafter(d_star, 0)],
+                          [cfg.v_th], [np.nextafter(cfg.v_th, 0)]])
+        past = np.ones((4, kernel_length(cfg.tau_r, dt) - 1))
+        sp, _ = generate_spikes(drive, cfg, dt, past)
+        want_sp, want_u = helpers.fire_oracle(drive, cfg, dt, past)
+        assert np.array_equal(sp, want_sp)
+        assert sp.ravel().tolist() == [1.0, 0.0, float(cfg.lam == 0), 0.0]
+        assert np.max(np.abs(membrane(drive, sp, cfg, dt, past) - want_u)) < 1e-12
+
+    @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
+    @pytest.mark.parametrize("steps", [0, 3, 40])
+    @pytest.mark.parametrize("held", [0, 2, 40])
+    def test_returns_spikes_and_next_past(self, rng, cfg, steps, held):
+        # perfbench's spike-rate hook reads result[0] as the spike tensor
+        drive = rng.uniform(0.5, 1.3, (2, 3, steps)) * cfg.v_th
+        past = (rng.random((2, 3, held)) < 0.5).astype(float)
+        result = generate_spikes(drive, cfg, 1.0, past)
+        assert isinstance(result, tuple) and len(result) == 2
+        spikes, next_past = result
+        assert spikes.shape == drive.shape
+        keep = min(held + steps, kernel_length(cfg.tau_r, 1.0) - 1)
+        assert next_past.shape == (2, 3, keep)
+        history = np.concatenate([past, spikes], axis=-1)
+        assert np.array_equal(next_past, history[..., history.shape[-1] - keep:])
 
 
 class TestSurrogate:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr import model
+from spikesr import kernels, model
 from spikesr.events import EventStream, SpikeTensor, downsample_2x, from_voxel_grid, to_voxel_grid
 from spikesr.model import (CHECKPOINT_MAGIC, ModelError, NetworkSpec,
-                           bilinear_upsample_2x, conv_drive,
+                           backward_from_output, bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
                            forward, init_weights, load_checkpoint,
                            network_spec, resolve_mode, save_checkpoint, super_resolve,
@@ -310,6 +310,52 @@ class TestSuperResolve:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+class TestMembraneOnlyForTraining:
+    """Only training's backward pass reads the membrane trace, so only it builds one."""
+
+    def test_super_resolve_builds_no_membrane(self, monkeypatch):
+        spec = network_spec("ultralight")
+        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        stream = downsample_2x(synth_moving_bar(32, 32, 40.0, 0.3, 2.0, seed=3))
+        want, want_dropped = super_resolve(spec, weights, stream, 40)
+        assert len(want) > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference built a membrane trace")
+
+        monkeypatch.setattr(model, "membrane", refuse)
+        got, dropped = super_resolve(spec, weights, stream, 40)
+        assert dropped == want_dropped
+        for k in "txyp":
+            assert np.array_equal(getattr(got, k), getattr(want, k)), k
+
+    @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
+    def test_backward_rebuilds_the_membrane(self, rng, monkeypatch, variant):
+        spec = network_spec(variant)
+        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        out, caches = forward(spec, weights, random_input(rng, h=5, w=4, t=16))
+        assert all(c.layer1.spikes.any() and c.layer2.spikes.any() for c in caches)
+        g_out = rng.standard_normal(out.data.shape)
+        calls = []
+
+        def counted(drive, spikes, cfg, dt):
+            calls.append(cfg)
+            return kernels.membrane(drive, spikes, cfg, dt)
+
+        def oracle(drive, spikes, cfg, dt):
+            want_spikes, u = helpers.fire_oracle(drive, cfg, dt)
+            assert np.array_equal(spikes, want_spikes)
+            return u
+
+        monkeypatch.setattr(model, "membrane", counted)
+        grads = backward_from_output(spec, weights, caches, g_out)
+        assert calls == list(spec.neuron_cfgs[::-1]) * len(spec.passes)   # layer 2 first
+        monkeypatch.setattr(model, "membrane", oracle)
+        want = backward_from_output(spec, weights, caches, g_out)
+        for g, w in zip(grads, want):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
 
 
 class TestCheckpoint:
