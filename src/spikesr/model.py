@@ -382,11 +382,81 @@ def resolve_mode(variant: str, mode: str | None) -> str:
     return own
 
 
-# Steps per forward call in super_resolve.  `infer` of a 300-step 64x64 input (2 cores,
-# one BLAS thread, started from a small helper process so ru_maxrss is its own) peaked
-# at 143-150 MiB with 32 steps, 212-213 MiB with 64 and 123-126 MiB with 16; in-process,
-# 16 and 64 both ran 12-16 % slower than 32.
+# Steps per forward call in super_resolve.  `infer` of a 300-step 64x64 moving bar, each
+# window on its live box (2 cores, one BLAS thread, started from a small helper process
+# so ru_maxrss is its own; three runs on each of three inputs): 0.70, 0.63, 0.62, 0.71 and
+# 0.76 s median wall at 16, 24, 32, 48 and 64 steps, peaking at 80-82, 80-81, 79-81,
+# 82-92 and 102-107 MiB.  In-process, 32 steps was as fast as any (0.30-0.36 s).
 _WINDOW = 32
+
+
+def _live_box(spec: NetworkSpec, window, state, box, height: int, width: int):
+    """The LR box (y0, y1, x0, x1), half-open, that a window runs on, or None.
+
+    It bounds the pixels with an event in `window` (event_bins'
+    coordinates) and those where a layer's carried inputs or spikes hold
+    a non-zero step (`state` sits on `box`; layer 2's HR pixels map onto
+    their LR pixel), dilated by the 5x5 conv's halo, which also covers
+    the bilinear bypass's one pixel, and clipped to the frame.  When the
+    window's events alone already span the frame, the state is not read.
+    """
+    halo = spec.layers[0].kernel_h // 2
+
+    def dilated(spans):
+        if not spans:
+            return None
+        y0, y1, x0, x1 = np.array(spans).T
+        return (max(0, int(y0.min()) - halo), min(height, int(y1.max()) + halo + 1),
+                max(0, int(x0.min()) - halo), min(width, int(x1.max()) + halo + 1))
+
+    _, ys, xs, _ = window
+    spans = [(ys.min(), ys.max(), xs.min(), xs.max())] if ys.size else []
+    if dilated(spans) == (0, height, 0, width):
+        return 0, height, 0, width
+    for pair in state:
+        for layer, s in zip(pair, (1, spec.scale)):
+            for carried in (layer.inputs, layer.spikes):
+                live = carried.any(axis=(0, 3))
+                rows, cols = np.flatnonzero(live.any(1)), np.flatnonzero(live.any(0))
+                if rows.size:
+                    spans.append((box[0] + rows[0] // s, box[0] + rows[-1] // s,
+                                  box[2] + cols[0] // s, box[2] + cols[-1] // s))
+    return dilated(spans)
+
+
+def _rebox(spec: NetworkSpec, state, old, new) -> None:
+    """Move the carried state from box `old` onto box `new`.
+
+    Every non-zero carried step lies in both boxes, so copying their
+    overlap into zeros of the new box's size loses nothing.
+    """
+    y0, y1 = max(old[0], new[0]), min(old[1], new[1])
+    x0, x1 = max(old[2], new[2]), min(old[3], new[3])
+    for pair in state:
+        for layer, s in zip(pair, (1, spec.scale)):
+            for name in ("inputs", "spikes"):
+                carried = getattr(layer, name)
+                moved = np.zeros((carried.shape[0], s * (new[1] - new[0]),
+                                  s * (new[3] - new[2]), carried.shape[3]))
+                if y0 < y1 and x0 < x1:
+                    moved[:, s * (y0 - new[0]):s * (y1 - new[0]),
+                          s * (x0 - new[2]):s * (x1 - new[2])] = \
+                        carried[:, s * (y0 - old[0]):s * (y1 - old[0]),
+                                s * (x0 - old[2]):s * (x1 - old[2])]
+                setattr(layer, name, moved)
+
+
+def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0: int, state):
+    """One window run on its box: the output events' (t, x, y, p) in frame coordinates.
+
+    A function of its own, so the window's tensors are freed before the
+    next window allocates its own.
+    """
+    y0, y1, x0, x1 = box
+    ch, ys, xs, bins = window
+    vox = voxel_window((ch, ys - y0, xs - x0, bins), y1 - y0, x1 - x0, start, stop, spec.dt_ms)
+    out = from_voxel_grid(forward(spec, weights, vox, state=state)[0], t0, start)
+    return out.t, out.x + spec.scale * x0, out.y + spec.scale * y0, out.p
 
 
 def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
@@ -396,21 +466,40 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
     Bins are spec.dt_ms wide.  The grid is run through forward in
     windows of _WINDOW steps, each layer carrying its state from one
     window into the next, so memory is bounded by the window, not by
-    `steps`; the output is the whole grid's.  Returns (output stream at
-    2x geometry, input events dropped by binning).  An empty input
-    yields an empty output stream.  `mode` is only checked, by
-    resolve_mode.
+    `steps`; the output is the whole grid's.
+
+    Each window runs on its live box alone (_live_box): the pixels with
+    input in the window or a non-zero carried step, dilated by the 5x5
+    conv's 2-pixel halo.  This is exact.  Outside the box every PSP,
+    drive and bypass value is 0 < v_th, so no neuron fires there and the
+    next window's carried state is zero there too; at an inner edge of
+    the box, the conv's zero padding and the bypass's edge clamp read
+    the zeros the frame holds.  A window with no live pixel is skipped
+    and the state, all zero, starts afresh.  Where the box is the whole
+    frame this is the whole-frame computation, so work follows activity.
+
+    Returns (output stream at 2x geometry, input events dropped by
+    binning).  An empty input yields an empty output stream.  `mode` is
+    only checked, by resolve_mode.
     """
     resolve_mode(spec.variant, mode)
     coords, dropped = event_bins(stream, steps, spec.dt_ms)
-    state, parts = [], []
+    state, box = [], None
+    parts = [(np.zeros(0, np.int64),) * 4]   # so an empty output concatenates too
     for start in range(0, steps, _WINDOW):
-        vox = voxel_window(coords, stream.height, stream.width, start,
-                           min(start + _WINDOW, steps), spec.dt_ms)
-        parts.append(from_voxel_grid(forward(spec, weights, vox, state=state)[0],
-                                     stream.t0, start))
-    return EventStream(*(np.concatenate([getattr(part, f) for part in parts]) for f in "txyp"),
-                       parts[0].width, parts[0].height), dropped
+        stop = min(start + _WINDOW, steps)
+        lo, hi = np.searchsorted(coords[3], (start, stop))
+        window = tuple(c[lo:hi] for c in coords)
+        live = _live_box(spec, window, state, box, stream.height, stream.width)
+        if live is None:
+            state.clear()
+        elif state and live != box:
+            _rebox(spec, state, box, live)
+        box = live
+        if box is not None:
+            parts.append(_run_box(spec, weights, window, box, start, stop, stream.t0, state))
+    return EventStream(*(np.concatenate(field) for field in zip(*parts)),
+                       spec.scale * stream.width, spec.scale * stream.height), dropped
 
 
 # ---------------------------------------------------------------------------

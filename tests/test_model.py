@@ -312,6 +312,91 @@ class TestSuperResolve:
         assert peaks[1] < 1.25 * peaks[0], peaks
 
 
+def bursts(width, height, regions, seed=0):
+    """Events in rectangles (x0, y0, w, h, start_ms, stop_ms, n), the rest of the frame silent."""
+    rng = np.random.default_rng(seed)
+    parts = [(rng.integers(int(a * 1000), int(b * 1000), n), rng.integers(x0, x0 + w, n),
+              rng.integers(y0, y0 + h, n), rng.choice([1, -1], n))
+             for x0, y0, w, h, a, b, n in regions]
+    t, x, y, p = (np.concatenate(f) for f in zip(*parts))
+    return EventStream(t, x, y, p, width, height, t0=0)
+
+
+SPARSE_SCENES = {
+    # a burst in each corner, each after the last one's carried history has ended
+    "corners": [(0, 0, 3, 3, 0, 8, 300), (21, 0, 3, 3, 70, 78, 300),
+                (0, 17, 3, 3, 140, 148, 300), (21, 17, 3, 3, 210, 218, 300)],
+    # a quiet gap longer than any carried history, then one burst
+    "gap": [(9, 8, 4, 3, 0, 10, 500), (10, 9, 3, 3, 90, 100, 400)],
+    # two far-apart regions at once
+    "far_apart": [(1, 2, 3, 2, 0, 20, 500), (19, 15, 3, 4, 5, 25, 600)],
+}
+
+
+class TestLiveBox:
+    """super_resolve runs each window on its live box; the result is the whole grid's."""
+
+    @pytest.mark.parametrize("scene", list(SPARSE_SCENES))
+    @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
+    @pytest.mark.parametrize("dt_ms", [0.5, 1.0])
+    def test_equals_the_whole_grid(self, monkeypatch, scene, variant, dt_ms):
+        # at dt_ms 0.5 layer 2 carries 63 refractory steps, more than most windows
+        spec = network_spec(variant, dt_ms)
+        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        stream = bursts(24, 20, SPARSE_SCENES[scene])
+        steps = int(230 / dt_ms)
+        vox, want_dropped = to_voxel_grid(stream, steps, dt_ms)
+        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
+        assert len(want) > 0
+        boxes = []
+
+        def recorded(*args):
+            boxes.append(live_box(*args))
+            return boxes[-1]
+
+        live_box = model._live_box
+        monkeypatch.setattr(model, "_live_box", recorded)
+        for window in (1, 7, 32, steps):
+            monkeypatch.setattr(model, "_WINDOW", window)
+            got, dropped = super_resolve(spec, weights, stream, steps)
+            assert dropped == want_dropped
+            assert (got.width, got.height) == (want.width, want.height)
+            for k in "txyp":
+                assert np.array_equal(getattr(got, k), getattr(want, k)), (window, k)
+        assert any(b is not None and b != (0, 20, 0, 24) for b in boxes)   # not all the frame
+        if scene != "far_apart":
+            assert None in boxes   # a window with no live pixel
+
+    @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
+    def test_empty_stream(self, variant):
+        spec = network_spec(variant)
+        out, dropped = super_resolve(spec, init_weights(spec, seed=0),
+                                     EventStream.empty(8, 6), 40)
+        assert (len(out), dropped, out.width, out.height) == (0, 0, 16, 12)
+
+    def test_work_follows_activity(self, monkeypatch):
+        # every event in a 3x3 patch of a 64x64 frame: layer 2's carried state
+        # reaches 2 px past the events, the box 2 px more, so at most 11x11
+        spec = network_spec("ultralight")
+        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        shapes = []
+
+        def recorded(x, w):
+            shapes.append(x.shape[1:3])
+            return conv_drive(x, w)
+
+        monkeypatch.setattr(model, "conv_drive", recorded)
+        patch = bursts(64, 64, [(30, 20, 3, 3, 0, 100, 1500)])
+        out, _ = super_resolve(spec, weights, patch, 100)
+        assert len(out) > 0
+        assert all(h <= 11 and w <= 11 for h, w in shapes), shapes
+        assert (11, 11) in shapes   # the carried state widens the box
+        shapes.clear()
+        rng = np.random.default_rng(5)
+        super_resolve(spec, weights, helpers.random_stream(rng, 64, 64, 40.0, 20000), 40)
+        assert shapes and set(shapes) == {(64, 64)}
+
+
 class TestMembraneOnlyForTraining:
     """Only training's backward pass reads the membrane trace, so only it builds one."""
 
