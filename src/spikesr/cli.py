@@ -163,6 +163,9 @@ def cmd_train(args):
         cfg = TrainConfig(**{k: v for k, v in given.items() if v is not None})
     except TrainingError as exc:
         raise UsageError(str(exc)) from None
+    for path in (args.out, args.report):
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"{path}: directory {Path(path).parent} does not exist")
     pair_paths = _read_pair_manifest(args.pairs)
     val_count = args.val_count if args.val_count is not None else max(1, len(pair_paths) // 10)
     if val_count < 1:

@@ -23,6 +23,16 @@ def random_stream(rng, width, height, dur_ms, n_events, t0=0):
     return EventStream(t, x, y, p, width, height, t0=t0, t1=t0 + dur_us)
 
 
+def bursts(width, height, regions, seed=0):
+    """Events in rectangles (x0, y0, w, h, start_ms, stop_ms, n), the rest of the frame silent."""
+    rng = np.random.default_rng(seed)
+    parts = [(rng.integers(int(a * 1000), int(b * 1000), n), rng.integers(x0, x0 + w, n),
+              rng.integers(y0, y0 + h, n), rng.choice([1, -1], n))
+             for x0, y0, w, h, a, b, n in regions]
+    t, x, y, p = (np.concatenate(f) for f in zip(*parts))
+    return EventStream(t, x, y, p, width, height, t0=0)
+
+
 def voxel_oracle(stream, steps, dt=1.0, origin=None):
     """Per-event loop binning; returns (counts dict keyed (c,y,x,bin), dropped)."""
     t0 = stream.t0 if origin is None else origin

@@ -264,6 +264,25 @@ class TestTrain:
         assert err == ["warning: 1 of 1 validation pairs have no defined RMSE and were "
                        "left out of val_rmse_st"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_missing_output_directory_is_usage_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flag):
+        corpus = make_corpus(tmp_path, n=3)
+        calls = []
+
+        def fake_train(*args):
+            calls.append(args)
+            raise TrainingError("trained despite an unwritable output")
+        monkeypatch.setattr(spikesr.cli, "train", fake_train)
+        paths = {"--out": tmp_path / "m.ckpt", "--report": tmp_path / "report.csv"}
+        bad = paths[flag] = tmp_path / "missing" / paths[flag].name
+        before = sorted(tmp_path.rglob("*"))
+        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,
+                   "--out", paths["--out"], "--report", paths["--report"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+        assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
     def test_oversized_val_split_is_usage_error(self, tmp_path):
         corpus = make_corpus(tmp_path, n=3)
         assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,

@@ -312,16 +312,6 @@ class TestSuperResolve:
         assert peaks[1] < 1.25 * peaks[0], peaks
 
 
-def bursts(width, height, regions, seed=0):
-    """Events in rectangles (x0, y0, w, h, start_ms, stop_ms, n), the rest of the frame silent."""
-    rng = np.random.default_rng(seed)
-    parts = [(rng.integers(int(a * 1000), int(b * 1000), n), rng.integers(x0, x0 + w, n),
-              rng.integers(y0, y0 + h, n), rng.choice([1, -1], n))
-             for x0, y0, w, h, a, b, n in regions]
-    t, x, y, p = (np.concatenate(f) for f in zip(*parts))
-    return EventStream(t, x, y, p, width, height, t0=0)
-
-
 SPARSE_SCENES = {
     # a burst in each corner, each after the last one's carried history has ended
     "corners": [(0, 0, 3, 3, 0, 8, 300), (21, 0, 3, 3, 70, 78, 300),
@@ -343,7 +333,7 @@ class TestLiveBox:
         # at dt_ms 0.5 layer 2 carries 63 refractory steps, more than most windows
         spec = network_spec(variant, dt_ms)
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
-        stream = bursts(24, 20, SPARSE_SCENES[scene])
+        stream = helpers.bursts(24, 20, SPARSE_SCENES[scene])
         steps = int(230 / dt_ms)
         vox, want_dropped = to_voxel_grid(stream, steps, dt_ms)
         want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
@@ -386,7 +376,7 @@ class TestLiveBox:
             return conv_drive(x, w)
 
         monkeypatch.setattr(model, "conv_drive", recorded)
-        patch = bursts(64, 64, [(30, 20, 3, 3, 0, 100, 1500)])
+        patch = helpers.bursts(64, 64, [(30, 20, 3, 3, 0, 100, 1500)])
         out, _ = super_resolve(spec, weights, patch, 100)
         assert len(out) > 0
         assert all(h <= 11 and w <= 11 for h, w in shapes), shapes

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr import training
+from spikesr import model, training
 from spikesr.events import EventStream, SpikeTensor, downsample_2x, to_voxel_grid
 from spikesr.metrics import blocks, common_span, rmse_st
-from spikesr.model import (ModelError, backward_from_output, forward, init_weights,
-                           network_spec, super_resolve)
+from spikesr.model import (ModelError, backward_from_output, conv_drive, forward,
+                           init_weights, network_spec, super_resolve)
 from spikesr.synth import synth_moving_bar
 from spikesr.training import (EpochRow, LossState, TrainConfig, TrainingError,
                               adam_step, backward, init_optim, loss_total,
@@ -27,6 +27,11 @@ def spatial_oracle(a, b, width_ms, dt):
 def terms_of(out, gt, dt=1.0):
     """Unweighted loss terms at unit weights."""
     return loss_total(out, gt, LossState(), dt)[1]
+
+
+def terms_tuple(terms):
+    return (terms.temporal, terms.spatial, terms.polarity, terms.regulariser,
+            tuple(terms.weights))
 
 
 class TestLossTerms:
@@ -339,12 +344,13 @@ class TestTrainReportsWhatItLeftOut:
         assert with_empty.rows == alone.rows
 
 
+def firing_init(spec, seed):
+    """Scaled-up initial weights, so the network fires and the outputs are not empty."""
+    return [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed))]
+
+
 class TestValidationIsInference:
     def test_initial_rmse_is_mean_over_super_resolve(self, monkeypatch):
-        # scaled-up initial weights, so the network fires and the outputs are not empty
-        def firing_init(spec, seed):
-            return [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed))]
-
         monkeypatch.setattr(training, "init_weights", firing_init)
         val = []
         for dur in (32.0, 48.0):   # a 16-step grid of 2 ms holds the first, not the second
@@ -362,3 +368,91 @@ class TestValidationIsInference:
             assert len(pred) > 0
             scores.append(rmse_st(pred, hr, cfg.steps, cfg.dt_ms).rmse_st)
         assert res.initial_val_rmse == float(np.mean(scores))
+
+
+# HR regions (x0, y0, w, h, start_ms, stop_ms, n) of a 40x32 frame: those the LR
+# stream (20x16) is downsampled from, and those only the HR target holds
+BOX_CASES = {
+    # a bar against the left edge: the frame clips the box
+    "left_edge": ([(0, 8, 4, 16, 0, 40, 800)], []),
+    # two opposite corners: the box is the whole frame
+    "corners": ([(0, 0, 6, 6, 0, 40, 400), (34, 26, 6, 6, 0, 40, 400)], []),
+    # target events far outside the LR box
+    "target_outside": ([(16, 12, 6, 6, 0, 40, 600)], [(0, 0, 8, 8, 5, 35, 400)]),
+    # every LR event past the 60 ms grid: no box and no forward pass
+    "no_lr_event": ([(16, 12, 6, 6, 70, 80, 400)], [(16, 12, 6, 6, 0, 40, 400)]),
+}
+
+
+class TestLiveBoxTraining:
+    """train runs each sample on its LR live box; the gradients are the whole grid's."""
+
+    @pytest.mark.parametrize("case", list(BOX_CASES))
+    @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
+    @pytest.mark.parametrize("dt_ms", [1.0, 2.0])
+    def test_equals_the_whole_grid(self, monkeypatch, case, variant, dt_ms):
+        seen, target_only = BOX_CASES[case]
+        lr = downsample_2x(helpers.bursts(40, 32, seen))
+        hr = helpers.bursts(40, 32, seen + target_only)
+        steps = int(60 / dt_ms)
+        cfg = TrainConfig(variant=variant, epochs=1, batch_size=1, steps=steps,
+                          dt_ms=dt_ms, seed=2)
+        spec = network_spec(variant, dt_ms)
+        weights = firing_init(spec, cfg.seed)
+        out, caches = forward(spec, weights, to_voxel_grid(lr, steps, dt_ms)[0])
+        hr_data = to_voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0].data
+        want = backward(spec, weights, caches, out.data, hr_data, LossState())
+        assert out.data.any() == (case != "no_lr_event")
+        boxes, got = [], []
+
+        def recorded_box(*args):
+            boxes.append(model._live_box(*args))
+            return boxes[-1]
+
+        def recorded_backward(*args):
+            got.append(backward(*args))
+            return got[-1]
+
+        monkeypatch.setattr(training, "init_weights", firing_init)
+        monkeypatch.setattr(training, "_live_box", recorded_box)
+        monkeypatch.setattr(training, "backward", recorded_backward)
+        train(cfg, [(lr, hr)], [(lr, hr)])
+        (box,), (grads,) = boxes, got
+        frame = (0, 16, 0, 20)
+        if case == "no_lr_event":
+            assert len(lr) > 0 and box is None
+        elif case == "corners":
+            assert box == frame
+        else:
+            assert box != frame and (case != "left_edge" or box[2] == 0)
+        if case == "target_outside":
+            y0, y1, x0, x1 = box
+            assert hr_data.sum() > hr_data[:, 2 * y0:2 * y1, 2 * x0:2 * x1].sum()
+        assert grads.loss == want.loss
+        assert terms_tuple(grads.terms) == terms_tuple(want.terms)
+        assert np.array_equal(grads.log_var, want.log_var)
+        for g, w in zip(grads.weights, want.weights):
+            # exact up to the order of the adjoint sums; exactly 0 without a box
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+            assert w.any() == (case != "no_lr_event")
+
+    def test_work_follows_activity(self, monkeypatch):
+        # every LR event in a 3x3 patch of a 32x32 frame: the box is 3 + 2 x 2 px of halo
+        shapes = []
+
+        def recorded(x, w):
+            shapes.append(x.shape[1:3])
+            return conv_drive(x, w)
+
+        monkeypatch.setattr(model, "conv_drive", recorded)
+        hr = helpers.bursts(64, 64, [(28, 20, 6, 6, 0, 40, 800)])
+        # validation on an empty LR stream runs no window, so every drive is training's
+        val = [(EventStream.empty(32, 32), hr)]
+        cfg = TrainConfig(epochs=2, batch_size=2, steps=40, seed=1)
+        train(cfg, [(downsample_2x(hr), hr)] * 2, val)
+        assert shapes and all(h <= 7 and w <= 7 for h, w in shapes), shapes
+        assert (7, 7) in shapes
+        shapes.clear()
+        dense = helpers.random_stream(np.random.default_rng(5), 64, 64, 40.0, 20000)
+        train(cfg, [(downsample_2x(dense), dense)], val)
+        assert shapes and set(shapes) == {(32, 32)}
