@@ -50,6 +50,13 @@ def _load_stream(path):
     return load_events(path, guess_format(path))
 
 
+def _check_out_dirs(*paths):
+    """Refuse, before any work, an output path (None: not given) in a missing directory."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"{path}: directory {Path(path).parent} does not exist")
+
+
 def _read_pair_manifest(path):
     """Lines of `left_path,right_path`; relative paths resolve next to the manifest."""
     base = Path(path).parent
@@ -153,6 +160,7 @@ def _apply_config(args, path):
 
 
 def cmd_train(args):
+    _check_out_dirs(args.out, args.report)
     if args.config:
         _apply_config(args, args.config)
     if args.pairs is None:
@@ -163,9 +171,6 @@ def cmd_train(args):
         cfg = TrainConfig(**{k: v for k, v in given.items() if v is not None})
     except TrainingError as exc:
         raise UsageError(str(exc)) from None
-    for path in (args.out, args.report):
-        if path is not None and not Path(path).parent.is_dir():
-            raise UsageError(f"{path}: directory {Path(path).parent} does not exist")
     pair_paths = _read_pair_manifest(args.pairs)
     val_count = args.val_count if args.val_count is not None else max(1, len(pair_paths) // 10)
     if val_count < 1:
@@ -197,6 +202,7 @@ def _check_steps(steps):
 
 
 def cmd_infer(args):
+    _check_out_dirs(args.out)
     _check_steps(args.steps)
     out_path = Path(args.out)
     if guess_format(out_path) == "nmnist_bin":
@@ -252,6 +258,7 @@ def _eval_one(pred_path, gt_path, steps):
 
 
 def cmd_eval(args):
+    _check_out_dirs(args.out)
     _check_steps(args.steps)
     if args.manifest:
         reports = []
@@ -302,6 +309,7 @@ def _write_ppm(path, img):
 
 
 def cmd_render(args):
+    _check_out_dirs(args.out)
     stream = _load_stream(args.input)
     prefix = Path(args.out)
     if args.every is not None:

@@ -147,15 +147,6 @@ def voxel_window(coords, height: int, width: int, start: int, stop: int,
     return SpikeTensor(data, dt=dt)
 
 
-def to_voxel_grid(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
-    """Bin a stream into a [2, H, W, T] count tensor, binned by event_bins.
-
-    Returns the tensor together with the dropped-event count.
-    """
-    coords, dropped = event_bins(stream, steps, dt, origin)
-    return voxel_window(coords, stream.height, stream.width, 0, steps, dt), dropped
-
-
 def from_voxel_grid(tensor: SpikeTensor, t0: int = 0, first_bin: int = 0) -> EventStream:
     """Expand a count tensor back into events.
 

@@ -390,15 +390,15 @@ def resolve_mode(variant: str, mode: str | None) -> str:
 _WINDOW = 32
 
 
-def _live_box(spec: NetworkSpec, window, state, box, height: int, width: int):
+def _live_box(spec: NetworkSpec, ys, xs, height: int, width: int, state=(), box=None):
     """The LR box (y0, y1, x0, x1), half-open, that a window runs on, or None.
 
-    It bounds the pixels with an event in `window` (event_bins'
-    coordinates) and those where a layer's carried inputs or spikes hold
-    a non-zero step (`state` sits on `box`; layer 2's HR pixels map onto
+    It bounds the LR pixels at rows `ys` and columns `xs` (a window's
+    events) and those where a layer's carried inputs or spikes hold a
+    non-zero step (`state` sits on `box`; layer 2's HR pixels map onto
     their LR pixel), dilated by the 5x5 conv's halo, which also covers
     the bilinear bypass's one pixel, and clipped to the frame.  When the
-    window's events alone already span the frame, the state is not read.
+    given pixels alone already span the frame, the state is not read.
     """
     halo = spec.layers[0].kernel_h // 2
 
@@ -409,7 +409,6 @@ def _live_box(spec: NetworkSpec, window, state, box, height: int, width: int):
         return (max(0, int(y0.min()) - halo), min(height, int(y1.max()) + halo + 1),
                 max(0, int(x0.min()) - halo), min(width, int(x1.max()) + halo + 1))
 
-    _, ys, xs, _ = window
     spans = [(ys.min(), ys.max(), xs.min(), xs.max())] if ys.size else []
     if dilated(spans) == (0, height, 0, width):
         return 0, height, 0, width
@@ -422,6 +421,14 @@ def _live_box(spec: NetworkSpec, window, state, box, height: int, width: int):
                     spans.append((box[0] + rows[0] // s, box[0] + rows[-1] // s,
                                   box[2] + cols[0] // s, box[2] + cols[-1] // s))
     return dilated(spans)
+
+
+def _box_voxels(coords, box, start: int, stop: int, dt: float, scale: int = 1) -> SpikeTensor:
+    """Bins [start, stop) of event_bins' coordinates, counted on the LR box
+    `box`, or on its HR footprint for `scale` = spec.scale."""
+    y0, y1, x0, x1 = (scale * b for b in box)
+    ch, ys, xs, bins = coords
+    return voxel_window((ch, ys - y0, xs - x0, bins), y1 - y0, x1 - x0, start, stop, dt)
 
 
 def _rebox(spec: NetworkSpec, state, old, new) -> None:
@@ -452,11 +459,9 @@ def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0:
     A function of its own, so the window's tensors are freed before the
     next window allocates its own.
     """
-    y0, y1, x0, x1 = box
-    ch, ys, xs, bins = window
-    vox = voxel_window((ch, ys - y0, xs - x0, bins), y1 - y0, x1 - x0, start, stop, spec.dt_ms)
+    vox = _box_voxels(window, box, start, stop, spec.dt_ms)
     out = from_voxel_grid(forward(spec, weights, vox, state=state)[0], t0, start)
-    return out.t, out.x + spec.scale * x0, out.y + spec.scale * y0, out.p
+    return out.t, out.x + spec.scale * box[2], out.y + spec.scale * box[0], out.p
 
 
 def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
@@ -490,7 +495,7 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
         stop = min(start + _WINDOW, steps)
         lo, hi = np.searchsorted(coords[3], (start, stop))
         window = tuple(c[lo:hi] for c in coords)
-        live = _live_box(spec, window, state, box, stream.height, stream.width)
+        live = _live_box(spec, window[1], window[2], stream.height, stream.width, state, box)
         if live is None:
             state.clear()
         elif state and live != box:

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import event_bins, to_voxel_grid, voxel_window
+from .events import event_bins
 from .metrics import DegenerateStreamError, blocks, rmse_st
-from .model import (VARIANTS, NetworkSpec, _live_box, backward_from_output, forward,
-                    init_weights, network_spec, super_resolve)
+from .model import (VARIANTS, NetworkSpec, _box_voxels, _live_box, backward_from_output,
+                    forward, init_weights, network_spec, super_resolve)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -90,18 +90,14 @@ class Gradients:
     terms: LossTerms
 
 
-def backward(spec: NetworkSpec, weights, caches, out, gt, state: LossState,
-             region=...) -> Gradients:
+def backward(spec: NetworkSpec, weights, caches, out, gt, state: LossState) -> Gradients:
     """Full reverse pass: loss value, weight gradients, log-variance gradients.
 
-    The loss compares the whole output `out` with `gt`; the caches hold
-    the passes that produced out[region], so the weight gradients see
-    the loss gradient on that region alone (train's live box).  The
-    log-variance gradient is 1 - w_i * L_i; weight gradients are the
+    The log-variance gradient is 1 - w_i * L_i; weight gradients are the
     per-pass sums from model.backward_from_output, zero without caches.
     """
     total, terms, g_out = loss_total(out, gt, state, spec.dt_ms)
-    g_w = backward_from_output(spec, weights, caches, g_out[region])
+    g_w = backward_from_output(spec, weights, caches, g_out)
     losses = np.array([terms.temporal, terms.spatial, terms.polarity])
     g_lv = 1.0 - terms.weights * losses
     return Gradients(g_w, g_lv, total, terms)
@@ -230,23 +226,17 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     outside the cfg.steps-long grids and the validation pairs left out
     of the RMSE.
 
-    Each sample trains on its live box: the bounding box of its kept LR
-    events, dilated by the conv's halo (model._live_box with no carried
-    state).  The LR input is voxelized on the box and forward runs on
-    it.  Outside the box every drive is 0 < v_th, as in super_resolve,
-    so the whole frame's output is 0 there; the box output is written
-    into zeros of the HR frame, and the loss, its terms and the
-    log-variance gradient are the whole frame's bit for bit.  The
-    weight gradients are too, up to the order of the adjoint sums, even
-    where the HR target has events outside the box.  Outside it, layer
-    1's input PSP (non-zero only at event pixels, beyond the conv's
-    reach) and layer 2's input spikes are zero, so the weight adjoints
-    read only zeros there.  The PSP adjoint, the surrogate and the
-    membrane work one pixel at a time and the transposed conv's input
-    adjoint one 2x2 block at a time, so every in-box gradient depends
-    only on the loss gradient in the box's HR footprint, the part
-    backward hands the caches.  A sample with no kept LR event runs no
-    forward pass and adds zero weight gradient.
+    Each sample trains on its live box (model._live_box with no carried
+    state): the bounding box of its kept LR events and of the LR pixels
+    of its kept target events, dilated by the conv's halo.  Input and
+    target are voxelized on the box, and the loss sees only the box.
+    Both sides are zero outside it (every drive there is 0 < v_th, as
+    in super_resolve), so the loss, its terms, the log-variance gradient
+    and the loss gradient are the whole frame's bit for bit (in hard
+    mode out - gt is integer-valued, so its sums are exact in any
+    order), and the weight gradients differ from the whole frame's only
+    in the order of their sums.  A sample with no kept LR event runs no
+    forward pass.
     """
     _validate_pairs(pairs, "training")
     _validate_pairs(val_pairs, "validation")
@@ -257,22 +247,18 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     dropped = sum(event_bins(lr, cfg.steps, cfg.dt_ms)[1]
                   + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1]
                   for lr, hr in val_pairs)
-    train_data = []
+    s = spec.scale
+    train_data = []   # per pair: its input on its box (None without an event), its target
     for lr_stream, hr_stream in pairs:
-        coords, lr_dropped = event_bins(lr_stream, cfg.steps, cfg.dt_ms)
-        hr_vox, hr_dropped = to_voxel_grid(hr_stream, cfg.steps, cfg.dt_ms,
-                                           origin=lr_stream.t0)
+        lr, lr_dropped = event_bins(lr_stream, cfg.steps, cfg.dt_ms)
+        hr, hr_dropped = event_bins(hr_stream, cfg.steps, cfg.dt_ms, origin=lr_stream.t0)
         dropped += lr_dropped + hr_dropped
-        box = _live_box(spec, coords, [], None, lr_stream.height, lr_stream.width)
-        lr_vox, region = None, ...
-        if box is not None:
-            y0, y1, x0, x1 = box
-            ch, ys, xs, bins = coords
-            lr_vox = voxel_window((ch, ys - y0, xs - x0, bins), y1 - y0, x1 - x0,
-                                  0, cfg.steps, cfg.dt_ms)
-            s = spec.scale
-            region = (slice(None), slice(s * y0, s * y1), slice(s * x0, s * x1))
-        train_data.append((lr_vox, region, hr_vox.data))
+        # without a kept event on either side the box is empty and the loss sum(log_var)
+        box = _live_box(spec, np.concatenate([lr[1], hr[1] // s]),
+                        np.concatenate([lr[2], hr[2] // s]),
+                        lr_stream.height, lr_stream.width) or (0, 0, 0, 0)
+        lr_vox = _box_voxels(lr, box, 0, cfg.steps, cfg.dt_ms) if lr[0].size else None
+        train_data.append((lr_vox, _box_voxels(hr, box, 0, cfg.steps, cfg.dt_ms, s).data))
     rng = np.random.default_rng(cfg.seed)
     initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
     params = weights + [state.log_var]
@@ -286,15 +272,13 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             acc_w = [np.zeros_like(w) for w in weights]
             acc_lv = np.zeros(3)
             for j in batch:
-                lr_vox, region, hr_data = train_data[j]
+                lr_vox, hr_data = train_data[j]
                 # the last sample's caches stay bound while forward runs: freed
                 # first, their pages go back to the system and fault in again
                 box_out, caches = ((None, []) if lr_vox is None
                                    else forward(spec, weights, lr_vox))
-                out = np.zeros(hr_data.shape)
-                if box_out is not None:
-                    out[region] = box_out.data
-                grads = backward(spec, weights, caches, out, hr_data, state, region)
+                out = np.zeros(hr_data.shape) if box_out is None else box_out.data
+                grads = backward(spec, weights, caches, out, hr_data, state)
                 if not np.isfinite(grads.loss):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, sample {j}")

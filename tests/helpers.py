@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way (event loops, nested
 dicts, scalar arithmetic) so it shares no code path with the package
-implementations it cross-checks.
+implementations it cross-checks; voxel_grid alone is shorthand for the
+package's own binning.
 """
 
 import math
@@ -10,7 +11,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from spikesr.events import EventStream
+from spikesr.events import EventStream, event_bins, voxel_window
 
 
 def random_stream(rng, width, height, dur_ms, n_events, t0=0):
@@ -31,6 +32,12 @@ def bursts(width, height, regions, seed=0):
              for x0, y0, w, h, a, b, n in regions]
     t, x, y, p = (np.concatenate(f) for f in zip(*parts))
     return EventStream(t, x, y, p, width, height, t0=0)
+
+
+def voxel_grid(stream, steps, dt=1.0, origin=None):
+    """A whole stream's [2, H, W, steps] count tensor and dropped count, by the package."""
+    coords, dropped = event_bins(stream, steps, dt, origin)
+    return voxel_window(coords, stream.height, stream.width, 0, steps, dt), dropped
 
 
 def voxel_oracle(stream, steps, dt=1.0, origin=None):

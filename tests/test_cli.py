@@ -3,11 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 import spikesr.cli
 import spikesr.events
 import spikesr.model
 from spikesr.cli import main
-from spikesr.events import EventStream, downsample_2x, to_voxel_grid
+from spikesr.events import EventStream, downsample_2x
 from spikesr.io import guess_format, load_events, save_events
 from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
 from spikesr.synth import synth_moving_bar
@@ -323,7 +324,7 @@ class TestInfer:
         lr_path, out = corpus / "bar_000.lr.evbin", tmp_path / "sr.evbin"
         infer_nonempty(ckpt, lr_path, out, "--steps", 32)
         lr = load_events(lr_path, "evbin")
-        dropped = to_voxel_grid(lr, 32)[1]
+        dropped = helpers.voxel_grid(lr, 32)[1]
         assert dropped > 0
         n_out = len(load_events(out, "evbin"))
         line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -372,6 +373,18 @@ class TestInfer:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
         assert calls == [] and not out.exists()
+
+    def test_missing_output_directory_is_usage_error_before_any_work(
+            self, firing, tmp_path, capsys, monkeypatch):
+        corpus, ckpt = firing
+        calls = []
+        monkeypatch.setattr(spikesr.cli, "super_resolve", lambda *a: calls.append(a))
+        out = tmp_path / "missing" / "sr.evbin"
+        assert run("infer", "--checkpoint", ckpt, "--input", corpus / "bar_000.lr.evbin",
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+        assert calls == [] and not out.parent.exists()
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_non_positive_steps_is_usage_error(self, tmp_path, capsys, steps):
@@ -513,6 +526,19 @@ class TestEval:
     def test_needs_inputs(self):
         assert run("eval") == 2
 
+    def test_missing_output_directory_is_usage_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        corpus = make_corpus(tmp_path, n=1)
+        (corpus / "eval.txt").write_text("bar_000.evbin,bar_000.evbin\n")
+        calls = []
+        monkeypatch.setattr(spikesr.cli, "rmse_st", lambda *a: calls.append(a))
+        out = tmp_path / "missing" / "e.csv"
+        capsys.readouterr()
+        assert run("eval", "--manifest", corpus / "eval.txt", "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+        assert calls == [] and not out.parent.exists()
+
 
 class TestRender:
     def test_single_positive_event_is_red(self, tmp_path, capsys):
@@ -567,6 +593,20 @@ class TestRender:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and "--every" in err[0], every
         assert not list(tmp_path.glob("f*"))
+
+    @pytest.mark.parametrize("every", [None, "10"])
+    def test_missing_output_directory_is_usage_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, every):
+        path = tmp_path / "one.evbin"
+        save_events(EventStream([500], [2], [1], [1], 4, 3), path, "evbin")
+        calls = []
+        monkeypatch.setattr(spikesr.cli, "_render_frame", lambda *a: calls.append(a))
+        out = tmp_path / "missing" / "frame.ppm"
+        extra = () if every is None else ("--every", every)
+        assert run("render", "--input", path, "--out", out, *extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+        assert calls == [] and not out.parent.exists()
 
 
 class TestInfo:

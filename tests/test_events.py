@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import (EventError, EventStream, SpikeTensor, downsample_2x,
-                            from_voxel_grid, to_voxel_grid)
+from spikesr.events import EventError, EventStream, SpikeTensor, downsample_2x, from_voxel_grid
 from spikesr.synth import synth_moving_bar
 
 
@@ -55,9 +54,11 @@ class TestSpikeTensor:
 
 
 class TestToVoxelGrid:
+    """A whole stream binned by event_bins and counted by voxel_window."""
+
     def test_basic_binning(self):
         s = stream_of([[0, 1, 2, 1], [400, 1, 2, 1], [1500, 0, 0, -1]], 4, 4)
-        vox, dropped = to_voxel_grid(s, 4)
+        vox, dropped = helpers.voxel_grid(s, 4)
         assert dropped == 0
         assert vox.data[0, 2, 1, 0] == 2.0
         assert vox.data[1, 0, 0, 1] == 1.0
@@ -65,30 +66,30 @@ class TestToVoxelGrid:
 
     def test_closing_edge_folds_into_last_bin(self):
         s = stream_of([[0, 0, 0, 1], [4000, 0, 0, 1]], 1, 1)
-        vox, dropped = to_voxel_grid(s, 4)
+        vox, dropped = helpers.voxel_grid(s, 4)
         assert dropped == 0
         assert vox.data[0, 0, 0, 3] == 1.0
 
     def test_beyond_grid_dropped(self):
         s = stream_of([[0, 0, 0, 1], [9999, 0, 0, 1]], 1, 1)
-        vox, dropped = to_voxel_grid(s, 4)
+        vox, dropped = helpers.voxel_grid(s, 4)
         assert dropped == 1
         assert vox.data.sum() == 1.0
 
     def test_reorder_within_bin_invariant(self, rng):
         s = helpers.random_stream(rng, 6, 6, 20, 80)
-        vox, _ = to_voxel_grid(s, 20)
+        vox, _ = helpers.voxel_grid(s, 20)
         perm = rng.permutation(len(s))
         shuffled = EventStream(s.t[perm], s.x[perm], s.y[perm], s.p[perm],
                                6, 6, t0=s.t0, t1=s.t1)
-        vox2, _ = to_voxel_grid(shuffled, 20)
+        vox2, _ = helpers.voxel_grid(shuffled, 20)
         assert np.array_equal(vox.data, vox2.data)
 
     def test_matches_event_loop_oracle(self, rng):
         for _ in range(25):
             s = helpers.random_stream(rng, 8, 8, 30, int(rng.integers(0, 120)))
             steps = int(rng.integers(1, 40))
-            vox, dropped = to_voxel_grid(s, steps)
+            vox, dropped = helpers.voxel_grid(s, steps)
             counts, dropped_o = helpers.voxel_oracle(s, steps)
             assert dropped == dropped_o
             dense = np.zeros_like(vox.data)
@@ -120,7 +121,7 @@ class TestFromVoxelGrid:
         for _ in range(10):
             data = rng.integers(0, 4, (2, 5, 6, 9)).astype(float)
             tensor = SpikeTensor(data)
-            back, dropped = to_voxel_grid(from_voxel_grid(tensor), 9)
+            back, dropped = helpers.voxel_grid(from_voxel_grid(tensor), 9)
             assert dropped == 0
             assert np.array_equal(back.data, data)
 

@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from spikesr import kernels, model
-from spikesr.events import EventStream, SpikeTensor, downsample_2x, from_voxel_grid, to_voxel_grid
+from spikesr.events import EventStream, SpikeTensor, downsample_2x, from_voxel_grid
 from spikesr.model import (CHECKPOINT_MAGIC, ModelError, NetworkSpec,
                            backward_from_output, bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
@@ -285,7 +285,7 @@ class TestSuperResolve:
         stream = EventStream(np.append(noise.t, edge), np.append(noise.x, 3),
                              np.append(noise.y, 2), np.append(noise.p, -1), 6, 5)
         assert np.count_nonzero(stream.t > edge) > 0
-        vox, want_dropped = to_voxel_grid(stream, steps, dt_ms)
+        vox, want_dropped = helpers.voxel_grid(stream, steps, dt_ms)
         want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
         assert len(want) > 0
         for window in (1, 7, 64, steps):
@@ -335,7 +335,7 @@ class TestLiveBox:
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         stream = helpers.bursts(24, 20, SPARSE_SCENES[scene])
         steps = int(230 / dt_ms)
-        vox, want_dropped = to_voxel_grid(stream, steps, dt_ms)
+        vox, want_dropped = helpers.voxel_grid(stream, steps, dt_ms)
         want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
         assert len(want) > 0
         boxes = []

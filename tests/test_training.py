@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from spikesr import model, training
-from spikesr.events import EventStream, SpikeTensor, downsample_2x, to_voxel_grid
+from spikesr.events import EventStream, SpikeTensor, downsample_2x
 from spikesr.metrics import blocks, common_span, rmse_st
 from spikesr.model import (ModelError, backward_from_output, conv_drive, forward,
                            init_weights, network_spec, super_resolve)
@@ -117,8 +117,8 @@ class TestLossSharesTheMetricsBlocks:
         pred = helpers.random_stream(rng, 6, 5, 100, 400)
         gt = helpers.random_stream(rng, 6, 5, 100, 300, t0=60)
         t0, _ = common_span(pred, gt)
-        out = to_voxel_grid(pred, steps, dt, origin=t0)[0].data
-        ref = to_voxel_grid(gt, steps, dt, origin=t0)[0].data
+        out = helpers.voxel_grid(pred, steps, dt, origin=t0)[0].data
+        ref = helpers.voxel_grid(gt, steps, dt, origin=t0)[0].data
         terms = terms_of(out, ref, dt)
         report = rmse_st(pred, gt, steps, dt)
         assert terms.polarity == report.mse_t_raw
@@ -377,15 +377,16 @@ BOX_CASES = {
     "left_edge": ([(0, 8, 4, 16, 0, 40, 800)], []),
     # two opposite corners: the box is the whole frame
     "corners": ([(0, 0, 6, 6, 0, 40, 400), (34, 26, 6, 6, 0, 40, 400)], []),
-    # target events far outside the LR box
+    # target events far outside the LR events' box
     "target_outside": ([(16, 12, 6, 6, 0, 40, 600)], [(0, 0, 8, 8, 5, 35, 400)]),
-    # every LR event past the 60 ms grid: no box and no forward pass
+    # every LR event past the 60 ms grid: the box is the target's, and no forward pass
     "no_lr_event": ([(16, 12, 6, 6, 70, 80, 400)], [(16, 12, 6, 6, 0, 40, 400)]),
 }
 
 
 class TestLiveBoxTraining:
-    """train runs each sample on its LR live box; the gradients are the whole grid's."""
+    """train runs each sample on the live box of its input and target; the
+    gradients are the whole grid's."""
 
     @pytest.mark.parametrize("case", list(BOX_CASES))
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
@@ -399,11 +400,11 @@ class TestLiveBoxTraining:
                           dt_ms=dt_ms, seed=2)
         spec = network_spec(variant, dt_ms)
         weights = firing_init(spec, cfg.seed)
-        out, caches = forward(spec, weights, to_voxel_grid(lr, steps, dt_ms)[0])
-        hr_data = to_voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0].data
+        out, caches = forward(spec, weights, helpers.voxel_grid(lr, steps, dt_ms)[0])
+        hr_data = helpers.voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0].data
         want = backward(spec, weights, caches, out.data, hr_data, LossState())
         assert out.data.any() == (case != "no_lr_event")
-        boxes, got = [], []
+        boxes, got, forwards = [], [], []
 
         def recorded_box(*args):
             boxes.append(model._live_box(*args))
@@ -413,38 +414,68 @@ class TestLiveBoxTraining:
             got.append(backward(*args))
             return got[-1]
 
+        def recorded_forward(*args):
+            forwards.append(args)
+            return forward(*args)
+
         monkeypatch.setattr(training, "init_weights", firing_init)
         monkeypatch.setattr(training, "_live_box", recorded_box)
         monkeypatch.setattr(training, "backward", recorded_backward)
+        monkeypatch.setattr(training, "forward", recorded_forward)
         train(cfg, [(lr, hr)], [(lr, hr)])
         (box,), (grads,) = boxes, got
         frame = (0, 16, 0, 20)
+        y0, y1, x0, x1 = box
+        # the box covers every kept target event
+        assert hr_data.sum() == hr_data[:, 2 * y0:2 * y1, 2 * x0:2 * x1].sum() > 0
         if case == "no_lr_event":
-            assert len(lr) > 0 and box is None
+            # the box is the target's pixels, dilated by the conv's 2-px halo
+            assert len(lr) > 0 and forwards == []
+            ys, xs = np.nonzero(hr_data.any(axis=(0, 3)))
+            assert box == (ys.min() // 2 - 2, ys.max() // 2 + 3,
+                           xs.min() // 2 - 2, xs.max() // 2 + 3)
         elif case == "corners":
             assert box == frame
         else:
             assert box != frame and (case != "left_edge" or box[2] == 0)
         if case == "target_outside":
-            y0, y1, x0, x1 = box
-            assert hr_data.sum() > hr_data[:, 2 * y0:2 * y1, 2 * x0:2 * x1].sum()
+            # the LR events' box alone leaves target events out
+            lr_box = model._live_box(spec, lr.y, lr.x, 16, 20)
+            assert lr_box != box
+            ly0, ly1, lx0, lx1 = lr_box
+            assert hr_data.sum() > hr_data[:, 2 * ly0:2 * ly1, 2 * lx0:2 * lx1].sum()
         assert grads.loss == want.loss
         assert terms_tuple(grads.terms) == terms_tuple(want.terms)
         assert np.array_equal(grads.log_var, want.log_var)
         for g, w in zip(grads.weights, want.weights):
-            # exact up to the order of the adjoint sums; exactly 0 without a box
+            # exact up to the order of the adjoint sums; exactly 0 without a forward pass
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
             assert w.any() == (case != "no_lr_event")
 
     def test_work_follows_activity(self, monkeypatch):
-        # every LR event in a 3x3 patch of a 32x32 frame: the box is 3 + 2 x 2 px of halo
-        shapes = []
+        # every LR event in a 3x3 patch of a 32x32 frame: the box is 3 + 2 x 2 px of halo,
+        # and the loss compares its 14x14 HR footprint
+        shapes, operands, forwards, seen = [], [], [], []
 
-        def recorded(x, w):
+        def recorded_drive(x, w):
             shapes.append(x.shape[1:3])
             return conv_drive(x, w)
 
-        monkeypatch.setattr(model, "conv_drive", recorded)
+        def recorded_loss(out, gt, *args):
+            operands.append((np.shape(out), np.shape(gt)))
+            return loss_total(out, gt, *args)
+
+        def recorded_forward(*args):
+            forwards.append(args)
+            return forward(*args)
+
+        def recorded_backward(spec, weights, caches, out, gt, state):
+            seen.append((float(np.sum(state.log_var)),
+                         backward(spec, weights, caches, out, gt, state)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(model, "conv_drive", recorded_drive)
+        monkeypatch.setattr(training, "loss_total", recorded_loss)
         hr = helpers.bursts(64, 64, [(28, 20, 6, 6, 0, 40, 800)])
         # validation on an empty LR stream runs no window, so every drive is training's
         val = [(EventStream.empty(32, 32), hr)]
@@ -452,7 +483,22 @@ class TestLiveBoxTraining:
         train(cfg, [(downsample_2x(hr), hr)] * 2, val)
         assert shapes and all(h <= 7 and w <= 7 for h, w in shapes), shapes
         assert (7, 7) in shapes
+        assert len(operands) == 4 and set(operands) == {((2, 14, 14, 40),) * 2}
         shapes.clear()
+        operands.clear()
         dense = helpers.random_stream(np.random.default_rng(5), 64, 64, 40.0, 20000)
         train(cfg, [(downsample_2x(dense), dense)], val)
         assert shapes and set(shapes) == {(32, 32)}
+        assert set(operands) == {((2, 64, 64, 40),) * 2}
+        # no kept event on either side: every event is past the 40-step grid
+        shapes.clear()
+        operands.clear()
+        late = helpers.bursts(64, 64, [(28, 20, 6, 6, 50, 60, 300)])
+        monkeypatch.setattr(training, "forward", recorded_forward)
+        monkeypatch.setattr(training, "backward", recorded_backward)
+        train(cfg, [(downsample_2x(late), late)], val)
+        assert forwards == [] and shapes == []
+        assert len(seen) == 2 and set(operands) == {((2, 0, 0, 40),) * 2}
+        for log_var_sum, grads in seen:
+            assert grads.loss == log_var_sum
+            assert not any(g.any() for g in grads.weights)
