@@ -137,14 +137,31 @@ def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | N
     return (ch, stream.y[keep], stream.x[keep], bins[keep]), int(np.count_nonzero(~keep))
 
 
+def _voxel_index(coords, shape, start: int, y0: int = 0, x0: int = 0) -> np.ndarray:
+    """Flat index, in a [2, H, W, T] tensor of `shape`, of each event in
+    bins [start, start + T) of event_bins' coordinates, its pixel taken
+    relative to (y0, x0).  Refuses an event whose pixel lies outside."""
+    ch, y, x, bins = coords
+    lo, hi = np.searchsorted(bins, (start, start + shape[3]))
+    try:
+        return np.ravel_multi_index(
+            (ch[lo:hi], y[lo:hi] - y0, x[lo:hi] - x0, bins[lo:hi] - start), shape)
+    except ValueError:
+        raise EventError(f"an event lies outside the {shape[1]}x{shape[2]} voxel grid") from None
+
+
+def _count_voxels(index, shape, dt: float) -> SpikeTensor:
+    """Count tensor of `shape` holding, at each flat index, how often it occurs."""
+    data = np.zeros(math.prod(shape))
+    np.add.at(data, index, 1.0)
+    return SpikeTensor(data.reshape(shape), dt=dt)
+
+
 def voxel_window(coords, height: int, width: int, start: int, stop: int,
                  dt: float = 1.0) -> SpikeTensor:
     """Count tensor [2, H, W, stop - start] of bins [start, stop) of event_bins' coordinates."""
-    ch, y, x, bins = coords
-    lo, hi = np.searchsorted(bins, (start, stop))
-    data = np.zeros((2, height, width, stop - start), dtype=np.float64)
-    np.add.at(data, (ch[lo:hi], y[lo:hi], x[lo:hi], bins[lo:hi] - start), 1.0)
-    return SpikeTensor(data, dt=dt)
+    shape = (2, height, width, stop - start)
+    return _count_voxels(_voxel_index(coords, shape, start), shape, dt)
 
 
 def from_voxel_grid(tensor: SpikeTensor, t0: int = 0, first_bin: int = 0) -> EventStream:

@@ -87,15 +87,27 @@ def refractory_kernel(tau_r: float, lam: float, dt: float, length: int) -> np.nd
 _BLOCK = 64   # output steps per matrix product
 
 
+@functools.lru_cache(maxsize=64)
+def _band(taps: bytes, B: int) -> np.ndarray:
+    """The (B + K - 1) x B band matrix band[r, c] = taps[r - c], 0 off the
+    band, of K float64 taps given as bytes; read-only, built once per
+    (taps, B), and at most (_BLOCK + K - 1) * _BLOCK floats whatever T is."""
+    taps = np.frombuffer(taps)
+    K = taps.size
+    lag = np.arange(B + K - 1)[:, None] - np.arange(B)[None, :]
+    band = np.where((lag >= 0) & (lag < K), taps[lag.clip(0, K - 1)], 0.0)
+    band.setflags(write=False)
+    return band
+
+
 def _banded_product(x: np.ndarray, taps: np.ndarray, first: int, start: int = 0) -> np.ndarray:
     """out[..., t - start] = sum_i taps[i] * x[..., t + first + i] for t in [start, T),
     with x zero outside [0, T).
 
     A blocked banded product: each block of up to _BLOCK output steps is
     the rows of x.reshape(-1, T) over the block's input window times a
-    slice of one small band matrix, band[r, c] = taps[r - c].  The band
-    holds (_BLOCK + K - 1) * _BLOCK floats whatever T is.  The steps
-    before `start` feed the filter but get no output of their own.
+    slice of one small band matrix (_band).  The steps before `start`
+    feed the filter but get no output of their own.
     """
     T = x.shape[-1]
     K = taps.size
@@ -105,8 +117,7 @@ def _banded_product(x: np.ndarray, taps: np.ndarray, first: int, start: int = 0)
     rows = x.reshape(-1, T)
     out = np.empty((rows.shape[0], T - start))
     B = min(_BLOCK, T - start)
-    lag = np.arange(B + K - 1)[:, None] - np.arange(B)[None, :]
-    band = np.where((lag >= 0) & (lag < K), taps[lag.clip(0, K - 1)], 0.0)
+    band = _band(taps.tobytes(), B)
     for b in range(start, T, B):
         n = min(B, T - b)
         lo, hi = max(0, b + first), min(T, b + first + n + K - 1)

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventStream, SpikeTensor, event_bins, from_voxel_grid, voxel_window
+from .events import (EventStream, SpikeTensor, _count_voxels, _voxel_index, event_bins,
+                     from_voxel_grid)
 from .kernels import (NeuronConfig, apply_psp, apply_psp_adjoint, generate_spikes,
                       kernel_length, membrane, soft_spike_grad, soft_spikes,
                       spike_kernel, surrogate_grad)
@@ -145,7 +146,9 @@ def count_flops(spec: NetworkSpec, h: int, w: int, t: int) -> int:
 def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """[C, H, W, T, kh, kw] view of the kh x kw patch around every pixel of
     x, zero padded by k // 2 so there is one patch per input pixel."""
-    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    c, h, w, t = x.shape
+    xp = np.zeros((c, h + 2 * (kh // 2), w + 2 * (kw // 2), t))
+    xp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = x
     return sliding_window_view(xp, (kh, kw), axis=(1, 2))
 
 
@@ -186,12 +189,18 @@ def upconv2x_input_adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _upsample_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """Linear 2x upsampling along one axis, edges clamped:
     out[2i] = 0.25 a[i-1] + 0.75 a[i] and out[2i+1] = 0.75 a[i] + 0.25 a[i+1]."""
-    n = a.shape[axis]
-    head = (slice(None),) * axis
-    p = np.pad(a, [(1, 1) if i == axis else (0, 0) for i in range(a.ndim)], mode="edge")
-    prev, nxt = p[head + (slice(0, n),)], p[head + (slice(2, None),)]
-    pairs = np.stack([0.25 * prev + 0.75 * a, 0.75 * a + 0.25 * nxt], axis=axis + 1)
-    return pairs.reshape(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:])
+    shape, n = a.shape, a.shape[axis]
+    out = np.empty(shape[:axis] + (n, 2) + shape[axis + 1:])   # both phases, interleaved
+    pairs, a = np.moveaxis(out, (axis, axis + 1), (0, 1)), np.moveaxis(a, axis, 0)
+    even, odd = pairs[:, 0], pairs[:, 1]
+    np.multiply(0.75, a, out=even)
+    np.multiply(0.75, a, out=odd)
+    quarter = 0.25 * a
+    even[1:] += quarter[:-1]
+    even[:1] += quarter[:1]
+    odd[:-1] += quarter[1:]
+    odd[-1:] += quarter[-1:]
+    return out.reshape(shape[:axis] + (2 * n,) + shape[axis + 1:])
 
 
 def bilinear_upsample_2x(x: np.ndarray) -> np.ndarray:
@@ -423,12 +432,13 @@ def _live_box(spec: NetworkSpec, ys, xs, height: int, width: int, state=(), box=
     return dilated(spans)
 
 
-def _box_voxels(coords, box, start: int, stop: int, dt: float, scale: int = 1) -> SpikeTensor:
-    """Bins [start, stop) of event_bins' coordinates, counted on the LR box
-    `box`, or on its HR footprint for `scale` = spec.scale."""
+def _box_index(coords, box, start: int, stop: int, scale: int = 1):
+    """(flat indices, shape): bins [start, stop) of event_bins' coordinates
+    in the [2, h, w, stop - start] tensor of the LR box `box`, or of its HR
+    footprint for `scale` = spec.scale; _count_voxels counts them."""
     y0, y1, x0, x1 = (scale * b for b in box)
-    ch, ys, xs, bins = coords
-    return voxel_window((ch, ys - y0, xs - x0, bins), y1 - y0, x1 - x0, start, stop, dt)
+    shape = (2, y1 - y0, x1 - x0, stop - start)
+    return _voxel_index(coords, shape, start, y0, x0), shape
 
 
 def _rebox(spec: NetworkSpec, state, old, new) -> None:
@@ -459,7 +469,7 @@ def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0:
     A function of its own, so the window's tensors are freed before the
     next window allocates its own.
     """
-    vox = _box_voxels(window, box, start, stop, spec.dt_ms)
+    vox = _count_voxels(*_box_index(window, box, start, stop), spec.dt_ms)
     out = from_voxel_grid(forward(spec, weights, vox, state=state)[0], t0, start)
     return out.t, out.x + spec.scale * box[2], out.y + spec.scale * box[0], out.p
 

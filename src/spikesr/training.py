@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import event_bins
+from .events import _count_voxels, event_bins
 from .metrics import DegenerateStreamError, blocks, rmse_st
-from .model import (VARIANTS, NetworkSpec, _box_voxels, _live_box, backward_from_output,
+from .model import (VARIANTS, NetworkSpec, _box_index, _live_box, backward_from_output,
                     forward, init_weights, network_spec, super_resolve)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
@@ -229,7 +229,9 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     Each sample trains on its live box (model._live_box with no carried
     state): the bounding box of its kept LR events and of the LR pixels
     of its kept target events, dilated by the conv's halo.  Input and
-    target are voxelized on the box, and the loss sees only the box.
+    target are held as their events' flat indices in the box's tensors
+    (8 bytes per kept event) and counted into tensors only while their
+    sample runs; the loss sees only the box.
     Both sides are zero outside it (every drive there is 0 < v_th, as
     in super_resolve), so the loss, its terms, the log-variance gradient
     and the loss gradient are the whole frame's bit for bit (in hard
@@ -248,7 +250,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
                   + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1]
                   for lr, hr in val_pairs)
     s = spec.scale
-    train_data = []   # per pair: its input on its box (None without an event), its target
+    train_data = []   # per pair: (flat indices, shape) of its input and its target on its box
     for lr_stream, hr_stream in pairs:
         lr, lr_dropped = event_bins(lr_stream, cfg.steps, cfg.dt_ms)
         hr, hr_dropped = event_bins(hr_stream, cfg.steps, cfg.dt_ms, origin=lr_stream.t0)
@@ -257,8 +259,8 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
         box = _live_box(spec, np.concatenate([lr[1], hr[1] // s]),
                         np.concatenate([lr[2], hr[2] // s]),
                         lr_stream.height, lr_stream.width) or (0, 0, 0, 0)
-        lr_vox = _box_voxels(lr, box, 0, cfg.steps, cfg.dt_ms) if lr[0].size else None
-        train_data.append((lr_vox, _box_voxels(hr, box, 0, cfg.steps, cfg.dt_ms, s).data))
+        train_data.append((_box_index(lr, box, 0, cfg.steps),
+                           _box_index(hr, box, 0, cfg.steps, s)))
     rng = np.random.default_rng(cfg.seed)
     initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
     params = weights + [state.log_var]
@@ -272,13 +274,15 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
             acc_w = [np.zeros_like(w) for w in weights]
             acc_lv = np.zeros(3)
             for j in batch:
-                lr_vox, hr_data = train_data[j]
+                (lr_index, lr_shape), (hr_index, hr_shape) = train_data[j]
                 # the last sample's caches stay bound while forward runs: freed
                 # first, their pages go back to the system and fault in again
-                box_out, caches = ((None, []) if lr_vox is None
-                                   else forward(spec, weights, lr_vox))
-                out = np.zeros(hr_data.shape) if box_out is None else box_out.data
-                grads = backward(spec, weights, caches, out, hr_data, state)
+                box_out, caches = ((None, []) if lr_index.size == 0 else
+                                   forward(spec, weights,
+                                           _count_voxels(lr_index, lr_shape, cfg.dt_ms)))
+                out = np.zeros(hr_shape) if box_out is None else box_out.data
+                gt = _count_voxels(hr_index, hr_shape, cfg.dt_ms).data
+                grads = backward(spec, weights, caches, out, gt, state)
                 if not np.isfinite(grads.loss):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, sample {j}")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import EventError, EventStream, SpikeTensor, downsample_2x, from_voxel_grid
+from spikesr.events import (EventError, EventStream, SpikeTensor, downsample_2x, event_bins,
+                            from_voxel_grid, voxel_window)
 from spikesr.synth import synth_moving_bar
 
 
@@ -96,6 +97,34 @@ class TestToVoxelGrid:
             for (c, y, x, b), v in counts.items():
                 dense[c, y, x, b] = v
             assert np.array_equal(vox.data, dense)
+
+
+class TestVoxelWindow:
+    """voxel_window counts the bins [start, stop) of event_bins' coordinates."""
+
+    def test_matches_event_loop_oracle(self, rng):
+        for _ in range(25):
+            s = helpers.random_stream(rng, 7, 5, 30, int(rng.integers(0, 150)))
+            steps = int(rng.integers(1, 40))
+            start = int(rng.integers(0, steps))
+            stop = int(rng.integers(start + 1, steps + 1))
+            coords, _ = event_bins(s, steps)
+            vox = voxel_window(coords, 5, 7, start, stop, 2.0)
+            assert vox.dt == 2.0 and vox.shape == (2, 5, 7, stop - start)
+            dense = np.zeros(vox.shape)
+            for (c, y, x, b), v in helpers.voxel_oracle(s, steps)[0].items():
+                if start <= b < stop:
+                    dense[c, y, x, b - start] = v
+            assert np.array_equal(vox.data, dense)
+
+    @pytest.mark.parametrize("y, x", [(-1, 0), (0, -1), (4, 0), (0, 3)])
+    def test_refuses_a_pixel_outside_its_grid(self, y, x):
+        # a negative index would otherwise count at the far edge
+        coords = tuple(np.array(v, dtype=np.int64) for v in ([0, 1], [1, y], [1, x], [0, 2]))
+        with pytest.raises(EventError, match="outside the 4x3 voxel grid"):
+            voxel_window(coords, 4, 3, 0, 3)
+        # an event outside the window's bins is not counted, wherever it lies
+        assert voxel_window(coords, 4, 3, 0, 2).data.sum() == 1.0
 
 
 class TestFromVoxelGrid:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
+from spikesr import kernels
 from spikesr.kernels import _BLOCK as B
 from spikesr.kernels import _refractory
 from spikesr.kernels import (NeuronConfig, apply_psp, apply_psp_adjoint,
@@ -168,6 +169,30 @@ class TestBlockedFilter:
                 h = min(a, kern.size - 1)
                 got = apply_psp(x[..., a - h:a + width], kern, history=h)
                 assert np.allclose(got, whole[..., a:a + width], rtol=1e-12, atol=1e-12)
+
+
+class TestBandCache:
+    """Each (taps, block width) builds its band matrix once."""
+
+    def test_repeated_calls_reuse_the_band(self, rng, monkeypatch):
+        kern = spike_kernel(4.0, 1.0, 32)
+        uncached = []
+        for steps, history in ((B - 9, 0), (B, 0), (3 * B + 5, 0), (B + 40, 31)):
+            x = rng.standard_normal((2, 5, steps))
+            kernels._band.cache_clear()
+            first = [apply_psp(x, kern, history), apply_psp_adjoint(x, kern)]
+            again = [apply_psp(x, kern, history), apply_psp_adjoint(x, kern)]
+            info = kernels._band.cache_info()
+            # the filter's taps are the kernel reversed, the adjoint's the kernel itself
+            assert (info.misses, info.hits) == (2, 2)
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+            uncached.append((x, history, first))
+        band = kernels._band(kern.tobytes(), B)
+        assert not band.flags.writeable
+        monkeypatch.setattr(kernels, "_band", kernels._band.__wrapped__)
+        for x, history, first in uncached:
+            fresh = [apply_psp(x, kern, history), apply_psp_adjoint(x, kern)]
+            assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
 
 
 class TestGenerateSpikes:

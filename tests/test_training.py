@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,3 +503,36 @@ class TestLiveBoxTraining:
         for log_var_sum, grads in seen:
             assert grads.loss == log_var_sum
             assert not any(g.any() for g in grads.weights)
+
+
+class TestTrainingHoldsEvents:
+    def test_held_memory_follows_events(self, monkeypatch):
+        # 8 pairs of 300 events, each pair's box the whole 32x32 LR frame: held as
+        # dense LR and HR tensors at 16 steps they would take about 10 MB
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(8):
+            hr = helpers.random_stream(rng, 64, 64, 16.0, 300)
+            pairs.append((downsample_2x(hr), hr))
+        boxes, held = [], []
+
+        def recorded_box(*args):
+            boxes.append(model._live_box(*args))
+            return boxes[-1]
+
+        def first_forward(*args):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return forward(*args)
+
+        monkeypatch.setattr(training, "_live_box", recorded_box)
+        monkeypatch.setattr(training, "forward", first_forward)
+        cfg = TrainConfig(epochs=1, batch_size=8, steps=16, seed=1)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            train(cfg, pairs, pairs[:1])
+        finally:
+            tracemalloc.stop()
+        assert boxes == [(0, 32, 0, 32)] * 8
+        assert held[0] - entry < 1_000_000, held[0] - entry
