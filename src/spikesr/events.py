@@ -157,13 +157,6 @@ def _count_voxels(index, shape, dt: float) -> SpikeTensor:
     return SpikeTensor(data.reshape(shape), dt=dt)
 
 
-def voxel_window(coords, height: int, width: int, start: int, stop: int,
-                 dt: float = 1.0) -> SpikeTensor:
-    """Count tensor [2, H, W, stop - start] of bins [start, stop) of event_bins' coordinates."""
-    shape = (2, height, width, stop - start)
-    return _count_voxels(_voxel_index(coords, shape, start), shape, dt)
-
-
 def from_voxel_grid(tensor: SpikeTensor, t0: int = 0, first_bin: int = 0) -> EventStream:
     """Expand a count tensor back into events.
 

@@ -305,10 +305,9 @@ def surrogate_grad(u, cfg: NeuronConfig) -> np.ndarray:
     Strictly positive, symmetric about v_th, peak rho / (tau_rho * v_th).
     """
     width = cfg.tau_rho * cfg.v_th
-    g = np.array(u, dtype=np.float64)   # one buffer, each step in place
-    np.subtract(g, cfg.v_th, out=g)
+    # one fresh buffer, each step in place; -|d| / width is |d| / -width exactly
+    g = np.subtract(u, cfg.v_th, out=np.empty(np.shape(u)), dtype=np.float64)
     np.abs(g, out=g)
-    np.negative(g, out=g)
-    np.divide(g, width, out=g)
+    np.divide(g, -width, out=g)
     np.exp(g, out=g)
     return np.multiply(cfg.rho / width, g, out=g)

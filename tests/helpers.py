@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from spikesr.events import EventStream, event_bins, voxel_window
+from spikesr.events import EventStream, _count_voxels, _voxel_index, event_bins
 
 
 def random_stream(rng, width, height, dur_ms, n_events, t0=0):
@@ -37,7 +37,8 @@ def bursts(width, height, regions, seed=0):
 def voxel_grid(stream, steps, dt=1.0, origin=None):
     """A whole stream's [2, H, W, steps] count tensor and dropped count, by the package."""
     coords, dropped = event_bins(stream, steps, dt, origin)
-    return voxel_window(coords, stream.height, stream.width, 0, steps, dt), dropped
+    shape = (2, stream.height, stream.width, steps)
+    return _count_voxels(_voxel_index(coords, shape, 0), shape, dt), dropped
 
 
 def voxel_oracle(stream, steps, dt=1.0, origin=None):
@@ -59,41 +60,42 @@ def voxel_oracle(stream, steps, dt=1.0, origin=None):
     return counts, dropped
 
 
-def mse_temporal_oracle(out_stream, gt_stream, steps, t0):
-    a, _ = voxel_oracle(out_stream, steps, origin=t0)
-    b, _ = voxel_oracle(gt_stream, steps, origin=t0)
+def mse_temporal_oracle(out_stream, gt_stream, steps, t0, dt=1.0):
+    a, _ = voxel_oracle(out_stream, steps, dt, origin=t0)
+    b, _ = voxel_oracle(gt_stream, steps, dt, origin=t0)
     total = 0
     for key in set(a) | set(b):
         total += (a.get(key, 0) - b.get(key, 0)) ** 2
     return total
 
 
-def mse_spatial_oracle(out_stream, gt_stream, steps, t0, block_ms=50):
+def mse_spatial_oracle(out_stream, gt_stream, steps, t0, dt=1.0, block_ms=50):
+    """Step b falls in block floor(b * dt / block_ms)."""
     blocks_a = defaultdict(int)
     blocks_b = defaultdict(int)
-    for counts, blocks in ((voxel_oracle(out_stream, steps, origin=t0)[0], blocks_a),
-                           (voxel_oracle(gt_stream, steps, origin=t0)[0], blocks_b)):
+    for counts, blocks in ((voxel_oracle(out_stream, steps, dt, origin=t0)[0], blocks_a),
+                           (voxel_oracle(gt_stream, steps, dt, origin=t0)[0], blocks_b)):
         for (c, y, x, b), v in counts.items():
-            blocks[(c, y, x, b // block_ms)] += v
+            blocks[(c, y, x, math.floor(b * dt / block_ms))] += v
     total = 0
     for key in set(blocks_a) | set(blocks_b):
         total += (blocks_a.get(key, 0) - blocks_b.get(key, 0)) ** 2
     return total
 
 
-def n_p_oracle(gt_stream, steps, t0):
+def n_p_oracle(gt_stream, steps, t0, dt=1.0):
     pixels = set()
-    for (_, y, x, _b) in voxel_oracle(gt_stream, steps, origin=t0)[0]:
+    for (_, y, x, _b) in voxel_oracle(gt_stream, steps, dt, origin=t0)[0]:
         pixels.add((y, x))
     return len(pixels)
 
 
-def pa_oracle(out_stream, gt_stream, steps, t0):
+def pa_oracle(out_stream, gt_stream, steps, t0, dt=1.0):
     """Dominant-polarity match rate over jointly occupied untied cells."""
     def dominant(stream):
         pos = defaultdict(int)
         neg = defaultdict(int)
-        for (c, y, x, b), v in voxel_oracle(stream, steps, origin=t0)[0].items():
+        for (c, y, x, b), v in voxel_oracle(stream, steps, dt, origin=t0)[0].items():
             (pos if c == 0 else neg)[(y, x, b)] += v
         dom = {}
         for key in set(pos) | set(neg):
@@ -109,15 +111,15 @@ def pa_oracle(out_stream, gt_stream, steps, t0):
     return 100.0 * matches / len(omega), False
 
 
-def rmse_st_oracle(out_stream, gt_stream, steps):
+def rmse_st_oracle(out_stream, gt_stream, steps, dt=1.0):
     """Stream-level RMSE assembled from the per-part oracles above."""
     spans = [(s.t0, s.t1) for s in (out_stream, gt_stream) if len(s)]
     t0 = min(a for a, _ in spans)
     t1 = max(b for _, b in spans)
-    span_ms = min((t1 - t0) / 1000.0, steps)   # the part the 1 ms steps grade
-    mse_t = mse_temporal_oracle(out_stream, gt_stream, steps, t0)
-    mse_s = mse_spatial_oracle(out_stream, gt_stream, steps, t0)
-    n_p = n_p_oracle(gt_stream, steps, t0)
+    span_ms = min((t1 - t0) / 1000.0, steps * dt)   # the part the steps grade
+    mse_t = mse_temporal_oracle(out_stream, gt_stream, steps, t0, dt)
+    mse_s = mse_spatial_oracle(out_stream, gt_stream, steps, t0, dt)
+    n_p = n_p_oracle(gt_stream, steps, t0, dt)
     return math.sqrt((mse_t + mse_s) / (span_ms * n_p)), mse_t, mse_s, n_p
 
 
@@ -138,6 +140,24 @@ def conv_drive_oracle(x, w, stride, pad):
                             sx = xx * stride + dx - pad
                             if 0 <= sy < h and 0 <= sx < wid:
                                 out[o, yy, xx, :] += w[o, i, dy, dx] * x[i, sy, sx, :]
+    return out
+
+
+def conv_weight_adjoint_oracle(x, g, kh, kw):
+    """Weight gradient of the same-size stride-1 conv: per tap, the sum over
+    every output pixel of g times the input pixel that tap reads."""
+    cout, cin = g.shape[0], x.shape[0]
+    _, h, wid, _ = x.shape
+    out = np.zeros((cout, cin, kh, kw))
+    for o in range(cout):
+        for i in range(cin):
+            for dy in range(kh):
+                for dx in range(kw):
+                    for yy in range(h):
+                        for xx in range(wid):
+                            sy, sx = yy + dy - kh // 2, xx + dx - kw // 2
+                            if 0 <= sy < h and 0 <= sx < wid:
+                                out[o, i, dy, dx] += float(g[o, yy, xx] @ x[i, sy, sx])
     return out
 
 

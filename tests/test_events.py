@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import (EventError, EventStream, SpikeTensor, downsample_2x, event_bins,
-                            from_voxel_grid, voxel_window)
+from spikesr.events import (EventError, EventStream, SpikeTensor, _count_voxels, _voxel_index,
+                            downsample_2x, event_bins, from_voxel_grid)
 from spikesr.synth import synth_moving_bar
 
 
@@ -55,7 +55,7 @@ class TestSpikeTensor:
 
 
 class TestToVoxelGrid:
-    """A whole stream binned by event_bins and counted by voxel_window."""
+    """A whole stream binned by event_bins and counted through _voxel_index and _count_voxels."""
 
     def test_basic_binning(self):
         s = stream_of([[0, 1, 2, 1], [400, 1, 2, 1], [1500, 0, 0, -1]], 4, 4)
@@ -99,8 +99,14 @@ class TestToVoxelGrid:
             assert np.array_equal(vox.data, dense)
 
 
+def count_window(coords, height, width, start, stop, dt=1.0):
+    """Count tensor [2, H, W, stop - start] of bins [start, stop), as inference windows count it."""
+    shape = (2, height, width, stop - start)
+    return _count_voxels(_voxel_index(coords, shape, start), shape, dt)
+
+
 class TestVoxelWindow:
-    """voxel_window counts the bins [start, stop) of event_bins' coordinates."""
+    """_voxel_index and _count_voxels count the bins [start, stop) of event_bins' coordinates."""
 
     def test_matches_event_loop_oracle(self, rng):
         for _ in range(25):
@@ -109,7 +115,7 @@ class TestVoxelWindow:
             start = int(rng.integers(0, steps))
             stop = int(rng.integers(start + 1, steps + 1))
             coords, _ = event_bins(s, steps)
-            vox = voxel_window(coords, 5, 7, start, stop, 2.0)
+            vox = count_window(coords, 5, 7, start, stop, 2.0)
             assert vox.dt == 2.0 and vox.shape == (2, 5, 7, stop - start)
             dense = np.zeros(vox.shape)
             for (c, y, x, b), v in helpers.voxel_oracle(s, steps)[0].items():
@@ -122,9 +128,9 @@ class TestVoxelWindow:
         # a negative index would otherwise count at the far edge
         coords = tuple(np.array(v, dtype=np.int64) for v in ([0, 1], [1, y], [1, x], [0, 2]))
         with pytest.raises(EventError, match="outside the 4x3 voxel grid"):
-            voxel_window(coords, 4, 3, 0, 3)
+            _voxel_index(coords, (2, 4, 3, 3), 0)
         # an event outside the window's bins is not counted, wherever it lies
-        assert voxel_window(coords, 4, 3, 0, 2).data.sum() == 1.0
+        assert count_window(coords, 4, 3, 0, 2).data.sum() == 1.0
 
 
 class TestFromVoxelGrid:

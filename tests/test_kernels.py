@@ -361,6 +361,18 @@ class TestSurrogate:
         # wider surrogate for the output layer: value 0.1 at threshold
         assert abs(surrogate_grad(np.array(100.0), UPCONV_NEURON) - 0.1) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_leaves_its_input_and_equals_the_plain_expression(self, rng, dtype):
+        u = rng.uniform(-200.0, 400.0, (3, 4, 50)).astype(dtype)
+        u.flat[:4] = [30, 100, 0, -30]   # both thresholds, zero and a mirror point
+        before = u.copy()
+        for cfg in (CONV_NEURON, UPCONV_NEURON):
+            width = cfg.tau_rho * cfg.v_th
+            want = cfg.rho / width * np.exp(-np.abs(u.astype(np.float64) - cfg.v_th) / width)
+            got = surrogate_grad(u, cfg)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert np.array_equal(u, before) and u.dtype == dtype
+
 
 class TestSoftSpikes:
     def test_half_at_threshold(self):

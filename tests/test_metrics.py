@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,16 @@ def stream_of(events, width, height, t0=None, t1=None):
     y = [e[2] for e in events]
     p = [e[3] for e in events]
     return EventStream(t, x, y, p, width, height, t0=t0, t1=t1)
+
+
+def check_against_oracle(out, gt, steps, dt):
+    """Every figure of rmse_st(out, gt, steps, dt) equals the event-loop oracles'."""
+    got = rmse_st(out, gt, steps, dt)
+    want, mse_t, mse_s, n_p = helpers.rmse_st_oracle(out, gt, steps, dt)
+    assert (got.mse_t_raw, got.mse_s_raw, got.n_p) == (mse_t, mse_s, n_p)
+    assert got.rmse_st == pytest.approx(want, rel=1e-12)
+    t0 = min(s.t0 for s in (out, gt) if len(s))
+    assert (got.pa_percent, got.pa_vacuous) == helpers.pa_oracle(out, gt, steps, t0, dt)
 
 
 class TestMseTemporal:
@@ -69,6 +83,46 @@ class TestRmseSt:
             assert got.rmse_st == pytest.approx(want, rel=1e-9)
             assert got.mse_t_raw == mse_t and got.mse_s_raw == mse_s
             assert got.n_p == n_p
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+    def test_matches_oracle_at_any_step_size(self, rng, dt):
+        # spans that are no multiple of 50 ms leave a partial last block
+        for k in range(8):
+            w, h = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            dur = int(rng.integers(20, 240))
+            gt = helpers.random_stream(rng, w, h, dur, int(rng.integers(30, 150)))
+            out = helpers.random_stream(rng, w, h, dur, int(rng.integers(0, 150)))
+            check_against_oracle(out, gt, math.ceil(dur / dt) - k % 3, dt)
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+    def test_matches_oracle_with_ties_and_an_empty_prediction(self, rng, dt):
+        gt = helpers.random_stream(rng, 3, 2, 130, 200)
+        # every other event joined by its opposite: cells that tie on one side
+        tied = EventStream(np.r_[gt.t, gt.t[::2]], np.r_[gt.x, gt.x[::2]],
+                           np.r_[gt.y, gt.y[::2]], np.r_[gt.p, -gt.p[::2]], 3, 2)
+        empty = EventStream.empty(3, 2)
+        for out, truth in ((tied, gt), (gt, tied), (empty, gt), (tied, tied)):
+            check_against_oracle(out, truth, math.ceil(130 / dt), dt)
+
+    def test_memory_follows_the_events_not_the_grid(self, rng):
+        # one [2, 256, 256, 200] grid of doubles is 200 MiB; each stream holds 2,000 events
+        gt, out = (helpers.random_stream(rng, 256, 256, 200, 2000) for _ in range(2))
+        tracemalloc.start()
+        try:
+            rmse_st(out, gt, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+
+    def test_does_not_import_numpy_ma(self):
+        # numpy.ma costs 13 ms and 1 MiB in every `eval` and `train` process
+        code = ("import sys; from spikesr import rmse_st, synth_moving_bar; "
+                "s = synth_moving_bar(8, 8, 20.0, 0.3, 2.0, seed=1); rmse_st(s, s, 20); "
+                "assert 'numpy.ma' not in sys.modules")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_empty_ground_truth_rejected(self):
         gt = stream_of([], 4, 4, t0=0, t1=10_000)

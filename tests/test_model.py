@@ -146,6 +146,65 @@ class TestLayerOps:
         assert np.allclose(bilinear_upsample_2x(x), 3.5)
 
 
+def whole_patch_matrix(x, kh, kw):
+    """The (C * kh * kw) x (H * W * T) patch matrix of a same-size conv, built at once."""
+    c = x.shape[0]
+    xp = np.pad(x, ((0, 0), (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(c * kh * kw, -1)
+
+
+class TestConvBlocks:
+    """The 5x5 conv and its weight gradient, one block of output rows at a time."""
+
+    # (shape, blocks): a partial last block, one block of every row, H = 1, W = 1,
+    # T = 1, C = 2, and W * T no multiple of 8
+    SHAPES = [((1, 23, 13, 24), 2), ((1, 6, 9, 20), 1), ((1, 1, 40, 120), 1),
+              ((1, 300, 1, 16), 2), ((1, 70, 64, 1), 2), ((2, 40, 16, 32), 5),
+              ((1, 300, 2, 7), 2)]
+    # (shape, pixel-steps per block): small blocks give small shapes many blocks
+    ORACLE = [((1, 7, 5, 6), 16), ((2, 9, 3, 4), 16), ((1, 9, 1, 5), 16), ((2, 12, 1, 3), 16),
+              ((1, 5, 4, 1), 16), ((1, 23, 13, 24), model._BLOCK_STEPS)]
+
+    @pytest.mark.parametrize("shape, blocks", SHAPES)
+    def test_drive_is_the_whole_matrix_product(self, rng, shape, blocks):
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((8, shape[0], 5, 5))
+        assert len(list(model._patch_blocks(x, 5, 5))) == blocks
+        whole = w.reshape(8, -1) @ whole_patch_matrix(x, 5, 5)
+        assert conv_drive(x, w).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("shape, block_steps", ORACLE)
+    def test_blocks_match_the_oracles(self, rng, monkeypatch, shape, block_steps):
+        monkeypatch.setattr(model, "_BLOCK_STEPS", block_steps)
+        assert len(list(model._patch_blocks(np.zeros(shape), 5, 5))) > 1
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((8, shape[0], 5, 5))
+        g = rng.standard_normal((8,) + shape[1:])
+        drive = conv_drive(x, w)
+        assert np.max(np.abs(drive - helpers.conv_drive_oracle(x, w, 1, 2))) < 1e-10
+        adj = conv_weight_adjoint(x, g, 5, 5)
+        want = helpers.conv_weight_adjoint_oracle(x, g, 5, 5)
+        assert np.max(np.abs(adj - want)) <= 1e-12 * np.max(np.abs(want))
+        lhs, rhs = float(np.sum(drive * g)), float(np.sum(w * adj))
+        assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
+
+    def test_memory_is_one_block_of_patches(self, rng):
+        # the whole patch matrix at an inference window's shape is 25 x 64 x 64 x 32 doubles
+        x = rng.standard_normal((1, 64, 64, 32))
+        w, g = rng.standard_normal((8, 1, 5, 5)), rng.standard_normal((8, 64, 64, 32))
+        peaks = {}
+        for name, call in (("drive", lambda: conv_drive(x, w)),
+                           ("adjoint", lambda: conv_weight_adjoint(x, g, 5, 5))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+        assert peaks["drive"] < 12 and peaks["adjoint"] < 4, peaks
+
+
 class TestForward:
     def test_output_shape_and_type(self, rng):
         for variant, passes in (("dual_layer", 1), ("ultralight", 2)):
