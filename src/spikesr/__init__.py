@@ -1,6 +1,6 @@
 """Event-stream 2x super-resolution with spike-response-model networks."""
 
-from .events import EventError, EventStream, SpikeTensor, downsample_2x, from_voxel_grid
+from .events import EventError, EventStream, downsample_2x, from_voxel_grid
 from .io import EventFormatError, load_events, save_events
 from .kernels import (NeuronConfig, apply_psp, generate_spikes, refractory_kernel,
                       spike_kernel, surrogate_grad)

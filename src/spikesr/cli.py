@@ -146,9 +146,10 @@ def _apply_config(args, path):
     ini = configparser.ConfigParser()
     if not ini.read(path):
         raise UsageError(f"cannot read config {path}")
-    grab = {("train", "epochs", int), ("train", "batch", int), ("train", "lr", float),
-            ("train", "seed", int), ("train", "steps", int), ("train", "val_count", int),
-            ("model", "variant", str), ("data", "pairs", str)}
+    # in the order train declares its flags: the first unreadable value is the one named
+    grab = (("data", "pairs", str), ("model", "variant", str), ("train", "steps", int),
+            ("train", "epochs", int), ("train", "batch", int), ("train", "lr", float),
+            ("train", "seed", int), ("train", "val_count", int))
     for section, key, cast in grab:
         if ini.has_option(section, key) and getattr(args, key, None) is None:
             text = ini.get(section, key)
@@ -333,14 +334,18 @@ def cmd_render(args):
 
 def cmd_info(args):
     if args.checkpoint:
-        spec, weights, log_var, seed = load_checkpoint(args.checkpoint)
+        spec, _, log_var, seed = load_checkpoint(args.checkpoint)
+    else:
+        spec = network_spec(args.variant)
+    if args.dims:
+        try:
+            flops = count_flops(spec, *_parse_dims(args.dims))
+        except ModelError as exc:
+            raise UsageError(str(exc)) from None
+    if args.checkpoint:
         print(f"checkpoint: {args.checkpoint}")
         print(f"seed: {seed}")
         print(f"log_var: {log_var.tolist()}")
-    elif args.variant:
-        spec = network_spec(args.variant)
-    else:
-        raise UsageError("info needs --variant or --checkpoint")
     print(f"variant: {spec.variant}")
     print(f"params: {count_params(spec)}")
     for i, (layer, neuron, (kind, stride, pad)) in enumerate(
@@ -351,11 +356,7 @@ def cmd_info(args):
               f"tau_r={neuron.tau_r} lam={neuron.lam} tau_rho={neuron.tau_rho} "
               f"rho={neuron.rho}")
     if args.dims:
-        h, w, t = _parse_dims(args.dims)
-        try:
-            print(f"flops: {count_flops(spec, h, w, t)}")
-        except ModelError as exc:
-            raise UsageError(str(exc)) from None
+        print(f"flops: {flops}")
     return 0
 
 
@@ -415,8 +416,9 @@ def build_parser():
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("info", help="describe a variant or checkpoint")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--checkpoint")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--variant", choices=VARIANTS)
+    target.add_argument("--checkpoint")
     p.add_argument("--dims", help="HxWxT for a FLOP count")
     p.set_defaults(fn=cmd_info)
     return top

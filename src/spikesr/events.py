@@ -1,10 +1,12 @@
-"""Event-stream data model and dense tensor conversions.
+"""Event-stream data model and dense count grids.
 
 An event stream is a time-sorted list of (t, x, y, p) tuples on a fixed
 sensor grid: t in integer microseconds, pixel coordinates (x, y), and
-polarity p in {+1, -1}.  The dense counterpart is a spike tensor: per
-millisecond event counts on a [C, H, W, T] grid with polarity split
-across channels (channel 0 positive, channel 1 negative).
+polarity p in {+1, -1}.  The dense counterpart is a count grid: a plain
+float64 [C, H, W, T] array of event counts per step of dt milliseconds,
+with polarity split across channels (channel 0 positive, channel 1
+negative).  The array does not carry dt; the network's is spec.dt_ms.
+event_bins and _voxel_index alone place events on a grid.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ US_PER_MS = 1000
 
 
 class EventError(ValueError):
-    """Raised for malformed streams, tensors, or conversion inputs."""
+    """Raised for malformed streams or conversion inputs."""
 
 
 class EventStream:
@@ -74,42 +76,6 @@ class EventStream:
         return self.t1 - self.t0
 
 
-class SpikeTensor:
-    """Dense non-negative spike counts on a [C, H, W, T] grid.
-
-    C is 2 for polarity-paired tensors (channel 0 positive, channel 1
-    negative) or 1 for a single-polarity slice.  The time axis holds T
-    steps of dt milliseconds each (dt defaults to 1).
-    """
-
-    __slots__ = ("data", "dt")
-
-    def __init__(self, data, dt=1.0):
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 4:
-            raise EventError("spike tensor must be [C, H, W, T]")
-        if data.shape[0] not in (1, 2):
-            raise EventError("spike tensor channel count must be 1 or 2")
-        if data.size and float(data.min()) < 0.0:
-            raise EventError("spike tensor entries must be non-negative")
-        if dt <= 0:
-            raise EventError("dt must be positive")
-        self.data = data
-        self.dt = float(dt)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
 def steps_to_cover(span_us: int, dt_ms: float = 1.0) -> int:
     """Fewest dt_ms steps (at least one) whose grid holds a span_us span."""
     return max(1, math.ceil(span_us / (dt_ms * US_PER_MS)))
@@ -137,47 +103,53 @@ def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | N
     return (ch, stream.y[keep], stream.x[keep], bins[keep]), int(np.count_nonzero(~keep))
 
 
-def _voxel_index(coords, shape, start: int, y0: int = 0, x0: int = 0) -> np.ndarray:
-    """Flat index, in a [2, H, W, T] tensor of `shape`, of each event in
-    bins [start, start + T) of event_bins' coordinates, its pixel taken
-    relative to (y0, x0).  Refuses an event whose pixel lies outside."""
+def _voxel_index(coords, box, start: int, stop: int, scale: int = 1):
+    """(flat indices, shape): bins [start, stop) of event_bins' coordinates
+    in the [2, h, w, stop - start] grid of the LR box (y0, y1, x0, x1),
+    half-open, or of its HR footprint for `scale` = spec.scale; pixels
+    are taken relative to the box.  Refuses an event whose pixel lies
+    outside it.  _count_voxels counts the indices."""
+    y0, y1, x0, x1 = (scale * b for b in box)
+    shape = (2, y1 - y0, x1 - x0, stop - start)
     ch, y, x, bins = coords
-    lo, hi = np.searchsorted(bins, (start, start + shape[3]))
+    lo, hi = np.searchsorted(bins, (start, stop))
     try:
         return np.ravel_multi_index(
-            (ch[lo:hi], y[lo:hi] - y0, x[lo:hi] - x0, bins[lo:hi] - start), shape)
+            (ch[lo:hi], y[lo:hi] - y0, x[lo:hi] - x0, bins[lo:hi] - start), shape), shape
     except ValueError:
         raise EventError(f"an event lies outside the {shape[1]}x{shape[2]} voxel grid") from None
 
 
-def _count_voxels(index, shape, dt: float) -> SpikeTensor:
-    """Count tensor of `shape` holding, at each flat index, how often it occurs."""
+def _count_voxels(index, shape) -> np.ndarray:
+    """Count grid of `shape` holding, at each flat index, how often it occurs."""
     data = np.zeros(math.prod(shape))
     np.add.at(data, index, 1.0)
-    return SpikeTensor(data.reshape(shape), dt=dt)
+    return data.reshape(shape)
 
 
-def from_voxel_grid(tensor: SpikeTensor, t0: int = 0, first_bin: int = 0) -> EventStream:
-    """Expand a count tensor back into events.
+def from_voxel_grid(counts: np.ndarray, t0: int = 0, first_bin: int = 0,
+                    dt: float = 1.0) -> EventStream:
+    """Expand a [C, H, W, T] count grid of dt-millisecond steps back into events.
 
     Each voxel with value v emits round(v) events stamped at its bin
-    centre, t0 + (bin + 0.5) * dt, where the tensor's first bin is bin
+    centre, t0 + (bin + 0.5) * dt, where the grid's first bin is bin
     `first_bin` of the grid that starts at t0.  Events come out in the
     row-major order of the time-major [T, C, H, W] view: by bin, then
     channel, row and column, so the result is time sorted and
     deterministic.
     """
-    counts = np.rint(tensor.data).astype(np.int64).transpose(3, 0, 1, 2)
+    height, width = counts.shape[1:3]
+    counts = np.rint(counts).astype(np.int64).transpose(3, 0, 1, 2)
     bins, ch, ys, xs = np.nonzero(counts > 0)
     if bins.size == 0:
-        return EventStream.empty(tensor.width, tensor.height)
+        return EventStream.empty(width, height)
     reps = counts[bins, ch, ys, xs]
-    dt_us = tensor.dt * US_PER_MS
+    dt_us = dt * US_PER_MS
     t = np.repeat(np.rint(t0 + (bins + first_bin + 0.5) * dt_us).astype(np.int64), reps)
     x = np.repeat(xs, reps)
     y = np.repeat(ys, reps)
     p = np.repeat(np.where(ch == 0, 1, -1).astype(np.int64), reps)
-    return EventStream(t, x, y, p, tensor.width, tensor.height)
+    return EventStream(t, x, y, p, width, height)
 
 
 def downsample_2x(stream: EventStream) -> EventStream:

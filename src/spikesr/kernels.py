@@ -155,6 +155,14 @@ def apply_psp_adjoint(grad, kernel) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _spike_kernel(cfg: NeuronConfig, dt: float) -> np.ndarray:
+    """The layer's spike kernel, kernel_length(tau_s, dt) taps, read-only."""
+    eps = spike_kernel(cfg.tau_s, dt, kernel_length(cfg.tau_s, dt))
+    eps.setflags(write=False)
+    return eps
+
+
+@functools.lru_cache(maxsize=None)
 def _refractory(cfg: NeuronConfig, dt: float):
     """(gamma, d*): the refractory kernel, read-only, and the least double
     whose chain d + gamma[K-1] + ... + gamma[1], rounded add by add,

@@ -38,11 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import (EventStream, SpikeTensor, _count_voxels, _voxel_index, event_bins,
-                     from_voxel_grid)
-from .kernels import (NeuronConfig, apply_psp, apply_psp_adjoint, generate_spikes,
-                      kernel_length, membrane, soft_spike_grad, soft_spikes,
-                      spike_kernel, surrogate_grad)
+from .events import EventStream, _count_voxels, _voxel_index, event_bins, from_voxel_grid
+from .kernels import (NeuronConfig, _spike_kernel, apply_psp, apply_psp_adjoint,
+                      generate_spikes, membrane, soft_spike_grad, soft_spikes, surrogate_grad)
 
 VARIANTS = ("dual_layer", "ultralight")
 
@@ -286,7 +284,7 @@ class LayerState:
 
 def _psp(in_spikes, neuron, dt, state):
     """The layer's input PSP, fed first by the inputs `state` carries."""
-    eps = spike_kernel(neuron.tau_s, dt, kernel_length(neuron.tau_s, dt))
+    eps = _spike_kernel(neuron, dt)
     x = in_spikes if state.inputs is None else np.concatenate([state.inputs, in_spikes], -1)
     state.inputs = x[..., max(0, x.shape[-1] - eps.size + 1):].copy()
     return apply_psp(x, eps, x.shape[-1] - in_spikes.shape[-1])
@@ -336,30 +334,31 @@ def _forward_pass(spec, weights, x, spike_mode, states, keep_cache):
 
 
 def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=None):
-    """Super-resolve one [2, H, W, T] tensor to [2, 2H, 2W, T].
+    """Super-resolve one [2, H, W, T] count grid to [2, 2H, 2W, T].
 
-    The input is cut into spec.passes, each pass runs through the shared
-    weights, and the outputs are stacked: one joint pass for dual_layer,
-    one pass per polarity for ultralight.  The input's step size must be
-    spec.dt_ms (a bare array is taken to have it).  `state`, a list that
-    is empty at a stream's start, makes the input the next window of
-    that stream: forward keeps one pair of LayerStates per pass in it
-    (see super_resolve).  Without it the input is a whole stream, its
-    only window, run on fresh LayerStates.  Returns (output SpikeTensor,
-    per-pass caches).  The caches are for training's backward pass;
-    nothing differentiates through a streamed window, so with a `state`
-    the cache list is empty and no pass's caches outlive it.
+    The input holds non-negative event counts per step of spec.dt_ms
+    milliseconds, channel 0 positive and 1 negative; ModelError refuses
+    any other rank, channel count or a negative entry.  It is cut into
+    spec.passes, each pass runs through the shared weights, and the
+    outputs are stacked: one joint pass for dual_layer, one pass per
+    polarity for ultralight.  `state`, a list that is empty at a
+    stream's start, makes the input the next window of that stream:
+    forward keeps one pair of LayerStates per pass in it (see
+    super_resolve).  Without it the input is a whole stream, its only
+    window, run on fresh LayerStates.  Returns (output spikes, a float64
+    [2, 2H, 2W, T] array, per-pass caches).  The caches are for
+    training's backward pass; nothing differentiates through a streamed
+    window, so with a `state` the cache list is empty and no pass's
+    caches outlive it.
     """
     if spike_mode not in ("hard", "soft"):
         raise ModelError(f"unknown spike mode {spike_mode!r}")
     validate_weights(spec, weights)
-    tensor = inp if isinstance(inp, SpikeTensor) else SpikeTensor(inp, dt=spec.dt_ms)
-    if tensor.dt != spec.dt_ms:
-        raise ModelError(f"input step dt={tensor.dt} ms differs from the network's "
-                         f"dt_ms={spec.dt_ms}")
-    x = tensor.data
-    if x.shape[0] != 2:
-        raise ModelError("network input must carry both polarity channels")
+    x = np.asarray(inp, dtype=np.float64)
+    if x.ndim != 4 or x.shape[0] != 2:
+        raise ModelError(f"network input must be a [2, H, W, T] count grid, not {x.shape}")
+    if x.size and float(x.min()) < 0.0:
+        raise ModelError("network input counts must be non-negative")
     whole = state is None
     state = [] if whole else state
     if not state:
@@ -370,7 +369,7 @@ def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=Non
     caches = [r[1] for r in results if whole]
     for p, cache in zip(spec.passes, caches):
         cache.layer2.spikes = out[p]   # a view, so no cache holds a second copy
-    return SpikeTensor(out, dt=tensor.dt), caches
+    return out, caches
 
 
 def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
@@ -393,7 +392,7 @@ def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
     def u(layer, neuron):
         return layer.drive if soft else membrane(layer.drive, layer.spikes, neuron, spec.dt_ms)
 
-    eps2 = spike_kernel(n2.tau_s, spec.dt_ms, kernel_length(n2.tau_s, spec.dt_ms))
+    eps2 = _spike_kernel(n2, spec.dt_ms)
     g_conv2 = apply_psp_adjoint(g_out * deriv(u(cache.layer2, n2), n2), eps2)
     g_w2 = upconv2x_weight_adjoint(cache.layer2.conv_in, g_conv2)
     g_spikes1 = upconv2x_input_adjoint(g_conv2, weights[1])
@@ -470,15 +469,6 @@ def _live_box(spec: NetworkSpec, ys, xs, height: int, width: int, state=(), box=
     return dilated(spans)
 
 
-def _box_index(coords, box, start: int, stop: int, scale: int = 1):
-    """(flat indices, shape): bins [start, stop) of event_bins' coordinates
-    in the [2, h, w, stop - start] tensor of the LR box `box`, or of its HR
-    footprint for `scale` = spec.scale; _count_voxels counts them."""
-    y0, y1, x0, x1 = (scale * b for b in box)
-    shape = (2, y1 - y0, x1 - x0, stop - start)
-    return _voxel_index(coords, shape, start, y0, x0), shape
-
-
 def _rebox(spec: NetworkSpec, state, old, new) -> None:
     """Move the carried state from box `old` onto box `new`.
 
@@ -507,8 +497,8 @@ def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0:
     A function of its own, so the window's tensors are freed before the
     next window allocates its own.
     """
-    vox = _count_voxels(*_box_index(window, box, start, stop), spec.dt_ms)
-    out = from_voxel_grid(forward(spec, weights, vox, state=state)[0], t0, start)
+    vox = _count_voxels(*_voxel_index(window, box, start, stop))
+    out = from_voxel_grid(forward(spec, weights, vox, state=state)[0], t0, start, spec.dt_ms)
     return out.t, out.x + spec.scale * box[2], out.y + spec.scale * box[0], out.p
 
 

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import _count_voxels, event_bins
+from .events import _count_voxels, _voxel_index, event_bins
 from .metrics import DegenerateStreamError, blocks, rmse_st
-from .model import (VARIANTS, NetworkSpec, _box_index, _live_box, backward_from_output,
-                    forward, init_weights, network_spec, super_resolve)
+from .model import (VARIANTS, NetworkSpec, _live_box, backward_from_output, forward,
+                    init_weights, network_spec, super_resolve)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -259,8 +259,8 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
         box = _live_box(spec, np.concatenate([lr[1], hr[1] // s]),
                         np.concatenate([lr[2], hr[2] // s]),
                         lr_stream.height, lr_stream.width) or (0, 0, 0, 0)
-        train_data.append((_box_index(lr, box, 0, cfg.steps),
-                           _box_index(hr, box, 0, cfg.steps, s)))
+        train_data.append((_voxel_index(lr, box, 0, cfg.steps),
+                           _voxel_index(hr, box, 0, cfg.steps, s)))
     rng = np.random.default_rng(cfg.seed)
     initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
     params = weights + [state.log_var]
@@ -277,11 +277,9 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
                 (lr_index, lr_shape), (hr_index, hr_shape) = train_data[j]
                 # the last sample's caches stay bound while forward runs: freed
                 # first, their pages go back to the system and fault in again
-                box_out, caches = ((None, []) if lr_index.size == 0 else
-                                   forward(spec, weights,
-                                           _count_voxels(lr_index, lr_shape, cfg.dt_ms)))
-                out = np.zeros(hr_shape) if box_out is None else box_out.data
-                gt = _count_voxels(hr_index, hr_shape, cfg.dt_ms).data
+                out, caches = ((np.zeros(hr_shape), []) if lr_index.size == 0 else
+                               forward(spec, weights, _count_voxels(lr_index, lr_shape)))
+                gt = _count_voxels(hr_index, hr_shape)
                 grads = backward(spec, weights, caches, out, gt, state)
                 if not np.isfinite(grads.loss):
                     raise TrainingError(

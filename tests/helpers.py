@@ -35,10 +35,10 @@ def bursts(width, height, regions, seed=0):
 
 
 def voxel_grid(stream, steps, dt=1.0, origin=None):
-    """A whole stream's [2, H, W, steps] count tensor and dropped count, by the package."""
+    """A whole stream's [2, H, W, steps] count grid and dropped count, by the package."""
     coords, dropped = event_bins(stream, steps, dt, origin)
-    shape = (2, stream.height, stream.width, steps)
-    return _count_voxels(_voxel_index(coords, shape, 0), shape, dt), dropped
+    frame = (0, stream.height, 0, stream.width)
+    return _count_voxels(*_voxel_index(coords, frame, 0, steps)), dropped
 
 
 def voxel_oracle(stream, steps, dt=1.0, origin=None):

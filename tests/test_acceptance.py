@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import SpikeTensor, downsample_2x
+from spikesr.events import downsample_2x
 from spikesr.kernels import generate_spikes, membrane, refractory_kernel, spike_kernel
 from spikesr.metrics import rmse_st
 from spikesr.model import (backward_from_output, count_flops, count_params,
@@ -102,7 +102,7 @@ def test_criterion_06_gradient_certification():
     started = time.monotonic()
     h_fd = 1e-3
     rng = np.random.default_rng(SEED + 6)
-    inp = SpikeTensor(rng.integers(0, 3, (2, 4, 4, 8)).astype(float))
+    inp = rng.integers(0, 3, (2, 4, 4, 8)).astype(float)
     gt = rng.integers(0, 2, (2, 8, 8, 8)).astype(float)
     for variant in ("dual_layer", "ultralight"):
         spec = network_spec(variant)
@@ -111,10 +111,10 @@ def test_criterion_06_gradient_certification():
 
         def value():
             out, _ = forward(spec, weights, inp, spike_mode="soft")
-            return loss_total(out.data, gt, state)[0]
+            return loss_total(out, gt, state)[0]
 
         out, caches = forward(spec, weights, inp, spike_mode="soft")
-        grads = backward(spec, weights, caches, out.data, gt, state)
+        grads = backward(spec, weights, caches, out, gt, state)
         checked = 0
         for li, w in enumerate(weights):
             flat = w.ravel()
@@ -151,13 +151,13 @@ def test_criterion_07_dual_forward_contracts():
     weights = init_weights(spec, seed=4)
     rng = np.random.default_rng(SEED + 7)
     for _ in range(10):
-        inp = SpikeTensor(rng.integers(0, 4, (2, 6, 6, 12)).astype(float))
+        inp = rng.integers(0, 4, (2, 6, 6, 12)).astype(float)
         first, _ = forward(spec, weights, inp)
         again, _ = forward(spec, weights, inp)
-        assert first.data.tobytes() == again.data.tobytes()
-    inp = SpikeTensor(rng.integers(0, 4, (2, 6, 6, 12)).astype(float))
+        assert first.tobytes() == again.tobytes()
+    inp = rng.integers(0, 4, (2, 6, 6, 12)).astype(float)
     out, caches = forward(spec, weights, inp)
-    g_out = rng.standard_normal(out.data.shape)
+    g_out = rng.standard_normal(out.shape)
     combined = backward_from_output(spec, weights, caches, g_out)
     for i in range(len(weights)):
         total = sum(backward_from_output(spec, weights, [cache], g_out[c:c + 1])[i]

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +242,23 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:") and value in err[0]
         if key != "variant":   # a value that does not parse is traced to its line
             assert str(cfg) in err[0] and f"[{section}] {key}" in err[0]
+
+    def test_config_error_is_the_same_in_every_process(self, tmp_path):
+        # a set of the config keys iterates in an order set by hashing, which varies
+        # between processes; with several unreadable values the first in flag order is named
+        cfg = tmp_path / "train.ini"
+        cfg.write_text("[train]\nepochs = e\nbatch = b\nlr = l\nseed = s\n"
+                       f"[data]\npairs = {tmp_path / 'pairs.txt'}\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        errors = []
+        for hash_seed in ("1", "3"):
+            done = subprocess.run(
+                [sys.executable, "-m", "spikesr.cli", "train", "--config", str(cfg)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+            assert done.returncode == 2 and done.stdout == ""
+            errors.append(done.stderr)
+        assert errors[0] == errors[1] and "[train] epochs" in errors[0]
 
     def test_warns_about_events_past_the_grid(self, tmp_path, capsys):
         # 64 ms streams on a 32-step grid: everything past 32 ms of each pair is dropped
@@ -641,6 +661,17 @@ class TestInfo:
 
     def test_bad_dims_is_usage_error(self):
         assert run("info", "--variant", "ultralight", "--dims", "10x10") == 2
+
+    def test_dims_are_checked_before_anything_is_printed(self, capsys):
+        assert run("info", "--variant", "ultralight", "--dims", "4x4x-1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    def test_variant_and_checkpoint_together_is_usage_error(self, trained, capsys):
+        _, ckpt, _ = trained   # an ultralight checkpoint
+        assert run("info", "--variant", "dual_layer", "--checkpoint", ckpt) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with" in err
 
     def test_needs_target(self):
         assert run("info") == 2

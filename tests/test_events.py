@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import (EventError, EventStream, SpikeTensor, _count_voxels, _voxel_index,
-                            downsample_2x, event_bins, from_voxel_grid)
+from spikesr.events import (EventError, EventStream, _count_voxels, _voxel_index, downsample_2x,
+                            event_bins, from_voxel_grid)
 from spikesr.synth import synth_moving_bar
 
 
@@ -44,16 +44,6 @@ class TestEventStream:
         assert len(s) == 0 and (s.t0, s.t1) == (0, 0)
 
 
-class TestSpikeTensor:
-    def test_rejects_negative_entries(self):
-        with pytest.raises(EventError):
-            SpikeTensor(np.full((1, 2, 2, 3), -1.0))
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(EventError):
-            SpikeTensor(np.zeros((2, 2, 2)))
-
-
 class TestToVoxelGrid:
     """A whole stream binned by event_bins and counted through _voxel_index and _count_voxels."""
 
@@ -61,21 +51,21 @@ class TestToVoxelGrid:
         s = stream_of([[0, 1, 2, 1], [400, 1, 2, 1], [1500, 0, 0, -1]], 4, 4)
         vox, dropped = helpers.voxel_grid(s, 4)
         assert dropped == 0
-        assert vox.data[0, 2, 1, 0] == 2.0
-        assert vox.data[1, 0, 0, 1] == 1.0
-        assert vox.data.sum() == 3.0
+        assert vox[0, 2, 1, 0] == 2.0
+        assert vox[1, 0, 0, 1] == 1.0
+        assert vox.sum() == 3.0
 
     def test_closing_edge_folds_into_last_bin(self):
         s = stream_of([[0, 0, 0, 1], [4000, 0, 0, 1]], 1, 1)
         vox, dropped = helpers.voxel_grid(s, 4)
         assert dropped == 0
-        assert vox.data[0, 0, 0, 3] == 1.0
+        assert vox[0, 0, 0, 3] == 1.0
 
     def test_beyond_grid_dropped(self):
         s = stream_of([[0, 0, 0, 1], [9999, 0, 0, 1]], 1, 1)
         vox, dropped = helpers.voxel_grid(s, 4)
         assert dropped == 1
-        assert vox.data.sum() == 1.0
+        assert vox.sum() == 1.0
 
     def test_reorder_within_bin_invariant(self, rng):
         s = helpers.random_stream(rng, 6, 6, 20, 80)
@@ -84,7 +74,7 @@ class TestToVoxelGrid:
         shuffled = EventStream(s.t[perm], s.x[perm], s.y[perm], s.p[perm],
                                6, 6, t0=s.t0, t1=s.t1)
         vox2, _ = helpers.voxel_grid(shuffled, 20)
-        assert np.array_equal(vox.data, vox2.data)
+        assert np.array_equal(vox, vox2)
 
     def test_matches_event_loop_oracle(self, rng):
         for _ in range(25):
@@ -93,16 +83,15 @@ class TestToVoxelGrid:
             vox, dropped = helpers.voxel_grid(s, steps)
             counts, dropped_o = helpers.voxel_oracle(s, steps)
             assert dropped == dropped_o
-            dense = np.zeros_like(vox.data)
+            dense = np.zeros_like(vox)
             for (c, y, x, b), v in counts.items():
                 dense[c, y, x, b] = v
-            assert np.array_equal(vox.data, dense)
+            assert np.array_equal(vox, dense)
 
 
-def count_window(coords, height, width, start, stop, dt=1.0):
-    """Count tensor [2, H, W, stop - start] of bins [start, stop), as inference windows count it."""
-    shape = (2, height, width, stop - start)
-    return _count_voxels(_voxel_index(coords, shape, start), shape, dt)
+def count_window(coords, height, width, start, stop):
+    """Count grid [2, H, W, stop - start] of bins [start, stop), as inference windows count it."""
+    return _count_voxels(*_voxel_index(coords, (0, height, 0, width), start, stop))
 
 
 class TestVoxelWindow:
@@ -115,60 +104,69 @@ class TestVoxelWindow:
             start = int(rng.integers(0, steps))
             stop = int(rng.integers(start + 1, steps + 1))
             coords, _ = event_bins(s, steps)
-            vox = count_window(coords, 5, 7, start, stop, 2.0)
-            assert vox.dt == 2.0 and vox.shape == (2, 5, 7, stop - start)
+            vox = count_window(coords, 5, 7, start, stop)
+            assert vox.shape == (2, 5, 7, stop - start)
             dense = np.zeros(vox.shape)
             for (c, y, x, b), v in helpers.voxel_oracle(s, steps)[0].items():
                 if start <= b < stop:
                     dense[c, y, x, b - start] = v
-            assert np.array_equal(vox.data, dense)
+            assert np.array_equal(vox, dense)
 
     @pytest.mark.parametrize("y, x", [(-1, 0), (0, -1), (4, 0), (0, 3)])
     def test_refuses_a_pixel_outside_its_grid(self, y, x):
         # a negative index would otherwise count at the far edge
         coords = tuple(np.array(v, dtype=np.int64) for v in ([0, 1], [1, y], [1, x], [0, 2]))
         with pytest.raises(EventError, match="outside the 4x3 voxel grid"):
-            _voxel_index(coords, (2, 4, 3, 3), 0)
+            _voxel_index(coords, (0, 4, 0, 3), 0, 3)
         # an event outside the window's bins is not counted, wherever it lies
-        assert count_window(coords, 4, 3, 0, 2).data.sum() == 1.0
+        assert count_window(coords, 4, 3, 0, 2).sum() == 1.0
 
 
 class TestFromVoxelGrid:
     def test_single_entry(self):
         data = np.zeros((2, 3, 3, 8))
         data[0, 1, 1, 4] = 1.0
-        s = from_voxel_grid(SpikeTensor(data))
+        s = from_voxel_grid(data)
         assert len(s) == 1
         assert (s.t[0], s.x[0], s.y[0], s.p[0]) == (4500, 1, 1, 1)
 
     def test_zero_tensor_empty(self):
-        s = from_voxel_grid(SpikeTensor(np.zeros((2, 4, 4, 5))))
+        s = from_voxel_grid(np.zeros((2, 4, 4, 5)))
         assert len(s) == 0 and (s.width, s.height) == (4, 4)
 
     def test_negative_channel_polarity(self):
         data = np.zeros((2, 2, 2, 2))
         data[1, 0, 1, 0] = 2.0
-        s = from_voxel_grid(SpikeTensor(data), t0=1000)
+        s = from_voxel_grid(data, t0=1000)
         assert len(s) == 2
         assert np.all(s.p == -1) and np.all(s.t == 1500)
+
+    def test_stamps_bin_centres_at_the_given_step(self):
+        # bin b of a grid starting at bin first_bin sits at t0 + (first_bin + b + 0.5) * dt
+        data = np.zeros((2, 2, 3, 4))
+        data[0, 1, 2, 0] = data[1, 0, 0, 3] = 1.0
+        s = from_voxel_grid(data, t0=700, dt=2.0)
+        assert s.t.tolist() == [700 + 0.5 * 2000, 700 + 3.5 * 2000]
+        assert s.p.tolist() == [1, -1] and (s.width, s.height) == (3, 2)
+        shifted = from_voxel_grid(data, t0=700, first_bin=5, dt=2.0)
+        assert shifted.t.tolist() == [700 + 5.5 * 2000, 700 + 8.5 * 2000]
 
     def test_round_trip_integer_tensors(self, rng):
         for _ in range(10):
             data = rng.integers(0, 4, (2, 5, 6, 9)).astype(float)
-            tensor = SpikeTensor(data)
-            back, dropped = helpers.voxel_grid(from_voxel_grid(tensor), 9)
+            back, dropped = helpers.voxel_grid(from_voxel_grid(data), 9)
             assert dropped == 0
-            assert np.array_equal(back.data, data)
+            assert np.array_equal(back, data)
 
     def test_sorted_output(self, rng):
         data = rng.integers(0, 3, (2, 4, 4, 6)).astype(float)
-        s = from_voxel_grid(SpikeTensor(data))
+        s = from_voxel_grid(data)
         assert np.all(np.diff(s.t) >= 0)
 
     def test_order_within_a_bin(self, rng):
         # events of one bin come by channel, then row, then column
         data = rng.integers(0, 3, (2, 3, 4, 5)).astype(float)
-        s = from_voxel_grid(SpikeTensor(data))
+        s = from_voxel_grid(data)
         got = list(zip(s.t.tolist(), s.p.tolist(), s.y.tolist(), s.x.tolist()))
         want = []
         for b in range(5):

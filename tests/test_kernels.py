@@ -7,7 +7,7 @@ import pytest
 import helpers
 from spikesr import kernels
 from spikesr.kernels import _BLOCK as B
-from spikesr.kernels import _refractory
+from spikesr.kernels import _refractory, _spike_kernel
 from spikesr.kernels import (NeuronConfig, apply_psp, apply_psp_adjoint,
                              generate_spikes, kernel_length, membrane,
                              refractory_kernel, soft_spike_grad, soft_spikes,
@@ -39,6 +39,14 @@ class TestKernels:
 
     def test_refractory_zero_magnitude(self):
         assert np.all(refractory_kernel(2.0, 0.0, 1.0, 5) == 0.0)
+
+    @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
+    @pytest.mark.parametrize("dt", [1.0, 2.0])
+    def test_cached_spike_kernel_is_the_explicit_one(self, cfg, dt):
+        eps = _spike_kernel(cfg, dt)
+        want = spike_kernel(cfg.tau_s, dt, kernel_length(cfg.tau_s, dt))
+        assert eps.tobytes() == want.tobytes() and not eps.flags.writeable
+        assert _spike_kernel(cfg, dt) is eps
 
     def test_kernel_length_rule(self):
         assert kernel_length(1.0, 1.0) == 8

@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from spikesr import kernels, model
-from spikesr.events import EventStream, SpikeTensor, downsample_2x, from_voxel_grid
+from spikesr.events import EventStream, downsample_2x, from_voxel_grid
 from spikesr.model import (CHECKPOINT_MAGIC, ModelError, NetworkSpec,
                            backward_from_output, bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
@@ -20,7 +20,7 @@ from spikesr.synth import synth_moving_bar
 
 
 def random_input(rng, c=2, h=6, w=6, t=12, hi=3):
-    return SpikeTensor(rng.integers(0, hi, (c, h, w, t)).astype(float))
+    return rng.integers(0, hi, (c, h, w, t)).astype(float)
 
 
 class TestNetworkSpec:
@@ -212,9 +212,9 @@ class TestForward:
             weights = init_weights(spec, seed=1)
             inp = random_input(rng)
             out, caches = forward(spec, weights, inp)
-            assert isinstance(out, SpikeTensor)
-            assert out.data.shape == (2, 12, 12, 12)
-            assert set(np.unique(out.data)) <= {0.0, 1.0}
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == (2, 12, 12, 12)
+            assert set(np.unique(out)) <= {0.0, 1.0}
             assert len(caches) == passes
 
     def test_streamed_forward_keeps_no_caches(self, rng):
@@ -228,7 +228,7 @@ class TestForward:
             assert caches == [] and len(state) == passes
             whole, caches = forward(spec, weights, inp)
             assert len(caches) == passes
-            assert np.array_equal(streamed.data, whole.data)
+            assert np.array_equal(streamed, whole)
 
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
     def test_soft_forward_matches_oracles_in_paper_order(self, rng, variant):
@@ -236,7 +236,7 @@ class TestForward:
         # transposed conv; forward filters after the conv, so they must commute
         spec = network_spec(variant)
         w1, w2 = [k * w for k, w in zip((3.0, 20.0), init_weights(spec, seed=6))]
-        x = random_input(rng, h=5, w=4, t=16).data
+        x = random_input(rng, h=5, w=4, t=16)
 
         def eps(n):
             k = np.arange(math.ceil(8.0 * n.tau_s))
@@ -257,7 +257,7 @@ class TestForward:
         want = np.concatenate(want)
         got, _ = forward(spec, [w1, w2], x, spike_mode="soft")
         assert 0.01 < want.min() and want.max() < 0.99   # off the sigmoid's flat ends
-        np.testing.assert_allclose(got.data, want, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
     def test_layer2_carries_its_conv_output(self, rng, variant):
@@ -296,11 +296,11 @@ class TestForward:
         spec = network_spec("ultralight")
         weights = init_weights(spec, seed=3)
         inp = random_input(rng, hi=4)
-        only_pos = inp.data.copy()
+        only_pos = inp.copy()
         only_pos[1] = 0.0
         full, _ = forward(spec, weights, inp)
-        part, _ = forward(spec, weights, SpikeTensor(only_pos))
-        assert np.array_equal(full.data[0], part.data[0])
+        part, _ = forward(spec, weights, only_pos)
+        assert np.array_equal(full[0], part[0])
 
     def test_deterministic(self, rng):
         spec = network_spec("dual_layer")
@@ -308,19 +308,26 @@ class TestForward:
         inp = random_input(rng)
         a, _ = forward(spec, weights, inp)
         b, _ = forward(spec, weights, inp)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_soft_mode_continuous(self, rng):
         spec = network_spec("dual_layer")
         weights = init_weights(spec, seed=5)
         out, _ = forward(spec, weights, random_input(rng), spike_mode="soft")
-        assert np.all((out.data > 0) & (out.data < 1))
+        assert np.all((out > 0) & (out < 1))
 
-    def test_rejects_step_size_other_than_spec(self, rng):
+    def test_rejects_bad_rank(self, rng):
         spec = network_spec("ultralight")
         weights = init_weights(spec, seed=0)
-        inp = SpikeTensor(random_input(rng).data, dt=2.0)
-        with pytest.raises(ModelError, match="dt"):
+        with pytest.raises(ModelError, match=r"\[2, H, W, T\]"):
+            forward(spec, weights, random_input(rng)[..., 0])
+
+    def test_rejects_negative_entries(self, rng):
+        spec = network_spec("ultralight")
+        weights = init_weights(spec, seed=0)
+        inp = random_input(rng)
+        inp[1, 2, 3, 4] = -1.0
+        with pytest.raises(ModelError, match="non-negative"):
             forward(spec, weights, inp)
 
 
@@ -345,7 +352,7 @@ class TestSuperResolve:
                              np.append(noise.y, 2), np.append(noise.p, -1), 6, 5)
         assert np.count_nonzero(stream.t > edge) > 0
         vox, want_dropped = helpers.voxel_grid(stream, steps, dt_ms)
-        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
+        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0, dt=dt_ms)
         assert len(want) > 0
         for window in (1, 7, 64, steps):
             monkeypatch.setattr(model, "_WINDOW", window)
@@ -395,7 +402,7 @@ class TestLiveBox:
         stream = helpers.bursts(24, 20, SPARSE_SCENES[scene])
         steps = int(230 / dt_ms)
         vox, want_dropped = helpers.voxel_grid(stream, steps, dt_ms)
-        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
+        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0, dt=dt_ms)
         assert len(want) > 0
         boxes = []
 
@@ -471,7 +478,7 @@ class TestMembraneOnlyForTraining:
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         out, caches = forward(spec, weights, random_input(rng, h=5, w=4, t=16))
         assert all(c.layer1.spikes.any() and c.layer2.spikes.any() for c in caches)
-        g_out = rng.standard_normal(out.data.shape)
+        g_out = rng.standard_normal(out.shape)
         calls = []
 
         def counted(drive, spikes, cfg, dt):

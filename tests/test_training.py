@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from spikesr import model, training
-from spikesr.events import EventStream, SpikeTensor, downsample_2x
+from spikesr.events import EventStream, downsample_2x
 from spikesr.metrics import blocks, common_span, rmse_st
 from spikesr.model import (ModelError, backward_from_output, conv_drive, forward,
                            init_weights, network_spec, super_resolve)
@@ -118,8 +118,8 @@ class TestLossSharesTheMetricsBlocks:
         pred = helpers.random_stream(rng, 6, 5, 100, 400)
         gt = helpers.random_stream(rng, 6, 5, 100, 300, t0=60)
         t0, _ = common_span(pred, gt)
-        out = helpers.voxel_grid(pred, steps, dt, origin=t0)[0].data
-        ref = helpers.voxel_grid(gt, steps, dt, origin=t0)[0].data
+        out = helpers.voxel_grid(pred, steps, dt, origin=t0)[0]
+        ref = helpers.voxel_grid(gt, steps, dt, origin=t0)[0]
         terms = terms_of(out, ref, dt)
         report = rmse_st(pred, gt, steps, dt)
         assert terms.polarity == report.mse_t_raw
@@ -168,20 +168,20 @@ class TestLossGradients:
         # all losses zero -> d(total)/d(log_var_i) = 1
         spec = network_spec("dual_layer")
         weights = init_weights(spec, seed=0)
-        inp = SpikeTensor(rng.integers(0, 3, (2, 4, 4, 8)).astype(float))
+        inp = rng.integers(0, 3, (2, 4, 4, 8)).astype(float)
         out, caches = forward(spec, weights, inp)
-        grads = backward(spec, weights, caches, out.data, out.data, LossState())
+        grads = backward(spec, weights, caches, out, out, LossState())
         assert grads.log_var == pytest.approx([1.0, 1.0, 1.0])
         assert grads.loss == pytest.approx(0.0)
 
     def test_log_var_grad_formula(self, rng):
         spec = network_spec("dual_layer")
         weights = init_weights(spec, seed=1)
-        inp = SpikeTensor(rng.integers(0, 3, (2, 4, 4, 8)).astype(float))
+        inp = rng.integers(0, 3, (2, 4, 4, 8)).astype(float)
         gt = rng.integers(0, 2, (2, 8, 8, 8)).astype(float)
         state = LossState(log_var=np.array([0.3, -0.2, 0.1]))
         out, caches = forward(spec, weights, inp)
-        grads = backward(spec, weights, caches, out.data, gt, state)
+        grads = backward(spec, weights, caches, out, gt, state)
         losses = np.array([grads.terms.temporal, grads.terms.spatial,
                            grads.terms.polarity])
         assert grads.log_var == pytest.approx(1.0 - state.weights() * losses)
@@ -190,9 +190,9 @@ class TestLossGradients:
         # shared-weight gradient accumulates both polarity passes
         spec = network_spec("ultralight")
         weights = init_weights(spec, seed=2)
-        inp = SpikeTensor(rng.integers(0, 4, (2, 4, 4, 10)).astype(float))
+        inp = rng.integers(0, 4, (2, 4, 4, 10)).astype(float)
         out, caches = forward(spec, weights, inp)
-        g_out = rng.standard_normal(out.data.shape)
+        g_out = rng.standard_normal(out.shape)
         combined = backward_from_output(spec, weights, caches, g_out)
         per_pass = [backward_from_output(spec, weights, [cache],
                                          g_out[c:c + 1])
@@ -402,9 +402,9 @@ class TestLiveBoxTraining:
         spec = network_spec(variant, dt_ms)
         weights = firing_init(spec, cfg.seed)
         out, caches = forward(spec, weights, helpers.voxel_grid(lr, steps, dt_ms)[0])
-        hr_data = helpers.voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0].data
-        want = backward(spec, weights, caches, out.data, hr_data, LossState())
-        assert out.data.any() == (case != "no_lr_event")
+        hr_data = helpers.voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0]
+        want = backward(spec, weights, caches, out, hr_data, LossState())
+        assert out.any() == (case != "no_lr_event")
         boxes, got, forwards = [], [], []
 
         def recorded_box(*args):
