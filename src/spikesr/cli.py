@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import US_PER_MS, EventError, EventStream, steps_to_cover
+from .events import (US_PER_MS, EventError, EventStream, _count_voxels, _voxel_index,
+                     event_bins, steps_to_cover)
 from .io import EventFormatError, guess_format, load_events, save_events
 from .metrics import MetricsReport, common_span, rmse_st
 from .model import (LAYER_LAYOUTS, VARIANTS, ModelError, count_flops, count_params,
@@ -27,23 +28,15 @@ class UsageError(Exception):
     pass
 
 
-def _parse_size(text):
+def _parse_ints(text, name, form):
+    """The integers of an `AxB...` string with as many fields as `form`, say `WxH`."""
     try:
-        w, h = text.lower().split("x")
-        w, h = int(w), int(h)
+        values = [int(v) for v in text.lower().split("x")]
     except ValueError:
-        raise UsageError(f"bad size {text!r}, expected WxH") from None
-    if w < 1 or h < 1:
-        raise UsageError("size must be positive")
-    return w, h
-
-
-def _parse_dims(text):
-    try:
-        h, w, t = (int(v) for v in text.lower().split("x"))
-    except ValueError:
-        raise UsageError(f"bad dims {text!r}, expected HxWxT") from None
-    return h, w, t
+        values = []
+    if len(values) != len(form.split("x")):
+        raise UsageError(f"bad {name} {text!r}, expected {form}")
+    return values
 
 
 def _load_stream(path):
@@ -82,7 +75,9 @@ def cmd_synth(args):
         raise UsageError("--n must be at least 1")
     if not (math.isfinite(args.dur) and args.dur > 0):
         raise UsageError(f"--dur must be a positive number of milliseconds, not {args.dur}")
-    width, height = _parse_size(args.size)
+    width, height = _parse_ints(args.size, "size", "WxH")
+    if width < 1 or height < 1:
+        raise UsageError("size must be positive")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -283,18 +278,13 @@ def cmd_eval(args):
     return 0
 
 
-def _render_frame(stream, lo, hi):
-    """RGB byte image of one window: red for positive, blue for negative,
-    white background, scaled by the window's busiest pixel."""
-    mask = (stream.t >= lo) & (stream.t < hi) if hi > lo else (stream.t == lo)
-    pos = np.zeros((stream.height, stream.width))
-    neg = np.zeros((stream.height, stream.width))
-    sel = np.flatnonzero(mask)
-    upmask = stream.p[sel] == 1
-    np.add.at(pos, (stream.y[sel[upmask]], stream.x[sel[upmask]]), 1.0)
-    np.add.at(neg, (stream.y[sel[~upmask]], stream.x[sel[~upmask]]), 1.0)
-    peak = max(pos.max(), neg.max()) if sel.size else 0.0
-    img = np.full((stream.height, stream.width, 3), 255.0)
+def _render_frame(counts):
+    """RGB byte image of one frame's [2, H, W] counts (channel 0 positive):
+    red for positive, blue for negative, white background, scaled by the
+    frame's busiest pixel."""
+    pos, neg = counts
+    peak = counts.max()
+    img = np.full(pos.shape + (3,), 255.0)
     if peak > 0:
         sp, sn = pos / peak, neg / peak
         img[..., 0] -= 255.0 * sn
@@ -313,22 +303,24 @@ def cmd_render(args):
     _check_out_dirs(args.out)
     stream = _load_stream(args.input)
     prefix = Path(args.out)
-    if args.every is not None:
-        window = round(args.every * US_PER_MS) if math.isfinite(args.every) else 0
-        if window < 1:
+    if args.every is None:
+        width = stream.span_us + 1   # one frame holds the whole span
+    else:
+        width = round(args.every * US_PER_MS) if math.isfinite(args.every) else 0
+        if width < 1:
             raise UsageError(f"--every must be a number of milliseconds that rounds to at "
                              f"least one microsecond, not {args.every}")
-        n = max(1, math.ceil(stream.span_us / window)) if stream.span_us else 1
-        for k in range(n):
-            lo = stream.t0 + k * window
-            img = _render_frame(stream, lo, min(lo + window, stream.t1 + 1))
-            _write_ppm(prefix.with_name(f"{prefix.name}_{k:04d}.ppm"), img)
-        print(f"wrote {n} frames to {prefix.parent or Path('.')}")
-        return 0
-    img = _render_frame(stream, stream.t0, stream.t1 + 1)
-    path = prefix if prefix.suffix == ".ppm" else prefix.with_suffix(".ppm")
-    _write_ppm(path, img)
-    print(f"wrote {path}")
+    # frame k is step k of event_bins' grid; a grid that covers the span drops nothing
+    dt = width / US_PER_MS
+    n = steps_to_cover(stream.span_us, dt)
+    coords, _ = event_bins(stream, n, dt)
+    frame = (0, stream.height, 0, stream.width)
+    for k in range(n):
+        path = (prefix.with_suffix(".ppm") if args.every is None
+                else prefix.with_name(f"{prefix.name}_{k:04d}.ppm"))
+        counts = _count_voxels(*_voxel_index(coords, frame, k, k + 1))
+        _write_ppm(path, _render_frame(counts[..., 0]))
+    print(f"wrote {path}" if args.every is None else f"wrote {n} frames to {prefix.parent}")
     return 0
 
 
@@ -339,7 +331,7 @@ def cmd_info(args):
         spec = network_spec(args.variant)
     if args.dims:
         try:
-            flops = count_flops(spec, *_parse_dims(args.dims))
+            flops = count_flops(spec, *_parse_ints(args.dims, "dims", "HxWxT"))
         except ModelError as exc:
             raise UsageError(str(exc)) from None
     if args.checkpoint:
@@ -409,10 +401,14 @@ def build_parser():
     p.add_argument("--steps", type=int)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("render", help="rasterise events to PPM images")
+    p = sub.add_parser("render", help="rasterise events to PPM images",
+                       description="A frame is one step of the event_bins time grid, "
+                       "--every wide, or one frame for the whole stream without it. "
+                       "An event at the stream's last timestamp lands in the last frame.")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--every", type=float, help="frame length in milliseconds")
+    p.add_argument("--every", type=float,
+                   help="frame width in milliseconds, rounded to whole microseconds")
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("info", help="describe a variant or checkpoint")

@@ -60,6 +60,40 @@ def voxel_oracle(stream, steps, dt=1.0, origin=None):
     return counts, dropped
 
 
+def render_oracle(stream, every_ms=None):
+    """The RGB frames `render` draws, by event and pixel loops.
+
+    Frames are w = round(every_ms * 1000) microseconds wide, or one frame
+    of w = span + 1 without every_ms, and as many as cover the span (at
+    least one).  Frame k holds the events with t in [t0 + k w,
+    t0 + (k + 1) w); the last frame is closed at t1.  A pixel's red,
+    green and blue drop by 255 times its negative count, its summed
+    count (at most 1) and its positive count, each over the frame's
+    largest count.
+    """
+    span = stream.t1 - stream.t0
+    w = span + 1 if every_ms is None else round(every_ms * 1000)
+    n = max(1, -(-span // w))
+    counts = [defaultdict(int) for _ in range(n)]
+    for t, x, y, p in zip(stream.t.tolist(), stream.x.tolist(),
+                          stream.y.tolist(), stream.p.tolist()):
+        k = min((t - stream.t0) // w, n - 1)
+        counts[k][(0 if p == 1 else 1, y, x)] += 1
+    frames = []
+    for frame in counts:
+        peak = max(frame.values(), default=0)
+        img = np.full((stream.height, stream.width, 3), 255, dtype=np.uint8)
+        for y in range(stream.height):
+            for x in range(stream.width):
+                if peak:
+                    sp, sn = frame[(0, y, x)] / peak, frame[(1, y, x)] / peak
+                    rgb = (255.0 - 255.0 * sn, 255.0 - 255.0 * min(1.0, sp + sn),
+                           255.0 - 255.0 * sp)
+                    img[y, x] = [min(255, max(0, round(v))) for v in rgb]
+        frames.append(img)
+    return frames
+
+
 def mse_temporal_oracle(out_stream, gt_stream, steps, t0, dt=1.0):
     a, _ = voxel_oracle(out_stream, steps, dt, origin=t0)
     b, _ = voxel_oracle(gt_stream, steps, dt, origin=t0)

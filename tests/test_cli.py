@@ -11,7 +11,7 @@ import spikesr.cli
 import spikesr.events
 import spikesr.model
 from spikesr.cli import main
-from spikesr.events import EventStream, downsample_2x
+from spikesr.events import EventStream, downsample_2x, steps_to_cover
 from spikesr.io import guess_format, load_events, save_events
 from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
 from spikesr.synth import synth_moving_bar
@@ -20,6 +20,13 @@ from spikesr.training import TrainConfig, TrainingError
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_ppm(path):
+    """[H, W, 3] bytes of a binary PPM."""
+    head, body = path.read_bytes().split(b"255\n", 1)
+    width, height = (int(v) for v in head.split()[1:3])
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
 
 
 def make_corpus(tmp_path, n=6, size="16x16", seed=0):
@@ -602,6 +609,42 @@ class TestRender:
         frames = sorted(tmp_path.glob("f_*.ppm"))
         assert [f.name for f in frames] == ["f_0000.ppm", "f_0001.ppm",
                                             "f_0002.ppm"]
+
+    def test_event_at_the_last_timestamp_lands_in_the_last_frame(self, tmp_path):
+        path = tmp_path / "s.evbin"
+        save_events(EventStream([0, 5_000, 20_000], [0, 1, 2], [0, 0, 0], [1, 1, 1], 3, 1),
+                    path, "evbin")
+        assert run("render", "--input", path, "--out", tmp_path / "f", "--every", 10) == 0
+        assert sorted(f.name for f in tmp_path.glob("f_*.ppm")) == ["f_0000.ppm",
+                                                                   "f_0001.ppm"]
+        last = read_ppm(tmp_path / "f_0001.ppm")
+        assert tuple(last[0, 2]) == (255, 0, 0) and np.all(last[0, :2] == 255)
+
+    @pytest.mark.parametrize("every", [None, 1, 3, 10])
+    def test_frames_match_the_oracle(self, tmp_path, every):
+        rng = np.random.default_rng(every or 0)
+        extra = () if every is None else ("--every", every)
+        for i in range(12):
+            n, dur_us = int(rng.integers(2, 40)), 1000 * int(rng.integers(0, 30))
+            t = rng.integers(0, dur_us + 1, n)
+            if i % 2:   # whole milliseconds: many events on frame edges
+                t = t // 1000 * 1000
+            if i % 3 == 0:   # one on the closing edge of whole frames
+                t[:2] = 0, dur_us
+            w, h = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            s = EventStream(t, rng.integers(0, w, n), rng.integers(0, h, n),
+                            rng.choice([1, -1], n), w, h)
+            path = tmp_path / f"s{i}.evbin"
+            save_events(s, path, "evbin")
+            out = tmp_path / f"r{i}"
+            assert run("render", "--input", path, "--out", out, *extra) == 0
+            frames = (sorted(tmp_path.glob(f"r{i}_*.ppm")) if every
+                      else [out.with_suffix(".ppm")])
+            oracle = helpers.render_oracle(s, every)
+            assert len(frames) == len(oracle) == (steps_to_cover(s.span_us, every)
+                                                  if every else 1)
+            for frame, want in zip(frames, oracle):
+                assert np.array_equal(read_ppm(frame), want), (i, frame.name)
 
     def test_bad_every_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "s.evbin"

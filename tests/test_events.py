@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,25 @@ class TestSynthMovingBar:
         b = synth_moving_bar(16, 16, 50, 0.3, 2.0, seed=9)
         assert np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.p, b.p)
+
+    def test_output_is_pinned(self):
+        """The benchmark's inputs and the criterion-8 corpus come from this
+        generator: a digest of its arrays, geometry and span over a fixed sweep."""
+        sweep = [(32, 32, 64.0, 0.1, 11.0, 5), (64, 64, 64.0, 0.5, 4.0, 123456789),
+                 (128, 128, 300.0, 0.25, 11.0, 1), (32, 32, 64.0, 0.3, 6.0, 0),
+                 (17, 9, 12.5, 0.37, 2.5, 7),
+                 (16, 16, 50.0, 0.0, 2.0, 1),     # still bar
+                 (16, 16, 50.0, 0.3, 0.0, 1),     # no events per edge
+                 (8, 8, 20.0, 0.01, 3.0, 2),      # never reaches a second pixel
+                 (4, 4, 10.0004, 0.4, 2000.0, 3)]  # events on the closing edge
+        digest = hashlib.sha256()
+        for args in sweep:
+            s = synth_moving_bar(*args)
+            for a in (s.t, s.x, s.y, s.p):
+                digest.update(a.astype("<i8").tobytes())
+            digest.update(repr((s.width, s.height, s.t0, s.t1)).encode())
+        assert digest.hexdigest() == ("466998a094acda3869d87f36bf3695c5"
+                                      "995ed06e91ba221e77d6b94d93720151")
 
     def test_zero_velocity_empty(self):
         s = synth_moving_bar(16, 16, 50, 0.0, 2.0, seed=1)
