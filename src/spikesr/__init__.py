@@ -8,7 +8,7 @@ from .metrics import DegenerateStreamError, MetricsReport, rmse_st
 from .model import (NetworkSpec, count_flops, count_params, forward, init_weights,
                     load_checkpoint, network_spec, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
-from .training import (LossState, OptimState, TrainConfig, TrainResult, TrainingError,
-                       adam_step, backward, init_optim, loss_total, train)
+from .training import (OptimState, TrainConfig, TrainResult, TrainingError, adam_step,
+                       backward, init_optim, loss_total, train)
 
 __version__ = "0.1.0"

@@ -44,10 +44,13 @@ def _load_stream(path):
 
 
 def _check_out_dirs(*paths):
-    """Refuse, before any work, an output path (None: not given) in a missing directory."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise UsageError(f"{path}: directory {Path(path).parent} does not exist")
+    """Refuse, before any work, an output path (None: not given) that names a
+    directory (`.` and `/` among them) or lies in a missing one."""
+    for path in [Path(p) for p in paths if p is not None]:
+        if not path.name or path.is_dir():
+            raise UsageError(f"{path}: is a directory, expected a file path")
+        if not path.parent.is_dir():
+            raise UsageError(f"{path}: directory {path.parent} does not exist")
 
 
 def _read_pair_manifest(path):

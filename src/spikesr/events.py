@@ -76,28 +76,36 @@ class EventStream:
         return self.t1 - self.t0
 
 
+def _step_us(dt: float) -> int:
+    """A step of dt milliseconds in whole microseconds; EventError unless it is one."""
+    n = round(dt * US_PER_MS) if 0 < dt < math.inf else 0
+    if n < 1 or n / US_PER_MS != dt:
+        raise EventError(f"a step of {dt!r} ms is not a whole number of microseconds")
+    return n
+
+
 def steps_to_cover(span_us: int, dt_ms: float = 1.0) -> int:
     """Fewest dt_ms steps (at least one) whose grid holds a span_us span."""
-    return max(1, math.ceil(span_us / (dt_ms * US_PER_MS)))
+    return max(1, -(-span_us // _step_us(dt_ms)))
 
 
 def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
     """Grid coordinates of the events a grid of `steps` bins keeps.
 
-    Bin index is floor((t - t0) / dt), with t0 the stream's own start
-    unless `origin` overrides it.  An event sitting exactly on the
-    closing edge of the grid (t - t0 == T * dt) is folded into the last
-    bin; anything else past the last bin is dropped.  Returns the
-    (channel, y, x, bin) int64 arrays of the kept events, in stream
-    order and so with bins non-decreasing, and the dropped-event count.
+    Bin index is floor((t - t0) / dt), computed in whole microseconds
+    (_step_us), with t0 the stream's own start unless `origin` overrides
+    it.  An event sitting exactly on the closing edge of the grid
+    (t - t0 == T * dt) is folded into the last bin; anything else past
+    the last bin is dropped.  Returns the (channel, y, x, bin) int64
+    arrays of the kept events, in stream order and so with bins
+    non-decreasing, and the dropped-event count.
     """
     if steps < 1:
         raise EventError("step count must be positive")
-    dt_us = dt * US_PER_MS
+    n = _step_us(dt)
     rel = stream.t - (stream.t0 if origin is None else int(origin))
-    bins = np.floor(rel / dt_us).astype(np.int64)
-    edge = (bins == steps) & (rel == steps * dt_us)
-    bins[edge] = steps - 1
+    bins = rel // n
+    bins[rel == steps * n] = steps - 1
     keep = (bins >= 0) & (bins < steps)
     ch = (stream.p[keep] != 1).astype(np.int64)  # +1 -> 0, -1 -> 1
     return (ch, stream.y[keep], stream.x[keep], bins[keep]), int(np.count_nonzero(~keep))
@@ -132,7 +140,8 @@ def from_voxel_grid(counts: np.ndarray, t0: int = 0, first_bin: int = 0,
     """Expand a [C, H, W, T] count grid of dt-millisecond steps back into events.
 
     Each voxel with value v emits round(v) events stamped at its bin
-    centre, t0 + (bin + 0.5) * dt, where the grid's first bin is bin
+    centre, t0 + (bin + 0.5) * dt rounded down to whole microseconds
+    (_step_us), where the grid's first bin is bin
     `first_bin` of the grid that starts at t0.  Events come out in the
     row-major order of the time-major [T, C, H, W] view: by bin, then
     channel, row and column, so the result is time sorted and
@@ -144,8 +153,8 @@ def from_voxel_grid(counts: np.ndarray, t0: int = 0, first_bin: int = 0,
     if bins.size == 0:
         return EventStream.empty(width, height)
     reps = counts[bins, ch, ys, xs]
-    dt_us = dt * US_PER_MS
-    t = np.repeat(np.rint(t0 + (bins + first_bin + 0.5) * dt_us).astype(np.int64), reps)
+    n = _step_us(dt)
+    t = np.repeat(t0 + (bins + first_bin) * n + n // 2, reps)
     x = np.repeat(xs, reps)
     y = np.repeat(ys, reps)
     p = np.repeat(np.where(ch == 0, 1, -1).astype(np.int64), reps)

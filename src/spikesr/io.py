@@ -3,7 +3,7 @@
 CSV is the interchange format: a `t_us,x,y,p` header followed by one
 event per line, p written as 1 or -1, LF line endings.  Every CSV file
 needs the header; it stores no geometry, so the loader infers it from
-the largest coordinates unless width and height are given.  A record is
+the largest coordinates.  A record is
 four comma-separated integers in the syntax Python's `int()` accepts
 (sign, leading zeros, underscores, surrounding spaces); blank lines,
 CRLF endings and whitespace around the header are accepted too.
@@ -156,25 +156,20 @@ def _decode_nmnist(raw, path):
 _DECODERS = {"csv": _decode_csv, "evbin": _decode_evbin, "nmnist_bin": _decode_nmnist}
 
 
-def load_events(path, fmt: str, width: int | None = None, height: int | None = None) -> EventStream:
+def load_events(path, fmt: str) -> EventStream:
     """Read a stream from disk; fmt is one of csv, evbin, nmnist_bin.
 
-    Geometry comes from the file where the format stores it, and a given
-    width or height must then agree with it; otherwise it is width and
-    height where given and max coordinate + 1 where not.
+    Geometry comes from the file where the format stores it, and is max
+    coordinate + 1 where it does not (1 for an empty CSV).
     """
     if fmt not in _DECODERS:
         raise EventFormatError(f"unknown format {fmt!r}")
     (t, x, y, p), stored = _DECODERS[fmt](Path(path).read_bytes(), path)
     _check_order(t, path)
     if stored is not None:
-        if width not in (None, stored[0]) or height not in (None, stored[1]):
-            raise EventFormatError(
-                f"{path}: stored geometry {stored[0]}x{stored[1]} contradicts override")
         width, height = stored
-    if width is None:
+    else:
         width = int(x.max()) + 1 if x.size else 1
-    if height is None:
         height = int(y.max()) + 1 if y.size else 1
     try:
         return EventStream(t, x, y, p, width, height)

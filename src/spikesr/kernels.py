@@ -206,7 +206,7 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0, past=None):
     copy of the last K - 1 steps of past and spikes together (all of
     them if fewer), K = kernel_length(tau_r, dt).  Fed back as the next
     window's past, it makes that window's spikes the whole stream's.
-    membrane rebuilds the membrane trace.
+    membrane rebuilds the membrane trace of a run with no past.
 
     A neuron's membrane at step t is d = drive[t] plus gamma[k] for each
     of its spikes k steps earlier, 0 < k < K, added with k descending.
@@ -256,34 +256,27 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0, past=None):
     return spikes, history[..., max(0, history.shape[-1] - tail):].copy()
 
 
-def membrane(drive, spikes, cfg: NeuronConfig, dt: float = 1.0, past=None) -> np.ndarray:
+def membrane(drive, spikes, cfg: NeuronConfig, dt: float = 1.0) -> np.ndarray:
     """The membrane trace of neurons that fired `spikes`, as generate_spikes
-    (drive, cfg, dt, past) returns them, under that drive and past.
+    (drive, cfg, dt) returns them, under that drive.
 
-    u[..., t] = drive[..., t] + gamma[k] * history[..., t - k] for
-    k = K - 1, ..., 1 in that order, history being past followed by
-    spikes: the sum generate_spikes compares with v_th.  A zero history
-    step adds -0.0, which changes no bit; rows with no spike in their
-    history keep u = drive.
+    u[..., t] = drive[..., t] + gamma[k] * spikes[..., t - k] for
+    k = K - 1, ..., 1 in that order: the sum generate_spikes compares
+    with v_th.  A zero spike step adds -0.0, which changes no bit; rows
+    with no spike keep u = drive.
     """
     x = np.asarray(drive, dtype=np.float64)
     T = x.shape[-1]
     n = math.prod(x.shape[:-1])
     gamma = _refractory(cfg, dt)[0]
-    tail = gamma.size - 1
     hist = np.reshape(spikes, (n, T))
-    if past is not None:
-        prior = np.reshape(past, (n, np.shape(past)[-1]))
-        hist = np.concatenate([prior[:, max(0, prior.shape[-1] - tail):], hist], axis=-1)
-    Q = hist.shape[-1] - T   # history steps before step 0
     u = x.reshape(n, T).copy()
-    rows = np.flatnonzero(hist != 0) // hist.shape[-1]
+    rows = np.flatnonzero(hist != 0) // T
     live = rows[np.diff(rows, prepend=-1) != 0]
     if live.size:
         v, h = u[live], hist[live]
-        for k in range(min(tail, T + Q - 1), 0, -1):   # lags that reach into the window
-            lo = max(0, k - Q)
-            v[:, lo:] += gamma[k] * h[:, lo + Q - k:T + Q - k]
+        for k in range(min(gamma.size, T) - 1, 0, -1):   # lags that reach into the window
+            v[:, k:] += gamma[k] * h[:, :T - k]
         u[live] = v
     return u.reshape(x.shape)
 
@@ -291,12 +284,12 @@ def membrane(drive, spikes, cfg: NeuronConfig, dt: float = 1.0, past=None) -> np
 def soft_spikes(drive, cfg: NeuronConfig):
     """Differentiable stand-in for generate_spikes used by gradient checks.
 
-    Emits s = sigmoid((u - v_th) / (tau_rho * v_th)) with no refractory
-    feedback, so the whole forward pass is smooth in the weights.
+    Emits s = sigmoid((u - v_th) / (tau_rho * v_th)) of the drive u, with
+    no refractory feedback, so the whole forward pass is smooth in the
+    weights.
     """
-    u = np.asarray(drive, dtype=np.float64)
-    z = (u - cfg.v_th) / (cfg.tau_rho * cfg.v_th)
-    return 0.5 * (1.0 + np.tanh(0.5 * z)), u
+    z = (np.asarray(drive, dtype=np.float64) - cfg.v_th) / (cfg.tau_rho * cfg.v_th)
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def soft_spike_grad(u, cfg: NeuronConfig) -> np.ndarray:

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventError, EventStream, _voxel_index, event_bins
+from .events import US_PER_MS, EventError, EventStream, _step_us, _voxel_index, event_bins
 
-# Width of the time blocks that the spatial metric and the spatial loss pool over.
-BLOCK_MS = 50.0
+# Width in microseconds of the time blocks that the spatial metric and the
+# spatial loss pool over.
+BLOCK_US = 50_000
 
 
 class DegenerateStreamError(EventError):
@@ -78,12 +79,12 @@ class MetricsReport:
 
 
 def blocks(steps: int, dt: float):
-    """(start, stop) of each BLOCK_MS block of `steps` dt-millisecond steps.
+    """(start, stop) of each 50 ms block of `steps` dt-millisecond steps.
 
-    Step t falls in block floor(t * dt / BLOCK_MS); the last block may
-    be partial.
+    Step t falls in block floor(t * dt / 50 ms), computed in whole
+    microseconds (events._step_us); the last block may be partial.
     """
-    idx = np.floor(np.arange(steps) * dt / BLOCK_MS)
+    idx = np.arange(steps) * _step_us(dt) // BLOCK_US
     starts = np.flatnonzero(np.r_[1, np.diff(idx)]).tolist()
     return list(zip(starts, starts[1:] + [steps]))
 
@@ -154,7 +155,7 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     votes = np.abs(_sums(np.concatenate([c_out, c_gt]), np.concatenate([s_out, s_gt]))[1])
     matches, omega = int(np.count_nonzero(votes == 2)), int(np.count_nonzero(votes != 1))
     pa, vacuous = (100.0 * matches / omega, False) if omega else (100.0, True)
-    span_ms = min((t1 - t0) / 1000.0, steps * dt)
+    span_ms = min(t1 - t0, steps * _step_us(dt)) / US_PER_MS
     return MetricsReport(
         rmse_st=math.sqrt((mse_t + mse_s) / (span_ms * n_p)),
         mse_t_raw=mse_t, mse_s_raw=mse_s,

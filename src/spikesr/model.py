@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, _count_voxels, _voxel_index, event_bins, from_voxel_grid
+from .events import (EventError, EventStream, _count_voxels, _step_us, _voxel_index,
+                     event_bins, from_voxel_grid)
 from .kernels import (NeuronConfig, _spike_kernel, apply_psp, apply_psp_adjoint,
                       generate_spikes, membrane, soft_spike_grad, soft_spikes, surrogate_grad)
 
@@ -92,11 +93,15 @@ class NetworkSpec:
 
 
 def network_spec(variant: str, dt_ms: float = 1.0) -> NetworkSpec:
-    """The spec of one of the two variants, stepping dt_ms milliseconds."""
+    """The spec of one of the two variants, stepping dt_ms milliseconds,
+    a positive whole number of microseconds (events._step_us)."""
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r}")
-    if not 0.0 < dt_ms < np.inf:
-        raise ModelError(f"step size dt_ms={dt_ms!r} must be a positive number")
+    try:
+        _step_us(dt_ms)
+    except EventError:
+        raise ModelError(f"step size dt_ms={dt_ms!r} must be a positive whole number "
+                         f"of microseconds") from None
     return NetworkSpec(variant, float(dt_ms))
 
 
@@ -292,7 +297,7 @@ def _psp(in_spikes, neuron, dt, state):
 
 def _fire(drive, neuron, dt, spike_mode, state):
     if spike_mode == "soft":
-        return soft_spikes(drive, neuron)[0]
+        return soft_spikes(drive, neuron)
     spikes, state.spikes = generate_spikes(drive, neuron, dt, state.spikes)
     return spikes
 

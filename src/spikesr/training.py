@@ -40,16 +40,6 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass
-class LossState:
-    """Learned log-variances, one per loss term."""
-
-    log_var: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def weights(self) -> np.ndarray:
-        return np.exp(-np.asarray(self.log_var, dtype=np.float64))
-
-
 @dataclass(frozen=True)
 class LossTerms:
     temporal: float
@@ -59,8 +49,9 @@ class LossTerms:
     regulariser: float
 
 
-def loss_total(out, gt, state: LossState, dt: float = 1.0):
-    """Certainty-weighted objective on [2, H, W, T] spike tensors.
+def loss_total(out, gt, log_var, dt: float = 1.0):
+    """Certainty-weighted objective on [2, H, W, T] spike tensors, under
+    the three learned log-variances `log_var`.
 
     Returns (value, per-term breakdown, d(value)/d(out)).
     """
@@ -69,7 +60,7 @@ def loss_total(out, gt, state: LossState, dt: float = 1.0):
         raise TrainingError("polarity loss needs both channels")
     steps = d.shape[-1]
     sq = float(np.sum(d * d))
-    w = state.weights()
+    w = np.exp(-np.asarray(log_var, dtype=np.float64))
     g = (2.0 * w[0] / steps + 2.0 * w[2]) * d
     ls = 0.0
     for start, stop in blocks(steps, dt):
@@ -77,7 +68,7 @@ def loss_total(out, gt, state: LossState, dt: float = 1.0):
         ls += float(np.sum(pooled * pooled))
         g[..., start:stop] += 2.0 * w[1] * pooled
     lt, lp = sq / steps, sq
-    reg = float(np.sum(state.log_var))
+    reg = float(np.sum(log_var))
     total = float(w[0] * lt + w[1] * ls + w[2] * lp + reg)
     return total, LossTerms(lt, ls, lp, w, reg), g
 
@@ -90,13 +81,13 @@ class Gradients:
     terms: LossTerms
 
 
-def backward(spec: NetworkSpec, weights, caches, out, gt, state: LossState) -> Gradients:
+def backward(spec: NetworkSpec, weights, caches, out, gt, log_var) -> Gradients:
     """Full reverse pass: loss value, weight gradients, log-variance gradients.
 
     The log-variance gradient is 1 - w_i * L_i; weight gradients are the
     per-pass sums from model.backward_from_output, zero without caches.
     """
-    total, terms, g_out = loss_total(out, gt, state, spec.dt_ms)
+    total, terms, g_out = loss_total(out, gt, log_var, spec.dt_ms)
     g_w = backward_from_output(spec, weights, caches, g_out)
     losses = np.array([terms.temporal, terms.spatial, terms.polarity])
     g_lv = 1.0 - terms.weights * losses
@@ -214,15 +205,14 @@ def _validation_rmse(spec, weights, val_pairs, steps):
     return (float(np.mean(scores)) if scores else float("nan")), skipped
 
 
-def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
+def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
     """Fit a network on (LR stream, HR stream) pairs.
 
     Per-sample gradients are averaged over each shuffled mini-batch and
     fed to Adam; the loss log-variances train alongside the weights.
     Validation runs super_resolve, the call infer makes, and scores its
     output streams, so the validation RMSE matches a later infer + eval
-    on the same pair exactly.  `progress`, if given, is called with each
-    EpochRow as it completes.  The result counts the events that fell
+    on the same pair exactly.  The result counts the events that fell
     outside the cfg.steps-long grids and the validation pairs left out
     of the RMSE.
 
@@ -244,7 +234,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
     _validate_pairs(val_pairs, "validation")
     spec = network_spec(cfg.variant, cfg.dt_ms)
     weights = init_weights(spec, cfg.seed)
-    state = LossState()
+    log_var = np.zeros(3)   # Adam's last parameter
     # validation pairs are only counted here: super_resolve bins them as it runs
     dropped = sum(event_bins(lr, cfg.steps, cfg.dt_ms)[1]
                   + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1]
@@ -263,7 +253,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
                            _voxel_index(hr, box, 0, cfg.steps, s)))
     rng = np.random.default_rng(cfg.seed)
     initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
-    params = weights + [state.log_var]
+    params = weights + [log_var]
     opt = init_optim(params, lr=cfg.lr)
     rows = []
     for epoch in range(1, cfg.epochs + 1):
@@ -280,7 +270,7 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
                 out, caches = ((np.zeros(hr_shape), []) if lr_index.size == 0 else
                                forward(spec, weights, _count_voxels(lr_index, lr_shape)))
                 gt = _count_voxels(hr_index, hr_shape)
-                grads = backward(spec, weights, caches, out, gt, state)
+                grads = backward(spec, weights, caches, out, gt, log_var)
                 if not np.isfinite(grads.loss):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, sample {j}")
@@ -290,12 +280,10 @@ def train(cfg: TrainConfig, pairs, val_pairs, progress=None) -> TrainResult:
                 epoch_loss += grads.loss
             n = len(batch)
             adam_step(params, [a / n for a in acc_w] + [acc_lv / n], opt)
-        w = state.weights()
+        w = np.exp(-log_var)
         val, epoch_skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
         skipped |= epoch_skipped
         rows.append(EpochRow(epoch, epoch_loss / len(train_data),
                              float(w[0]), float(w[1]), float(w[2]), val))
-        if progress is not None:
-            progress(rows[-1])
-    return TrainResult(spec, weights, state.log_var, rows, initial_val, cfg.seed,
+    return TrainResult(spec, weights, log_var, rows, initial_val, cfg.seed,
                        dropped, len(skipped))

@@ -16,8 +16,7 @@ from spikesr.metrics import rmse_st
 from spikesr.model import (backward_from_output, count_flops, count_params,
                            forward, init_weights, network_spec)
 from spikesr.synth import synth_moving_bar
-from spikesr.training import (LossState, TrainConfig, backward, loss_total,
-                              train)
+from spikesr.training import TrainConfig, backward, loss_total, train
 
 SEED = 20260822
 
@@ -107,14 +106,14 @@ def test_criterion_06_gradient_certification():
     for variant in ("dual_layer", "ultralight"):
         spec = network_spec(variant)
         weights = init_weights(spec, seed=3)
-        state = LossState(log_var=np.array([0.2, -0.1, 0.05]))
+        log_var = np.array([0.2, -0.1, 0.05])
 
         def value():
             out, _ = forward(spec, weights, inp, spike_mode="soft")
-            return loss_total(out, gt, state)[0]
+            return loss_total(out, gt, log_var)[0]
 
         out, caches = forward(spec, weights, inp, spike_mode="soft")
-        grads = backward(spec, weights, caches, out, gt, state)
+        grads = backward(spec, weights, caches, out, gt, log_var)
         checked = 0
         for li, w in enumerate(weights):
             flat = w.ravel()
@@ -132,12 +131,12 @@ def test_criterion_06_gradient_certification():
                 checked += 1
         assert checked == count_params(spec)
         for i in range(3):
-            orig = state.log_var[i]
-            state.log_var[i] = orig + h_fd
+            orig = log_var[i]
+            log_var[i] = orig + h_fd
             hi = value()
-            state.log_var[i] = orig - h_fd
+            log_var[i] = orig - h_fd
             lo = value()
-            state.log_var[i] = orig
+            log_var[i] = orig
             fd = (hi - lo) / (2 * h_fd)
             assert abs(grads.log_var[i] - fd) <= 1e-6 * max(abs(fd), 1.0)
     elapsed = time.monotonic() - started

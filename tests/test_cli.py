@@ -29,6 +29,13 @@ def read_ppm(path):
     return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
 
 
+def refused_outs(tmp_path, name):
+    """Output paths refused before any work: one in a missing directory, an
+    existing directory, `.` (tests run it from tmp_path) and `/`."""
+    (tmp_path / "existing").mkdir(exist_ok=True)
+    return [tmp_path / "missing" / name, tmp_path / "existing", Path("."), Path("/")]
+
+
 def make_corpus(tmp_path, n=6, size="16x16", seed=0):
     corpus = tmp_path / "corpus"
     assert run("synth", "--out", corpus, "--n", n, "--size", size,
@@ -302,14 +309,16 @@ class TestTrain:
             calls.append(args)
             raise TrainingError("trained despite an unwritable output")
         monkeypatch.setattr(spikesr.cli, "train", fake_train)
-        paths = {"--out": tmp_path / "m.ckpt", "--report": tmp_path / "report.csv"}
-        bad = paths[flag] = tmp_path / "missing" / paths[flag].name
-        before = sorted(tmp_path.rglob("*"))
-        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,
-                   "--out", paths["--out"], "--report", paths["--report"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
-        assert calls == [] and sorted(tmp_path.rglob("*")) == before
+        monkeypatch.chdir(tmp_path)
+        for bad in refused_outs(tmp_path, "out.file"):
+            paths = {"--out": tmp_path / "m.ckpt", "--report": tmp_path / "report.csv"}
+            paths[flag] = bad
+            before = sorted(tmp_path.rglob("*"))
+            assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,
+                       "--out", paths["--out"], "--report", paths["--report"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+            assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
     def test_oversized_val_split_is_usage_error(self, tmp_path):
         corpus = make_corpus(tmp_path, n=3)
@@ -406,12 +415,14 @@ class TestInfer:
         corpus, ckpt = firing
         calls = []
         monkeypatch.setattr(spikesr.cli, "super_resolve", lambda *a: calls.append(a))
-        out = tmp_path / "missing" / "sr.evbin"
-        assert run("infer", "--checkpoint", ckpt, "--input", corpus / "bar_000.lr.evbin",
-                   "--out", out) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
-        assert calls == [] and not out.parent.exists()
+        monkeypatch.chdir(tmp_path)
+        for out in refused_outs(tmp_path, "sr.evbin"):
+            before = sorted(tmp_path.rglob("*"))
+            assert run("infer", "--checkpoint", ckpt, "--input", corpus / "bar_000.lr.evbin",
+                       "--out", out) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+            assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_non_positive_steps_is_usage_error(self, tmp_path, capsys, steps):
@@ -559,12 +570,14 @@ class TestEval:
         (corpus / "eval.txt").write_text("bar_000.evbin,bar_000.evbin\n")
         calls = []
         monkeypatch.setattr(spikesr.cli, "rmse_st", lambda *a: calls.append(a))
-        out = tmp_path / "missing" / "e.csv"
+        monkeypatch.chdir(tmp_path)
         capsys.readouterr()
-        assert run("eval", "--manifest", corpus / "eval.txt", "--out", out) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
-        assert calls == [] and not out.parent.exists()
+        for out in refused_outs(tmp_path, "e.csv"):
+            before = sorted(tmp_path.rglob("*"))
+            assert run("eval", "--manifest", corpus / "eval.txt", "--out", out) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+            assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
 
 class TestRender:
@@ -620,6 +633,25 @@ class TestRender:
         last = read_ppm(tmp_path / "f_0001.ppm")
         assert tuple(last[0, 2]) == (255, 0, 0) and np.all(last[0, :2] == 255)
 
+    def test_frame_edges_fall_on_whole_microseconds(self, tmp_path):
+        # 2.007 ms is 2,007 us: the event at 2,007 us opens the second frame
+        path = tmp_path / "s.evbin"
+        save_events(EventStream([0, 2_007, 4_014], [0, 1, 2], [0, 0, 0], [1, 1, 1], 3, 1),
+                    path, "evbin")
+        assert run("render", "--input", path, "--out", tmp_path / "f", "--every", 2.007) == 0
+        assert sorted(f.name for f in tmp_path.glob("f_*.ppm")) == ["f_0000.ppm",
+                                                                   "f_0001.ppm"]
+        first, second = read_ppm(tmp_path / "f_0000.ppm"), read_ppm(tmp_path / "f_0001.ppm")
+        assert tuple(first[0, 0]) == (255, 0, 0) and np.all(first[0, 1:] == 255)
+        assert np.all(second[0, 0] == 255) and np.all(second[0, 1:] == (255, 0, 0))
+        # 1.001 ms: events at 0, 1,001 and 3,003 us span exactly three frames
+        save_events(EventStream([0, 1_001, 3_003], [0, 1, 2], [0, 0, 0], [1, 1, 1], 3, 1),
+                    path, "evbin")
+        assert run("render", "--input", path, "--out", tmp_path / "g", "--every", 1.001) == 0
+        assert sorted(f.name for f in tmp_path.glob("g_*.ppm")) == ["g_0000.ppm", "g_0001.ppm",
+                                                                   "g_0002.ppm"]
+        assert tuple(read_ppm(tmp_path / "g_0002.ppm")[0, 2]) == (255, 0, 0)
+
     @pytest.mark.parametrize("every", [None, 1, 3, 10])
     def test_frames_match_the_oracle(self, tmp_path, every):
         rng = np.random.default_rng(every or 0)
@@ -664,12 +696,14 @@ class TestRender:
         save_events(EventStream([500], [2], [1], [1], 4, 3), path, "evbin")
         calls = []
         monkeypatch.setattr(spikesr.cli, "_render_frame", lambda *a: calls.append(a))
-        out = tmp_path / "missing" / "frame.ppm"
+        monkeypatch.chdir(tmp_path)
         extra = () if every is None else ("--every", every)
-        assert run("render", "--input", path, "--out", out, *extra) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
-        assert calls == [] and not out.parent.exists()
+        for out in refused_outs(tmp_path, "frame.ppm"):
+            before = sorted(tmp_path.rglob("*"))
+            assert run("render", "--input", path, "--out", out, *extra) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+            assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
 
 class TestInfo:

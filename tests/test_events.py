@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from spikesr.events import (EventError, EventStream, _count_voxels, _voxel_index, downsample_2x,
-                            event_bins, from_voxel_grid)
+                            event_bins, from_voxel_grid, steps_to_cover)
 from spikesr.synth import synth_moving_bar
 
 
@@ -94,6 +94,33 @@ class TestToVoxelGrid:
 def count_window(coords, height, width, start, stop):
     """Count grid [2, H, W, stop - start] of bins [start, stop), as inference windows count it."""
     return _count_voxels(*_voxel_index(coords, (0, height, 0, width), start, stop))
+
+
+class TestWholeMicrosecondSteps:
+    def test_bins_match_an_integer_oracle(self):
+        # every step of 1 to 4,999 us: events on each step boundary, one microsecond
+        # before it, on the closing edge of 3 steps and one microsecond past it
+        for n in range(1, 5000):
+            dt = n / 1000
+            t = np.array([0, n - 1, n, 2 * n - 1, 2 * n, 3 * n - 1, 3 * n, 3 * n + 1])
+            s = EventStream(t, np.zeros(8), np.zeros(8), np.ones(8), 1, 1)
+            spans = (3 * n - 1, 3 * n, 3 * n + 1)
+            assert [steps_to_cover(a, dt) for a in spans] == [(a + n - 1) // n for a in spans], n
+            want = t // n
+            want[t == 3 * n] = 2
+            (_, _, _, bins), dropped = event_bins(s, 3, dt)
+            assert bins.tolist() == want[want < 3].tolist() and dropped == 1, n
+            # each bin's stamp lies inside its bin
+            centres = from_voxel_grid(np.ones((2, 1, 1, 3)), dt=dt)
+            assert event_bins(centres, 3, dt, origin=0)[0][3].tolist() == [0, 0, 1, 1, 2, 2], n
+
+    @pytest.mark.parametrize("dt", [1 / 3, 0.0005, 0.0, -1.0, float("nan"), float("inf")])
+    def test_other_steps_are_refused(self, dt):
+        s = EventStream([0], [0], [0], [1], 1, 1)
+        for call in (lambda: steps_to_cover(10, dt), lambda: event_bins(s, 3, dt),
+                     lambda: from_voxel_grid(np.ones((2, 1, 1, 1)), dt=dt)):
+            with pytest.raises(EventError, match="whole number of microseconds"):
+                call()
 
 
 class TestVoxelWindow:

@@ -30,65 +30,64 @@ def csv_rendering(s):
 # "<path>: " prefix.  The line-by-line parser defines these results; the
 # array parse must give the same ones for every file it takes.
 CSV_EDGE_CASES = [
-    pytest.param(b"t_us,x,y,p\r\n1000,3,4,1\r\n2000,1,0,-1\r\n", None,
+    pytest.param(b"t_us,x,y,p\r\n1000,3,4,1\r\n2000,1,0,-1\r\n",
                  ([(1000, 3, 4, 1), (2000, 1, 0, -1)], 4, 5), id="crlf"),
-    pytest.param(b"t_us,x,y,p\n\n1000,3,4,1\n  \n\t\n2000,1,0,-1\n\n", None,
+    pytest.param(b"t_us,x,y,p\n\n1000,3,4,1\n  \n\t\n2000,1,0,-1\n\n",
                  ([(1000, 3, 4, 1), (2000, 1, 0, -1)], 4, 5), id="blank_and_whitespace_lines"),
-    pytest.param(b"\nt_us,x,y,p\n1000,3,4,1\n", None,
+    pytest.param(b"\nt_us,x,y,p\n1000,3,4,1\n",
                  ([(1000, 3, 4, 1)], 4, 5), id="blank_line_before_header"),
-    pytest.param(b" t_us,x,y,p\t\n1000,3,4,1\n", None,
+    pytest.param(b" t_us,x,y,p\t\n1000,3,4,1\n",
                  ([(1000, 3, 4, 1)], 4, 5), id="whitespace_around_header"),
-    pytest.param(b"t_us,x,y,p\n 1000 ,\t3, 4 ,1\t\n", None,
+    pytest.param(b"t_us,x,y,p\n 1000 ,\t3, 4 ,1\t\n",
                  ([(1000, 3, 4, 1)], 4, 5), id="spaces_and_tabs_around_fields"),
-    pytest.param(b"t_us,x,y,p\n+5,3,4,+1\n", None, ([(5, 3, 4, 1)], 4, 5), id="plus_sign"),
-    pytest.param(b"t_us,x,y,p\n01,03,4,01\n", None, ([(1, 3, 4, 1)], 4, 5), id="leading_zeros"),
-    pytest.param(b"t_us,x,y,p\n1_000,3,4,1\n", None, ([(1000, 3, 4, 1)], 4, 5), id="underscore"),
-    pytest.param(b"t_us,x,y,p\n1.0,3,4,1\n", None, "malformed record at byte 11", id="decimal"),
-    pytest.param(b"t_us,x,y,p\n1e3,3,4,1\n", None, "malformed record at byte 11", id="exponent"),
-    pytest.param(b"t_us,x,y,p\n1000,3,4,1\n# note\n", None, "malformed record at byte 22",
+    pytest.param(b"t_us,x,y,p\n+5,3,4,+1\n", ([(5, 3, 4, 1)], 4, 5), id="plus_sign"),
+    pytest.param(b"t_us,x,y,p\n01,03,4,01\n", ([(1, 3, 4, 1)], 4, 5), id="leading_zeros"),
+    pytest.param(b"t_us,x,y,p\n1_000,3,4,1\n", ([(1000, 3, 4, 1)], 4, 5), id="underscore"),
+    pytest.param(b"t_us,x,y,p\n1.0,3,4,1\n", "malformed record at byte 11", id="decimal"),
+    pytest.param(b"t_us,x,y,p\n1e3,3,4,1\n", "malformed record at byte 11", id="exponent"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1\n# note\n", "malformed record at byte 22",
                  id="hash"),
-    pytest.param(b"t_us,x,y,p\n1000,3,4,1,\n", None, "malformed record at byte 11",
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1,\n", "malformed record at byte 11",
                  id="trailing_comma"),
-    pytest.param(b"t_us,x,y,p\n1000,,4,1\n", None, "malformed record at byte 11",
+    pytest.param(b"t_us,x,y,p\n1000,,4,1\n", "malformed record at byte 11",
                  id="empty_field"),
-    pytest.param(b"t_us,x,y,p\n1000,3,4\n", None, "malformed record at byte 11",
+    pytest.param(b"t_us,x,y,p\n1000,3,4\n", "malformed record at byte 11",
                  id="three_fields"),
-    pytest.param(b"t_us,x,y,p\n1000,3,4,1,0\n", None, "malformed record at byte 11",
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1,0\n", "malformed record at byte 11",
                  id="five_fields"),
-    pytest.param(b"t_us,x,y,p\n", None, ([], 1, 1), id="header_only"),
-    pytest.param(b"t_us,x,y,p\n", (8, 6), ([], 8, 6), id="header_only_given_geometry"),
-    pytest.param(b"t_us,x,y,p\n99999999999999999999,2,3,1\n", None,
+    pytest.param(b"t_us,x,y,p\n", ([], 1, 1), id="header_only"),
+    pytest.param(b"t_us,x,y,p\n99999999999999999999,2,3,1\n",
                  "malformed record at byte 11", id="outside_int64"),
-    pytest.param(b"t_us,x,y,p\n-5,2,3,1\n", None, "negative timestamp", id="negative_t"),
-    pytest.param(b"1000,3,4,1\n", None, "missing 't_us,x,y,p' header at byte 0",
+    pytest.param(b"t_us,x,y,p\n-5,2,3,1\n", "negative timestamp", id="negative_t"),
+    pytest.param(b"1000,3,4,1\n", "missing 't_us,x,y,p' header at byte 0",
                  id="missing_header"),
-    pytest.param(b"t_us,x,y,p\n100000,1,0,1\n0,2,0,-1\n", None,
+    pytest.param(b"t_us,x,y,p\n100000,1,0,1\n0,2,0,-1\n",
                  ([(0, 2, 0, -1), (100000, 1, 0, 1)], 3, 1), id="regression_of_100ms"),
-    pytest.param(b"t_us,x,y,p\n100001,1,0,1\n0,2,0,-1\n", None,
+    pytest.param(b"t_us,x,y,p\n100001,1,0,1\n0,2,0,-1\n",
                  "timestamp regression of 100001 us exceeds tolerance",
                  id="regression_over_100ms"),
     # np.loadtxt reads these bytes as whitespace, int() does not
-    pytest.param(b"t_us,x,y,p\n\x1c1000,3,4,1\n", None, "malformed record at byte 11",
+    pytest.param(b"t_us,x,y,p\n\x1c1000,3,4,1\n", "malformed record at byte 11",
                  id="unit_separator"),
-    pytest.param(b"t_us,x,y,p\n\xa01000,3,4,1\n", None, "malformed record at byte 11",
+    pytest.param(b"t_us,x,y,p\n\xa01000,3,4,1\n", "malformed record at byte 11",
                  id="no_break_space"),
 ]
 
 
 class TestCsv:
-    @pytest.mark.parametrize("raw,geometry,expected", CSV_EDGE_CASES)
-    def test_edge_input(self, tmp_path, raw, geometry, expected):
+    @pytest.mark.parametrize("raw,expected", CSV_EDGE_CASES)
+    def test_edge_input(self, tmp_path, raw, expected):
         f = tmp_path / "edge.csv"
         f.write_bytes(raw)
         if isinstance(expected, str):
             with pytest.raises(EventFormatError) as caught:
-                load_events(f, "csv", *(geometry or ()))
+                load_events(f, "csv")
             assert str(caught.value) == f"{f}: {expected}"
         else:
             events, width, height = expected
             want = EventStream(*(np.array(events, dtype=np.int64).reshape(-1, 4).T),
                                width, height)
-            assert streams_equal(load_events(f, "csv", *(geometry or ())), want)
+            assert streams_equal(load_events(f, "csv"), want)
 
     def test_array_parse_agrees_with_line_parser(self, rng):
         written = csv_rendering(helpers.random_stream(rng, 12, 9, 25, 200))
@@ -130,25 +129,17 @@ class TestCsv:
         assert s.p[1] == -1
         assert (s.t0, s.t1) == (1000, 2000)
 
-    def test_geometry_inferred_and_overridable(self, tmp_path):
+    def test_geometry_inferred(self, tmp_path):
         f = tmp_path / "g.csv"
         f.write_text("t_us,x,y,p\n0,6,2,1\n")
         s = load_events(f, "csv")
         assert (s.width, s.height) == (7, 3)
-        s2 = load_events(f, "csv", width=16, height=16)
-        assert (s2.width, s2.height) == (16, 16)
-
-    def test_header_only_with_declared_geometry(self, tmp_path):
-        f = tmp_path / "empty.csv"
-        f.write_text("t_us,x,y,p\n")
-        s = load_events(f, "csv", width=8, height=8)
-        assert len(s) == 0 and (s.width, s.height) == (8, 8)
 
     def test_round_trip(self, tmp_path, rng):
         s = helpers.random_stream(rng, 12, 9, 25, 200)
         f = tmp_path / "rt.csv"
         save_events(s, f, "csv")
-        assert streams_equal(load_events(f, "csv", width=12, height=9), s)
+        assert streams_equal(load_events(f, "csv"), s)
 
     def test_malformed_row_reports_offset(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -241,21 +232,6 @@ class TestNmnist:
         f.write_bytes(bytes(7))
         with pytest.raises(EventFormatError, match="byte 5"):
             load_events(f, "nmnist_bin")
-
-
-@pytest.mark.parametrize("fmt", ["evbin", "nmnist_bin"])
-def test_stored_geometry_and_override_must_agree(tmp_path, fmt):
-    f = tmp_path / "s"
-    if fmt == "evbin":
-        save_events(EventStream([1000], [1], [2], [1], 8, 8), f, "evbin")
-    else:
-        f.write_bytes(bytes([0x05, 0x07, 0x80, 0x03, 0xE8]))
-    stored = load_events(f, fmt)
-    same = load_events(f, fmt, width=stored.width, height=stored.height)
-    assert streams_equal(same, stored)
-    for override in ({"width": 10}, {"height": 10}, {"width": 10, "height": 10}):
-        with pytest.raises(EventFormatError, match=f"^{re.escape(str(f))}: .*contradicts"):
-            load_events(f, fmt, **override)
 
 
 def test_save_errors_name_their_path(tmp_path):

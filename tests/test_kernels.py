@@ -269,19 +269,14 @@ class TestGenerateSpikes:
         for length in (1, tail, tail + 5):
             past = (rng.random((3, 4, length)) < 0.5).astype(float)
             sp, _ = generate_spikes(drive, cfg, past=past)
-            u = membrane(drive, sp, cfg, past=past)
-            want_sp, want_u = helpers.fire_oracle(drive, cfg, past=past)
-            assert np.array_equal(sp, want_sp)
-            assert np.max(np.abs(u - want_u)) < 1e-12
+            assert np.array_equal(sp, helpers.fire_oracle(drive, cfg, past=past)[0])
         # a second window fed the first one's last spikes continues the whole run exactly
         whole_sp, _ = generate_spikes(drive, cfg)
-        whole_u = membrane(drive, whole_sp, cfg)
         head, head_past = generate_spikes(drive[..., :20], cfg)
         assert np.array_equal(head_past, whole_sp[..., max(0, 20 - tail):20])
         past = head[..., max(0, 20 - tail):]
         sp, _ = generate_spikes(drive[..., 20:], cfg, past=past)
-        u = membrane(drive[..., 20:], sp, cfg, past=past)
-        assert np.array_equal(sp, whole_sp[..., 20:]) and np.array_equal(u, whole_u[..., 20:])
+        assert np.array_equal(sp, whole_sp[..., 20:])
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
     @pytest.mark.parametrize("dt", [1.0, 2.0])
@@ -297,20 +292,18 @@ class TestGenerateSpikes:
         past[12:] = rng.random((6, past.shape[-1])) < 0.5
         past[12:, -1] = 1.0
         sp, _ = generate_spikes(drive.reshape(3, 6, steps), cfg, dt, past.reshape(3, 6, -1))
-        u = membrane(drive.reshape(3, 6, steps), sp, cfg, dt, past.reshape(3, 6, -1))
-        sp, u = sp.reshape(18, steps), u.reshape(18, steps)
+        sp = sp.reshape(18, steps)
         want_sp, want_u = helpers.fire_oracle(drive, cfg, dt, past)
         assert np.array_equal(sp, want_sp)
-        assert np.all(np.abs(u - want_u) < 1e-12)
+        u = membrane(drive[:12], sp[:12], cfg, dt)   # rows 0-11 carry no past
+        assert np.all(np.abs(u - want_u[:12]) < 1e-12)
         assert u[:6].tobytes() == drive[:6].tobytes()
         assert np.array_equal(sp[6:12].sum(-1), np.full(6, min(steps, 1)))
         assert not sp[12:].any()
         for row in (2, 7, 13):   # a 1-D drive is one neuron
             sp1, _ = generate_spikes(drive[row], cfg, dt, past[row])
-            u1 = membrane(drive[row], sp1, cfg, dt, past[row])
-            want_sp1, want_u1 = helpers.fire_oracle(drive[row], cfg, dt, past[row])
+            want_sp1 = helpers.fire_oracle(drive[row], cfg, dt, past[row])[0]
             assert np.array_equal(sp1, want_sp1) and np.array_equal(sp1, sp[row])
-            assert np.all(np.abs(u1 - want_u1) < 1e-12) and u1.tobytes() == u[row].tobytes()
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON,
                                      NeuronConfig(v_th=30, tau_s=1, tau_r=3, lam=0,
@@ -325,10 +318,8 @@ class TestGenerateSpikes:
                           [cfg.v_th], [np.nextafter(cfg.v_th, 0)]])
         past = np.ones((4, kernel_length(cfg.tau_r, dt) - 1))
         sp, _ = generate_spikes(drive, cfg, dt, past)
-        want_sp, want_u = helpers.fire_oracle(drive, cfg, dt, past)
-        assert np.array_equal(sp, want_sp)
+        assert np.array_equal(sp, helpers.fire_oracle(drive, cfg, dt, past)[0])
         assert sp.ravel().tolist() == [1.0, 0.0, float(cfg.lam == 0), 0.0]
-        assert np.max(np.abs(membrane(drive, sp, cfg, dt, past) - want_u)) < 1e-12
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
     @pytest.mark.parametrize("steps", [0, 3, 40])
@@ -384,12 +375,11 @@ class TestSurrogate:
 
 class TestSoftSpikes:
     def test_half_at_threshold(self):
-        s, u = soft_spikes(np.full(3, 30.0), CONV_NEURON)
-        assert np.allclose(s, 0.5) and np.all(u == 30.0)
+        assert np.allclose(soft_spikes(np.full(3, 30.0), CONV_NEURON), 0.5)
 
     def test_monotone(self, rng):
         drive = np.sort(rng.uniform(-100, 200, 64))
-        s, _ = soft_spikes(drive, CONV_NEURON)
+        s = soft_spikes(drive, CONV_NEURON)
         assert np.all(np.diff(s) >= 0)
         assert np.all((s > 0) & (s < 1))
 
@@ -397,7 +387,7 @@ class TestSoftSpikes:
         u = rng.uniform(-50, 150, 20)
         g = soft_spike_grad(u, UPCONV_NEURON)
         h = 1e-5
-        fd = (soft_spikes(u + h, UPCONV_NEURON)[0] - soft_spikes(u - h, UPCONV_NEURON)[0]) / (2 * h)
+        fd = (soft_spikes(u + h, UPCONV_NEURON) - soft_spikes(u - h, UPCONV_NEURON)) / (2 * h)
         assert np.max(np.abs(g - fd)) < 1e-9
 
 

@@ -52,6 +52,13 @@ class TestNetworkSpec:
         with pytest.raises(ModelError, match="dt_ms"):
             network_spec("ultralight", dt_ms)
 
+    @pytest.mark.parametrize("dt_ms", [1 / 3, 0.0005, 2.0001])
+    def test_step_size_must_be_whole_microseconds(self, dt_ms):
+        # the event grid bins time in whole microseconds
+        with pytest.raises(ModelError, match="whole number of microseconds"):
+            network_spec("ultralight", dt_ms)
+        assert network_spec("ultralight", 2.007).dt_ms == 2.007
+
     def test_flops_known_value(self):
         assert count_flops(network_spec("dual_layer"), 10, 10, 10) == 1_312_000
 
