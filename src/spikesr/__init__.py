@@ -6,7 +6,7 @@ from .kernels import (NeuronConfig, apply_psp, generate_spikes, refractory_kerne
                       spike_kernel, surrogate_grad)
 from .metrics import DegenerateStreamError, MetricsReport, rmse_st
 from .model import (NetworkSpec, count_flops, count_params, forward, init_weights,
-                    load_checkpoint, network_spec, save_checkpoint, super_resolve)
+                    load_checkpoint, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
 from .training import (OptimState, TrainConfig, TrainResult, TrainingError, adam_step,
                        backward, init_optim, loss_total, train)

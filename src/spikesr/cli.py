@@ -18,8 +18,8 @@ from .events import (US_PER_MS, EventError, EventStream, _count_voxels, _voxel_i
                      event_bins, steps_to_cover)
 from .io import EventFormatError, guess_format, load_events, save_events
 from .metrics import MetricsReport, common_span, rmse_st
-from .model import (LAYER_LAYOUTS, VARIANTS, ModelError, count_flops, count_params,
-                    load_checkpoint, network_spec, save_checkpoint, super_resolve)
+from .model import (VARIANTS, ModelError, NetworkSpec, count_flops, count_params,
+                    load_checkpoint, save_checkpoint, super_resolve)
 from .synth import synth_moving_bar
 from .training import TrainConfig, TrainingError, train
 
@@ -105,6 +105,8 @@ def _lr_path(hr_path: Path) -> Path:
 
 
 def cmd_downsample(args):
+    if args.manifest and args.inputs:
+        raise UsageError("give --manifest or input paths, not both")
     if args.manifest:
         base = Path(args.manifest).parent
         hr_paths = [base / line.strip() for line in
@@ -257,16 +259,21 @@ def _eval_one(pred_path, gt_path, steps):
 
 
 def cmd_eval(args):
+    if args.manifest and (args.pred or args.gt):
+        raise UsageError("give --manifest or --pred and --gt, not both")
+    if args.out and not args.manifest:
+        raise UsageError("--out writes the --manifest batch CSV; a single pair prints")
     _check_out_dirs(args.out)
     _check_steps(args.steps)
     if args.manifest:
-        reports = []
-        for pred, gt in _read_pair_manifest(args.manifest):
-            reports.append((pred, _eval_one(pred, gt, args.steps)))
+        reports = [(pred, _eval_one(pred, gt, args.steps))
+                   for pred, gt in _read_pair_manifest(args.manifest)]
         rows = [f"pred,{MetricsReport.csv_header()}"]
         rows += [f"{pred},{rep.to_csv_row()}" for pred, rep in reports]
-        means = {name: repr(float(np.mean([getattr(rep, name) for _, rep in reports])))
-                 for name in ("rmse_st", "pa_percent")}
+        # a vacuous pair has no comparable cell, so its 100 % is no accuracy
+        graded = {"rmse_st": [rep.rmse_st for _, rep in reports],
+                  "pa_percent": [rep.pa_percent for _, rep in reports if not rep.pa_vacuous]}
+        means = {name: repr(float(np.mean(values))) for name, values in graded.items() if values}
         rows.append(",".join(["mean"] + [means.get(name, "") for name in MetricsReport.FIELDS]))
         text = "\n".join(rows) + "\n"
         if args.out:
@@ -331,7 +338,7 @@ def cmd_info(args):
     if args.checkpoint:
         spec, _, log_var, seed = load_checkpoint(args.checkpoint)
     else:
-        spec = network_spec(args.variant)
+        spec = NetworkSpec(args.variant)
     if args.dims:
         try:
             flops = count_flops(spec, *_parse_ints(args.dims, "dims", "HxWxT"))
@@ -343,10 +350,9 @@ def cmd_info(args):
         print(f"log_var: {log_var.tolist()}")
     print(f"variant: {spec.variant}")
     print(f"params: {count_params(spec)}")
-    for i, (layer, neuron, (kind, stride, pad)) in enumerate(
-            zip(spec.layers, spec.neuron_cfgs, LAYER_LAYOUTS)):
-        print(f"layer {i}: {kind} {layer.in_channels}->{layer.out_channels} "
-              f"kernel {layer.kernel_h}x{layer.kernel_w} stride {stride} pad {pad}")
+    for i, (layer, neuron) in enumerate(zip(spec.layers, spec.neuron_cfgs)):
+        print(f"layer {i}: {layer.kind} {layer.in_channels}->{layer.out_channels} kernel "
+              f"{layer.kernel_h}x{layer.kernel_w} stride {layer.stride} pad {layer.padding}")
         print(f"neuron {i}: v_th={neuron.v_th} tau_s={neuron.tau_s} "
               f"tau_r={neuron.tau_r} lam={neuron.lam} tau_rho={neuron.tau_rho} "
               f"rho={neuron.rho}")

@@ -78,13 +78,16 @@ class MetricsReport:
         return ",".join(parts)
 
 
-def blocks(steps: int, dt: float):
-    """(start, stop) of each 50 ms block of `steps` dt-millisecond steps.
+def _block_id(k, dt: float):
+    """The 50 ms block of step k (an int or integer array) of dt milliseconds, k * dt // 50 ms
+    in whole microseconds (events._step_us); ids skip values once dt > 50 ms."""
+    return k * _step_us(dt) // BLOCK_US
 
-    Step t falls in block floor(t * dt / 50 ms), computed in whole
-    microseconds (events._step_us); the last block may be partial.
-    """
-    idx = np.arange(steps) * _step_us(dt) // BLOCK_US
+
+def blocks(steps: int, dt: float):
+    """(start, stop) of each 50 ms block (_block_id) of `steps` dt-millisecond
+    steps; the last block may be partial."""
+    idx = _block_id(np.arange(steps), dt)
     starts = np.flatnonzero(np.r_[1, np.diff(idx)]).tolist()
     return list(zip(starts, starts[1:] + [steps]))
 
@@ -147,8 +150,9 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     index = np.concatenate([i_out, i_gt])
     sign = np.repeat([1.0, -1.0], [i_out.size, i_gt.size])   # out - gt
     d = _sums(index, sign)[1]
-    block = np.searchsorted([a for a, _ in blocks(steps, dt)], index % steps, "right") - 1
-    pooled = _sums(index // steps * steps + block, sign)[1]   # per (channel, pixel, block)
+    # keyed per (channel, pixel, block); as ids can skip, the base is not the block count
+    base = _block_id(steps - 1, dt) + 1
+    pooled = _sums(index // steps * base + _block_id(index % steps, dt), sign)[1]
     mse_t, mse_s = float(d @ d), float(pooled @ pooled)
     (c_out, s_out), (c_gt, s_gt) = (_dominant(i, h * w * steps) for i in (i_out, i_gt))
     # a cell dominant on one side votes 1, on both sides 2 if they agree and 0 if not

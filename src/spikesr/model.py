@@ -11,7 +11,7 @@ the time axis:
                two independent passes and concatenated.
 
 The pass layout follows from the first layer's input width; forward,
-backward_from_output and count_flops all read it from NetworkSpec.passes.
+backward_pass and count_flops all read it from NetworkSpec.passes.
 
 Neither layer has a bias.  The final drive additionally receives the
 first layer's input PSP, bilinearly upsampled to output resolution, as
@@ -54,24 +54,24 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class LayerConfig:
+    """A layer's fixed layout, as conv_drive or upconv2x_drive computes it."""
+    kind: str
     in_channels: int
     out_channels: int
     kernel_h: int
     kernel_w: int
+    stride: int
+    padding: int
 
     @property
     def weight_shape(self):
         return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
 
 
-# (kind, stride, padding) of each layer, as the checkpoint header and `info`
-# spell them: the fixed layout that conv_drive and upconv2x_drive compute.
-LAYER_LAYOUTS = (("conv", 1, 2), ("transposed_conv", 2, 0))
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Variant and step size; the layers, neurons and scale follow from them."""
+    """A variant stepping dt_ms milliseconds, a positive whole number of microseconds held
+    as a float; ModelError refuses any other.  Layers, neurons and scale follow from them."""
     variant: str
     dt_ms: float = 1.0
 
@@ -80,29 +80,27 @@ class NetworkSpec:
         NeuronConfig(v_th=30.0, tau_s=1.0, tau_r=1.0, lam=1.0, tau_rho=1.0, rho=10.0),
         NeuronConfig(v_th=100.0, tau_s=4.0, tau_r=4.0, lam=1.0, tau_rho=10.0, rho=100.0))
 
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ModelError(f"unknown variant {self.variant!r}")
+        try:
+            _step_us(self.dt_ms)
+        except EventError:
+            raise ModelError(f"step size dt_ms={self.dt_ms!r} must be a positive whole "
+                             f"number of microseconds") from None
+        object.__setattr__(self, "dt_ms", float(self.dt_ms))
+
     @property
     def layers(self):
         c = 2 if self.variant == "dual_layer" else 1
-        return LayerConfig(c, 8, 5, 5), LayerConfig(8, c, 2, 2)
+        return (LayerConfig("conv", c, 8, 5, 5, 1, 2),
+                LayerConfig("transposed_conv", 8, c, 2, 2, 2, 0))
 
     @property
     def passes(self):
         """The polarity channels of each pass, slices of the first layer's input width."""
         c = self.layers[0].in_channels
         return tuple(slice(i, i + c) for i in range(0, 2, c))
-
-
-def network_spec(variant: str, dt_ms: float = 1.0) -> NetworkSpec:
-    """The spec of one of the two variants, stepping dt_ms milliseconds,
-    a positive whole number of microseconds (events._step_us)."""
-    if variant not in VARIANTS:
-        raise ModelError(f"unknown variant {variant!r}")
-    try:
-        _step_us(dt_ms)
-    except EventError:
-        raise ModelError(f"step size dt_ms={dt_ms!r} must be a positive whole number "
-                         f"of microseconds") from None
-    return NetworkSpec(variant, float(dt_ms))
 
 
 def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
@@ -377,46 +375,36 @@ def forward(spec: NetworkSpec, weights, inp, spike_mode: str = "hard", state=Non
     return out, caches
 
 
-def backward_pass(spec: NetworkSpec, weights, cache: ForwardCache,
-                  g_out: np.ndarray) -> list[np.ndarray]:
-    """Weight gradients for one pass given the loss gradient at its output.
+def backward_pass(spec: NetworkSpec, weights, caches, g_out: np.ndarray) -> list[np.ndarray]:
+    """Weight gradients given the loss gradient g_out at the output, summed over passes.
 
-    Reverse of _forward_pass: through the output threshold (surrogate in
-    hard mode, exact sigmoid derivative in soft mode), the interlayer
-    PSP, the transposed conv, the hidden threshold, and the first conv.
-    The derivatives are taken at the membrane: rebuilt by
-    kernels.membrane in hard mode, the drive itself in soft mode.  The
-    refractory trace is treated as constant, and the bypass carries no
-    parameters, so nothing flows back past the first layer's drive.
+    `caches` is the per-pass list forward returns.  Each pass produced
+    the output channels of its spec.passes slice, so the total gradient
+    is the sum of each pass's contribution from its own slice of g_out;
+    without caches it is zero.  Each pass runs the reverse of
+    _forward_pass: through the output threshold (surrogate in hard mode,
+    exact sigmoid derivative in soft mode), the interlayer PSP, the
+    transposed conv, the hidden threshold, and the first conv.  The
+    derivatives are taken at the membrane: rebuilt by kernels.membrane
+    in hard mode, the drive itself in soft mode.  The refractory trace
+    is treated as constant, and the bypass carries no parameters, so
+    nothing flows back past the first layer's drive.
     """
-    l1 = spec.layers[0]
     n1, n2 = spec.neuron_cfgs
-    soft = cache.spike_mode == "soft"
-    deriv = soft_spike_grad if soft else surrogate_grad
+    eps2 = _spike_kernel(n2, spec.dt_ms)
 
-    def u(layer, neuron):
+    def u(layer, neuron, soft):
         return layer.drive if soft else membrane(layer.drive, layer.spikes, neuron, spec.dt_ms)
 
-    eps2 = _spike_kernel(n2, spec.dt_ms)
-    g_conv2 = apply_psp_adjoint(g_out * deriv(u(cache.layer2, n2), n2), eps2)
-    g_w2 = upconv2x_weight_adjoint(cache.layer2.conv_in, g_conv2)
-    g_spikes1 = upconv2x_input_adjoint(g_conv2, weights[1])
-    g_drive1 = g_spikes1 * deriv(u(cache.layer1, n1), n1)
-    g_w1 = conv_weight_adjoint(cache.layer1.conv_in, g_drive1, l1.kernel_h, l1.kernel_w)
-    return [g_w1, g_w2]
-
-
-def backward_from_output(spec: NetworkSpec, weights, caches, g_out: np.ndarray):
-    """Accumulate weight gradients across passes.
-
-    Each pass produced the output channels of its spec.passes slice, so
-    the total gradient is the sum of each pass's contribution to its own
-    slice of g_out.
-    """
     grads = [np.zeros_like(w) for w in weights]
     for p, cache in zip(spec.passes, caches):
-        for acc, g in zip(grads, backward_pass(spec, weights, cache, g_out[p])):
-            acc += g
+        soft = cache.spike_mode == "soft"
+        deriv = soft_spike_grad if soft else surrogate_grad
+        g_conv2 = apply_psp_adjoint(g_out[p] * deriv(u(cache.layer2, n2, soft), n2), eps2)
+        grads[1] += upconv2x_weight_adjoint(cache.layer2.conv_in, g_conv2)
+        g_spikes1 = upconv2x_input_adjoint(g_conv2, weights[1])
+        g_drive1 = g_spikes1 * deriv(u(cache.layer1, n1, soft), n1)
+        grads[0] += conv_weight_adjoint(cache.layer1.conv_in, g_drive1, *weights[0].shape[2:])
     return grads
 
 
@@ -558,10 +546,9 @@ def _header(spec: NetworkSpec, seed: int) -> list[str]:
     lines = [CHECKPOINT_MAGIC.decode(), f"variant={spec.variant}",
              f"scale={spec.scale}", f"dt_ms={spec.dt_ms!r}", f"seed={seed}",
              f"n_layers={len(spec.layers)}"]
-    for i, (layer, n, (kind, stride, pad)) in enumerate(
-            zip(spec.layers, spec.neuron_cfgs, LAYER_LAYOUTS)):
-        lines.append(f"layer{i}={kind} {layer.in_channels} {layer.out_channels} "
-                     f"{layer.kernel_h} {layer.kernel_w} {stride} {pad}")
+    for i, (layer, n) in enumerate(zip(spec.layers, spec.neuron_cfgs)):
+        lines.append(f"layer{i}={layer.kind} {layer.in_channels} {layer.out_channels} "
+                     f"{layer.kernel_h} {layer.kernel_w} {layer.stride} {layer.padding}")
         lines.append(f"neuron{i}={n.v_th!r} {n.tau_s!r} {n.tau_r!r} "
                      f"{n.lam!r} {n.tau_rho!r} {n.rho!r}")
     return lines
@@ -601,7 +588,7 @@ def load_checkpoint(path):
     try:
         lines = raw[:sep].decode().split("\n")
         fields = dict(line.split("=", 1) for line in lines if "=" in line)
-        spec = network_spec(fields["variant"], float(fields["dt_ms"]))
+        spec = NetworkSpec(fields["variant"], float(fields["dt_ms"]))
         seed = int(fields["seed"])
     except (KeyError, ValueError) as exc:
         raise ModelError(f"{path}: corrupt checkpoint header ({exc})") from None

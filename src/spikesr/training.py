@@ -31,8 +31,8 @@ import numpy as np
 
 from .events import _count_voxels, _voxel_index, event_bins
 from .metrics import DegenerateStreamError, blocks, rmse_st
-from .model import (VARIANTS, NetworkSpec, _live_box, backward_from_output, forward,
-                    init_weights, network_spec, super_resolve)
+from .model import (ModelError, NetworkSpec, _live_box, backward_pass, forward, init_weights,
+                    super_resolve)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -85,10 +85,10 @@ def backward(spec: NetworkSpec, weights, caches, out, gt, log_var) -> Gradients:
     """Full reverse pass: loss value, weight gradients, log-variance gradients.
 
     The log-variance gradient is 1 - w_i * L_i; weight gradients are the
-    per-pass sums from model.backward_from_output, zero without caches.
+    per-pass sums from model.backward_pass, zero without caches.
     """
     total, terms, g_out = loss_total(out, gt, log_var, spec.dt_ms)
-    g_w = backward_from_output(spec, weights, caches, g_out)
+    g_w = backward_pass(spec, weights, caches, g_out)
     losses = np.array([terms.temporal, terms.spatial, terms.polarity])
     g_lv = 1.0 - terms.weights * losses
     return Gradients(g_w, g_lv, total, terms)
@@ -146,8 +146,10 @@ class TrainConfig:
                 raise TrainingError(f"{name} must be at least {low}, not {getattr(self, name)}")
         if not 0.0 < self.lr < np.inf:
             raise TrainingError(f"lr must be a positive number, not {self.lr!r}")
-        if self.variant not in VARIANTS:
-            raise TrainingError(f"unknown variant {self.variant!r}")
+        try:
+            NetworkSpec(self.variant, self.dt_ms)
+        except ModelError as exc:
+            raise TrainingError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,7 @@ def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
     """
     _validate_pairs(pairs, "training")
     _validate_pairs(val_pairs, "validation")
-    spec = network_spec(cfg.variant, cfg.dt_ms)
+    spec = NetworkSpec(cfg.variant, cfg.dt_ms)
     weights = init_weights(spec, cfg.seed)
     log_var = np.zeros(3)   # Adam's last parameter
     # validation pairs are only counted here: super_resolve bins them as it runs

@@ -13,8 +13,8 @@ import helpers
 from spikesr.events import downsample_2x
 from spikesr.kernels import generate_spikes, membrane, refractory_kernel, spike_kernel
 from spikesr.metrics import rmse_st
-from spikesr.model import (backward_from_output, count_flops, count_params,
-                           forward, init_weights, network_spec)
+from spikesr.model import (NetworkSpec, backward_pass, count_flops, count_params,
+                           forward, init_weights)
 from spikesr.synth import synth_moving_bar
 from spikesr.training import TrainConfig, backward, loss_total, train
 
@@ -22,8 +22,8 @@ SEED = 20260822
 
 
 def test_criterion_01_parameter_counts():
-    dual = count_params(network_spec("dual_layer"))
-    ultra = count_params(network_spec("ultralight"))
+    dual = count_params(NetworkSpec("dual_layer"))
+    ultra = count_params(NetworkSpec("ultralight"))
     assert dual == 464
     assert ultra == 232
     assert ultra * 2 == dual
@@ -31,12 +31,12 @@ def test_criterion_01_parameter_counts():
 
 
 def test_criterion_02_flop_formula():
-    assert count_flops(network_spec("dual_layer"), 10, 10, 10) == 1_312_000
+    assert count_flops(NetworkSpec("dual_layer"), 10, 10, 10) == 1_312_000
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         h, w, t = (int(v) for v in rng.integers(1, 40, 3))
         for variant in ("dual_layer", "ultralight"):
-            spec = network_spec(variant)
+            spec = NetworkSpec(variant)
             expect = 0
             # layer 1 keeps the input size, layer 2 doubles it
             for layer, (oh, ow) in zip(spec.layers, ((h, w), (2 * h, 2 * w))):
@@ -104,7 +104,7 @@ def test_criterion_06_gradient_certification():
     inp = rng.integers(0, 3, (2, 4, 4, 8)).astype(float)
     gt = rng.integers(0, 2, (2, 8, 8, 8)).astype(float)
     for variant in ("dual_layer", "ultralight"):
-        spec = network_spec(variant)
+        spec = NetworkSpec(variant)
         weights = init_weights(spec, seed=3)
         log_var = np.array([0.2, -0.1, 0.05])
 
@@ -146,7 +146,7 @@ def test_criterion_06_gradient_certification():
 
 
 def test_criterion_07_dual_forward_contracts():
-    spec = network_spec("ultralight")
+    spec = NetworkSpec("ultralight")
     weights = init_weights(spec, seed=4)
     rng = np.random.default_rng(SEED + 7)
     for _ in range(10):
@@ -157,9 +157,9 @@ def test_criterion_07_dual_forward_contracts():
     inp = rng.integers(0, 4, (2, 6, 6, 12)).astype(float)
     out, caches = forward(spec, weights, inp)
     g_out = rng.standard_normal(out.shape)
-    combined = backward_from_output(spec, weights, caches, g_out)
+    combined = backward_pass(spec, weights, caches, g_out)
     for i in range(len(weights)):
-        total = sum(backward_from_output(spec, weights, [cache], g_out[c:c + 1])[i]
+        total = sum(backward_pass(spec, weights, [cache], g_out[c:c + 1])[i]
                     for c, cache in enumerate(caches))
         denom = max(np.abs(total).max(), 1e-300)
         assert np.max(np.abs(combined[i] - total)) / denom <= 1e-10

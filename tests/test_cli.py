@@ -13,7 +13,7 @@ import spikesr.model
 from spikesr.cli import main
 from spikesr.events import EventStream, downsample_2x, steps_to_cover
 from spikesr.io import guess_format, load_events, save_events
-from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
+from spikesr.model import NetworkSpec, init_weights, load_checkpoint, save_checkpoint
 from spikesr.synth import synth_moving_bar
 from spikesr.training import TrainConfig, TrainingError
 
@@ -117,6 +117,13 @@ class TestDownsample:
 
     def test_no_inputs_is_usage_error(self):
         assert run("downsample") == 2
+
+    def test_manifest_and_inputs_together_is_usage_error(self, tmp_path, monkeypatch):
+        # the manifest would otherwise win and the inputs go unread
+        calls = []
+        monkeypatch.setattr(spikesr.cli, "load_events", lambda *a: calls.append(a))
+        assert run("downsample", "--manifest", tmp_path / "m.txt", tmp_path / "a.evbin") == 2
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_each_failure_names_its_path_once(self, tmp_path, capsys, monkeypatch):
         noise, big, missing = (tmp_path / n for n in ("noise.evbin", "big.csv", "missing.csv"))
@@ -338,7 +345,7 @@ class TestInfer:
 
     def test_default_steps_follow_checkpoint_dt(self, tmp_path, monkeypatch):
         # a 64 ms stream is 32 steps at dt_ms=2; counting 1 ms steps would run 64
-        spec = network_spec("ultralight", dt_ms=2.0)
+        spec = NetworkSpec("ultralight", dt_ms=2.0)
         ckpt = tmp_path / "dt2.ckpt"
         save_checkpoint(ckpt, spec, init_weights(spec, seed=0), np.zeros(3), seed=0)
         src = tmp_path / "lr.evbin"
@@ -563,6 +570,40 @@ class TestEval:
 
     def test_needs_inputs(self):
         assert run("eval") == 2
+
+    @pytest.mark.parametrize("flags", [["--pred", "a.evbin", "--gt", "b.evbin", "--out", "x.csv"],
+                                       ["--manifest", "m.txt", "--pred", "a.evbin",
+                                        "--gt", "b.evbin"],
+                                       ["--manifest", "m.txt", "--gt", "b.evbin"]])
+    def test_flags_the_mode_would_ignore_are_usage_errors(self, tmp_path, monkeypatch,
+                                                          capsys, flags):
+        calls = []
+        monkeypatch.setattr(spikesr.cli, "load_events", lambda *a: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert run("eval", *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_mean_accuracy_leaves_out_pairs_with_no_comparable_cell(self, tmp_path):
+        # pair a disagrees on its one shared cell (0 %); pair b shares none (vacuous)
+        gt = EventStream([0, 1_000], [0, 1], [0, 1], [1, 1], 4, 4)
+        streams = {"gt": gt,
+                   "flipped": EventStream([0, 1_000], [0, 3], [0, 3], [-1, 1], 4, 4),
+                   "apart": EventStream([0, 1_000], [2, 3], [2, 3], [1, 1], 4, 4)}
+        for name, stream in streams.items():
+            save_events(stream, tmp_path / f"{name}.evbin", "evbin")
+        (tmp_path / "one.txt").write_text("flipped.evbin,gt.evbin\napart.evbin,gt.evbin\n")
+        (tmp_path / "none.txt").write_text("apart.evbin,gt.evbin\n")
+        means = []
+        for manifest in ("one.txt", "none.txt"):
+            assert run("eval", "--manifest", tmp_path / manifest,
+                       "--out", tmp_path / "e.csv") == 0
+            header, *rows, mean = [line.split(",") for line in
+                                   (tmp_path / "e.csv").read_text().splitlines()]
+            means.append(dict(zip(header, mean))["pa_percent"])
+        assert [dict(zip(header, r))["pa_vacuous"] for r in rows] == ["1"]
+        assert means == ["0.0", ""]
 
     def test_missing_output_directory_is_usage_error_before_any_work(
             self, tmp_path, capsys, monkeypatch):

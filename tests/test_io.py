@@ -10,7 +10,7 @@ import helpers
 import spikesr.io
 from spikesr.events import EventStream
 from spikesr.io import (EventFormatError, guess_format, load_events, save_events)
-from spikesr.model import init_weights, load_checkpoint, network_spec, save_checkpoint
+from spikesr.model import NetworkSpec, init_weights, load_checkpoint, save_checkpoint
 
 
 def streams_equal(a, b):
@@ -250,7 +250,7 @@ def test_guess_format():
 
 
 def test_loaders_close_their_files(tmp_path):
-    spec = network_spec("ultralight")
+    spec = NetworkSpec("ultralight")
     save_checkpoint(tmp_path / "m.ckpt", spec, init_weights(spec, 0), np.zeros(3), 0)
     s = EventStream([0, 10], [1, 2], [0, 1], [1, -1], 4, 4)
     save_events(s, tmp_path / "s.csv", "csv")

@@ -104,6 +104,26 @@ class TestRmseSt:
         for out, truth in ((tied, gt), (gt, tied), (empty, gt), (tied, tied)):
             check_against_oracle(out, truth, math.ceil(130 / dt), dt)
 
+    @pytest.mark.parametrize("dt", [120.0, 333.0])
+    def test_matches_oracle_when_steps_are_longer_than_a_block(self, rng, dt):
+        # past 50 ms a step starts a new block, and block ids skip values
+        for k in range(4):
+            gt = helpers.random_stream(rng, 3, 3, 2000, 150)
+            out = helpers.random_stream(rng, 3, 3, 2000, 150)
+            check_against_oracle(out, gt, math.ceil(2000 / dt) - k, dt)
+
+    def test_memory_follows_the_events_not_the_steps(self):
+        # three events on a grid of 10^7 steps
+        gt = stream_of([(0, 0, 0, 1), (5_000, 1, 0, -1)], 2, 2)
+        out = stream_of([(2_000, 1, 1, 1)], 2, 2)
+        tracemalloc.start()
+        try:
+            rmse_st(out, gt, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
     def test_memory_follows_the_events_not_the_grid(self, rng):
         # one [2, 256, 256, 200] grid of doubles is 200 MiB; each stream holds 2,000 events
         gt, out = (helpers.random_stream(rng, 256, 256, 200, 2000) for _ in range(2))

@@ -10,10 +10,10 @@ import helpers
 from spikesr import kernels, model
 from spikesr.events import EventStream, downsample_2x, from_voxel_grid
 from spikesr.model import (CHECKPOINT_MAGIC, ModelError, NetworkSpec,
-                           backward_from_output, bilinear_upsample_2x, conv_drive,
+                           backward_pass, bilinear_upsample_2x, conv_drive,
                            conv_weight_adjoint, count_flops, count_params,
                            forward, init_weights, load_checkpoint,
-                           network_spec, resolve_mode, save_checkpoint, super_resolve,
+                           resolve_mode, save_checkpoint, super_resolve,
                            upconv2x_drive, upconv2x_input_adjoint,
                            upconv2x_weight_adjoint, validate_weights)
 from spikesr.synth import synth_moving_bar
@@ -25,48 +25,56 @@ def random_input(rng, c=2, h=6, w=6, t=12, hi=3):
 
 class TestNetworkSpec:
     def test_variants(self):
-        d = network_spec("dual_layer")
-        u = network_spec("ultralight")
+        d = NetworkSpec("dual_layer")
+        u = NetworkSpec("ultralight")
         assert d.layers[0].in_channels == 2 and d.layers[0].out_channels == 8
         assert u.layers[0].in_channels == 1 and u.layers[1].out_channels == 1
         assert d.scale == 2
 
     def test_passes(self):
-        assert network_spec("dual_layer").passes == (slice(0, 2),)
-        assert network_spec("ultralight").passes == (slice(0, 1), slice(1, 2))
+        assert NetworkSpec("dual_layer").passes == (slice(0, 2),)
+        assert NetworkSpec("ultralight").passes == (slice(0, 1), slice(1, 2))
 
     def test_unknown_variant(self):
         with pytest.raises(ModelError):
-            network_spec("resnet50")
+            NetworkSpec("resnet50")
 
     def test_param_counts(self):
-        assert count_params(network_spec("dual_layer")) == 464
-        assert count_params(network_spec("ultralight")) == 232
+        assert count_params(NetworkSpec("dual_layer")) == 464
+        assert count_params(NetworkSpec("ultralight")) == 232
+
+    def test_whole_number_step_is_held_as_a_float(self, tmp_path):
+        # so the checkpoint header it writes reads back
+        spec = NetworkSpec("ultralight", 1)
+        assert spec == NetworkSpec("ultralight", 1.0) and type(spec.dt_ms) is float
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, spec, init_weights(spec, seed=0), np.zeros(3), seed=0)
+        assert load_checkpoint(path)[0] == spec
 
     def test_only_variant_and_step_size_are_fields(self):
         assert [f.name for f in dataclasses.fields(NetworkSpec)] == ["variant", "dt_ms"]
-        assert network_spec("ultralight", dt_ms=2.0) == NetworkSpec("ultralight", 2.0)
+        assert NetworkSpec("ultralight", dt_ms=2.0) == NetworkSpec("ultralight", 2.0)
 
     @pytest.mark.parametrize("dt_ms", [0.0, -1.0, math.nan, math.inf])
     def test_step_size_must_be_positive(self, dt_ms):
         with pytest.raises(ModelError, match="dt_ms"):
-            network_spec("ultralight", dt_ms)
+            NetworkSpec("ultralight", dt_ms)
 
     @pytest.mark.parametrize("dt_ms", [1 / 3, 0.0005, 2.0001])
     def test_step_size_must_be_whole_microseconds(self, dt_ms):
         # the event grid bins time in whole microseconds
         with pytest.raises(ModelError, match="whole number of microseconds"):
-            network_spec("ultralight", dt_ms)
-        assert network_spec("ultralight", 2.007).dt_ms == 2.007
+            NetworkSpec("ultralight", dt_ms)
+        assert NetworkSpec("ultralight", 2.007).dt_ms == 2.007
 
     def test_flops_known_value(self):
-        assert count_flops(network_spec("dual_layer"), 10, 10, 10) == 1_312_000
+        assert count_flops(NetworkSpec("dual_layer"), 10, 10, 10) == 1_312_000
 
     def test_flops_matches_oracle(self, rng):
         for _ in range(10):
             h, w, t = (int(v) for v in rng.integers(1, 30, 3))
             for variant in ("dual_layer", "ultralight"):
-                spec = network_spec(variant)
+                spec = NetworkSpec(variant)
                 total = 0
                 # layer 1 keeps the input size, layer 2 doubles it
                 for layer, (oh, ow) in zip(spec.layers, ((h, w), (2 * h, 2 * w))):
@@ -78,12 +86,12 @@ class TestNetworkSpec:
                 assert count_flops(spec, h, w, t) == total
 
     def test_flops_zero_window(self):
-        assert count_flops(network_spec("ultralight"), 8, 8, 0) == 0
+        assert count_flops(NetworkSpec("ultralight"), 8, 8, 0) == 0
 
 
 class TestInitWeights:
     def test_deterministic(self):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         a = init_weights(spec, seed=7)
         b = init_weights(spec, seed=7)
         for x, y in zip(a, b):
@@ -92,14 +100,14 @@ class TestInitWeights:
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_bounds(self):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         w1, w2 = init_weights(spec, seed=0)
         b1 = spec.neuron_cfgs[0].v_th / (1 * 5 * 5)
         b2 = spec.neuron_cfgs[1].v_th / (8 * 2 * 2)
         assert np.all(np.abs(w1) <= b1) and np.all(np.abs(w2) <= b2)
 
     def test_shapes_validate(self):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         validate_weights(spec, init_weights(spec, seed=0))
         with pytest.raises(ModelError):
             validate_weights(spec, [np.zeros((2, 2)), np.zeros((2, 2))])
@@ -215,7 +223,7 @@ class TestConvBlocks:
 class TestForward:
     def test_output_shape_and_type(self, rng):
         for variant, passes in (("dual_layer", 1), ("ultralight", 2)):
-            spec = network_spec(variant)
+            spec = NetworkSpec(variant)
             weights = init_weights(spec, seed=1)
             inp = random_input(rng)
             out, caches = forward(spec, weights, inp)
@@ -227,7 +235,7 @@ class TestForward:
     def test_streamed_forward_keeps_no_caches(self, rng):
         # only training differentiates, and it never streams
         for variant, passes in (("dual_layer", 1), ("ultralight", 2)):
-            spec = network_spec(variant)
+            spec = NetworkSpec(variant)
             weights = init_weights(spec, seed=1)
             inp = random_input(rng)
             state = []
@@ -241,7 +249,7 @@ class TestForward:
     def test_soft_forward_matches_oracles_in_paper_order(self, rng, variant):
         # the paper's order filters layer 2's input spikes, then applies the
         # transposed conv; forward filters after the conv, so they must commute
-        spec = network_spec(variant)
+        spec = NetworkSpec(variant)
         w1, w2 = [k * w for k, w in zip((3.0, 20.0), init_weights(spec, seed=6))]
         x = random_input(rng, h=5, w=4, t=16)
 
@@ -270,7 +278,7 @@ class TestForward:
     def test_layer2_carries_its_conv_output(self, rng, variant):
         # layer 2 filters after its transposed conv, so a window leaves the
         # conv's c_out channels at 2H x 2W behind, not its 8 input channels
-        spec = network_spec(variant)
+        spec = NetworkSpec(variant)
         state = []
         forward(spec, init_weights(spec, seed=1), random_input(rng, h=5, w=4, t=40),
                 state=state)
@@ -282,7 +290,7 @@ class TestForward:
         # super_resolve's optional mode is checked against the variant, then ignored
         stream = downsample_2x(synth_moving_bar(16, 16, 16.0, 0.3, 2.0, seed=2))
         for variant, foreign in (("dual_layer", "dual_sequential"), ("ultralight", "joint")):
-            spec = network_spec(variant)
+            spec = NetworkSpec(variant)
             weights = [20.0 * w for w in init_weights(spec, seed=0)]  # strong enough to fire
             out, dropped = super_resolve(spec, weights, stream, 16)
             named, named_dropped = super_resolve(spec, weights, stream, 16,
@@ -293,14 +301,14 @@ class TestForward:
                 super_resolve(spec, weights, stream, 16, foreign)
 
     def test_rejects_wrong_channel_count(self, rng):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=0)
         with pytest.raises(ModelError):
             forward(spec, weights, random_input(rng, c=1))
 
     def test_dual_channels_independent(self, rng):
         # zeroing the negative channel must not change the positive output
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=3)
         inp = random_input(rng, hi=4)
         only_pos = inp.copy()
@@ -310,7 +318,7 @@ class TestForward:
         assert np.array_equal(full[0], part[0])
 
     def test_deterministic(self, rng):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         weights = init_weights(spec, seed=4)
         inp = random_input(rng)
         a, _ = forward(spec, weights, inp)
@@ -318,19 +326,19 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_soft_mode_continuous(self, rng):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         weights = init_weights(spec, seed=5)
         out, _ = forward(spec, weights, random_input(rng), spike_mode="soft")
         assert np.all((out > 0) & (out < 1))
 
     def test_rejects_bad_rank(self, rng):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=0)
         with pytest.raises(ModelError, match=r"\[2, H, W, T\]"):
             forward(spec, weights, random_input(rng)[..., 0])
 
     def test_rejects_negative_entries(self, rng):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=0)
         inp = random_input(rng)
         inp[1, 2, 3, 4] = -1.0
@@ -341,7 +349,7 @@ class TestForward:
 class TestSuperResolve:
     def test_bins_at_spec_step_size(self):
         # 64 ms at dt_ms=2 fits 32 steps; binning at 1 ms would drop the second half
-        spec = network_spec("ultralight", dt_ms=2.0)
+        spec = NetworkSpec("ultralight", dt_ms=2.0)
         stream = downsample_2x(synth_moving_bar(32, 32, 64.0, 0.3, 2.0, seed=1))
         out, dropped = super_resolve(spec, init_weights(spec, seed=0), stream, steps=32)
         assert dropped == 0
@@ -350,7 +358,7 @@ class TestSuperResolve:
     @pytest.mark.parametrize("variant,dt_ms", [("dual_layer", 1.0), ("ultralight", 1.0),
                                                ("ultralight", 2.0)])
     def test_windows_equal_the_whole_stream(self, rng, monkeypatch, variant, dt_ms):
-        spec = network_spec(variant, dt_ms)
+        spec = NetworkSpec(variant, dt_ms)
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         steps = int(40 / dt_ms)
         edge = int(steps * dt_ms * 1000)   # on the grid's closing edge: folded into the last bin
@@ -371,7 +379,7 @@ class TestSuperResolve:
 
     def test_memory_does_not_grow_with_steps(self):
         # a whole-stream pass holds every layer's intermediates for all T steps
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=0)
         stream = downsample_2x(synth_moving_bar(32, 32, 20.0, 0.3, 2.0, seed=1))
         peaks = []
@@ -404,7 +412,7 @@ class TestLiveBox:
     @pytest.mark.parametrize("dt_ms", [0.5, 1.0])
     def test_equals_the_whole_grid(self, monkeypatch, scene, variant, dt_ms):
         # at dt_ms 0.5 layer 2 carries 63 refractory steps, more than most windows
-        spec = network_spec(variant, dt_ms)
+        spec = NetworkSpec(variant, dt_ms)
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         stream = helpers.bursts(24, 20, SPARSE_SCENES[scene])
         steps = int(230 / dt_ms)
@@ -432,7 +440,7 @@ class TestLiveBox:
 
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
     def test_empty_stream(self, variant):
-        spec = network_spec(variant)
+        spec = NetworkSpec(variant)
         out, dropped = super_resolve(spec, init_weights(spec, seed=0),
                                      EventStream.empty(8, 6), 40)
         assert (len(out), dropped, out.width, out.height) == (0, 0, 16, 12)
@@ -440,7 +448,7 @@ class TestLiveBox:
     def test_work_follows_activity(self, monkeypatch):
         # every event in a 3x3 patch of a 64x64 frame: layer 2's carried state
         # reaches 2 px past the events, the box 2 px more, so at most 11x11
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         shapes = []
 
@@ -464,7 +472,7 @@ class TestMembraneOnlyForTraining:
     """Only training's backward pass reads the membrane trace, so only it builds one."""
 
     def test_super_resolve_builds_no_membrane(self, monkeypatch):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         stream = downsample_2x(synth_moving_bar(32, 32, 40.0, 0.3, 2.0, seed=3))
         want, want_dropped = super_resolve(spec, weights, stream, 40)
@@ -481,7 +489,7 @@ class TestMembraneOnlyForTraining:
 
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
     def test_backward_rebuilds_the_membrane(self, rng, monkeypatch, variant):
-        spec = network_spec(variant)
+        spec = NetworkSpec(variant)
         weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
         out, caches = forward(spec, weights, random_input(rng, h=5, w=4, t=16))
         assert all(c.layer1.spikes.any() and c.layer2.spikes.any() for c in caches)
@@ -498,17 +506,17 @@ class TestMembraneOnlyForTraining:
             return u
 
         monkeypatch.setattr(model, "membrane", counted)
-        grads = backward_from_output(spec, weights, caches, g_out)
+        grads = backward_pass(spec, weights, caches, g_out)
         assert calls == list(spec.neuron_cfgs[::-1]) * len(spec.passes)   # layer 2 first
         monkeypatch.setattr(model, "membrane", oracle)
-        want = backward_from_output(spec, weights, caches, g_out)
+        want = backward_pass(spec, weights, caches, g_out)
         for g, w in zip(grads, want):
             np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=11)
         log_var = rng.standard_normal(3)
         path = tmp_path / "model.ckpt"
@@ -528,7 +536,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, spec, weights, np.zeros(3), seed=0)
@@ -538,7 +546,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_magic_prefix(self, tmp_path):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, spec, init_weights(spec, seed=0), np.zeros(3), seed=0)
         assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
@@ -571,7 +579,7 @@ def edit_header(path, old, new):
 class TestCheckpointHeader:
     @pytest.mark.parametrize("edit", list(HEADER_EDITS))
     def test_edited_header_rejected(self, tmp_path, edit):
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, spec, init_weights(spec, seed=0), np.zeros(3), seed=3)
         edit_header(path, *HEADER_EDITS[edit])
@@ -579,7 +587,7 @@ class TestCheckpointHeader:
             load_checkpoint(path)
 
     def test_dual_layer_header_spelled_out(self, tmp_path):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, spec, init_weights(spec, seed=0), np.zeros(3), seed=4)
         head = path.read_bytes().split(b"\n\n", 1)[0].decode().split("\n")

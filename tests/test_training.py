@@ -8,8 +8,8 @@ import helpers
 from spikesr import model, training
 from spikesr.events import EventStream, downsample_2x
 from spikesr.metrics import blocks, common_span, rmse_st
-from spikesr.model import (ModelError, backward_from_output, conv_drive, forward,
-                           init_weights, network_spec, super_resolve)
+from spikesr.model import (ModelError, NetworkSpec, backward_pass, conv_drive, forward,
+                           init_weights, super_resolve)
 from spikesr.synth import synth_moving_bar
 from spikesr.training import (TrainConfig, TrainingError, adam_step, backward, init_optim,
                               loss_total, resolve_mode, train)
@@ -164,7 +164,7 @@ class TestLossGradients:
 
     def test_log_var_grad_at_perfect_output(self, rng):
         # all losses zero -> d(total)/d(log_var_i) = 1
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         weights = init_weights(spec, seed=0)
         inp = rng.integers(0, 3, (2, 4, 4, 8)).astype(float)
         out, caches = forward(spec, weights, inp)
@@ -173,7 +173,7 @@ class TestLossGradients:
         assert grads.loss == pytest.approx(0.0)
 
     def test_log_var_grad_formula(self, rng):
-        spec = network_spec("dual_layer")
+        spec = NetworkSpec("dual_layer")
         weights = init_weights(spec, seed=1)
         inp = rng.integers(0, 3, (2, 4, 4, 8)).astype(float)
         gt = rng.integers(0, 2, (2, 8, 8, 8)).astype(float)
@@ -186,14 +186,13 @@ class TestLossGradients:
 
     def test_dual_gradient_equals_sum_of_passes(self, rng):
         # shared-weight gradient accumulates both polarity passes
-        spec = network_spec("ultralight")
+        spec = NetworkSpec("ultralight")
         weights = init_weights(spec, seed=2)
         inp = rng.integers(0, 4, (2, 4, 4, 10)).astype(float)
         out, caches = forward(spec, weights, inp)
         g_out = rng.standard_normal(out.shape)
-        combined = backward_from_output(spec, weights, caches, g_out)
-        per_pass = [backward_from_output(spec, weights, [cache],
-                                         g_out[c:c + 1])
+        combined = backward_pass(spec, weights, caches, g_out)
+        per_pass = [backward_pass(spec, weights, [cache], g_out[c:c + 1])
                     for c, cache in enumerate(caches)]
         for i in range(len(weights)):
             total = per_pass[0][i] + per_pass[1][i]
@@ -305,7 +304,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
                                              ("epochs", -1), ("steps", 0), ("lr", 0.0),
                                              ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
-                                             ("variant", "resnet")])
+                                             ("variant", "resnet"), ("dt_ms", 1 / 3)])
     def test_values_it_cannot_honour_rejected(self, field, value):
         with pytest.raises(TrainingError, match=field):
             TrainConfig(**{field: value})
@@ -352,7 +351,7 @@ class TestValidationIsInference:
         assert np.count_nonzero(lr_past.t - lr_past.t0 > 32_000) > 0
         cfg = TrainConfig(variant="dual_layer", epochs=0, steps=16, dt_ms=2.0, seed=4)
         res = train(cfg, tiny_pairs(1), val)
-        spec = network_spec("dual_layer", 2.0)
+        spec = NetworkSpec("dual_layer", 2.0)
         weights = firing_init(spec, cfg.seed)
         scores = []
         for lr, hr in val:
@@ -390,7 +389,7 @@ class TestLiveBoxTraining:
         steps = int(60 / dt_ms)
         cfg = TrainConfig(variant=variant, epochs=1, batch_size=1, steps=steps,
                           dt_ms=dt_ms, seed=2)
-        spec = network_spec(variant, dt_ms)
+        spec = NetworkSpec(variant, dt_ms)
         weights = firing_init(spec, cfg.seed)
         out, caches = forward(spec, weights, helpers.voxel_grid(lr, steps, dt_ms)[0])
         hr_data = helpers.voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0]
