@@ -43,6 +43,12 @@ def _load_stream(path):
     return load_events(path, guess_format(path))
 
 
+def _load_pairs(paths):
+    """The (LR, HR) streams of each (LR path, HR path), loaded as they are asked for."""
+    for lr, hr in paths:
+        yield _load_stream(lr), _load_stream(hr)
+
+
 def _check_out_dirs(*paths):
     """Refuse, before any work, an output path (None: not given) that names a
     directory (`.` and `/` among them) or lies in a missing one."""
@@ -179,14 +185,14 @@ def cmd_train(args):
     if val_count >= len(pair_paths):
         raise UsageError(f"validation split of {val_count} leaves none of the "
                          f"{len(pair_paths)} pairs for training")
-    loaded = [(_load_stream(lr), _load_stream(hr)) for lr, hr in pair_paths]
-    train_pairs, val_pairs = loaded[:-val_count], loaded[-val_count:]
-    result = train(cfg, train_pairs, val_pairs)
+    # read in manifest order, each training pair only when train asks for it
+    result = train(cfg, _load_pairs(pair_paths[:-val_count]),
+                   _load_pairs(pair_paths[-val_count:]))
     if result.dropped:
         print(f"warning: {result.dropped} events of the training and validation pairs fell "
               f"outside the {cfg.steps}-step grid", file=sys.stderr)
     if result.val_skipped:
-        print(f"warning: {result.val_skipped} of {len(val_pairs)} validation pairs have no "
+        print(f"warning: {result.val_skipped} of {val_count} validation pairs have no "
               f"defined RMSE and were left out of val_rmse_st", file=sys.stderr)
     save_checkpoint(args.out, result.spec, result.weights, result.log_var, result.seed)
     if args.report:

@@ -185,13 +185,24 @@ class TrainResult:
                          f"{r.w3!r},{r.val_rmse_st!r}\n")
 
 
-def _validate_pairs(pairs, what):
-    if not pairs:
-        raise TrainingError(f"empty {what} dataset")
-    for i, (lr, hr) in enumerate(pairs):
-        if hr.width != 2 * lr.width or hr.height != 2 * lr.height:
-            raise TrainingError(
-                f"{what} pair {i}: {hr.width}x{hr.height} is not 2x {lr.width}x{lr.height}")
+def _check_pair(what, i, lr, hr):
+    if hr.width != 2 * lr.width or hr.height != 2 * lr.height:
+        raise TrainingError(
+            f"{what} pair {i}: {hr.width}x{hr.height} is not 2x {lr.width}x{lr.height}")
+
+
+def _bin_pair(spec, steps, lr_stream, hr_stream):
+    """The (flat indices, shape) of a training pair's input and of its target
+    on the pair's live box, and the count of its events past the grid."""
+    lr, lr_dropped = event_bins(lr_stream, steps, spec.dt_ms)
+    hr, hr_dropped = event_bins(hr_stream, steps, spec.dt_ms, origin=lr_stream.t0)
+    s = spec.scale
+    # without a kept event on either side the box is empty and the loss sum(log_var)
+    box = _live_box(spec, np.concatenate([lr[1], hr[1] // s]),
+                    np.concatenate([lr[2], hr[2] // s]),
+                    lr_stream.height, lr_stream.width) or (0, 0, 0, 0)
+    return ((_voxel_index(lr, box, 0, steps), _voxel_index(hr, box, 0, steps, s)),
+            lr_dropped + hr_dropped)
 
 
 def _validation_rmse(spec, weights, val_pairs, steps):
@@ -209,6 +220,12 @@ def _validation_rmse(spec, weights, val_pairs, steps):
 
 def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
     """Fit a network on (LR stream, HR stream) pairs.
+
+    Each argument is iterated once, `pairs` first, so either may be a
+    generator that loads its pairs as they are asked for.  Each training
+    pair's geometry is checked and the pair binned (below) as it is
+    read, and its streams are unbound before the next pair is read; the
+    validation pairs are kept as given, since every epoch runs them.
 
     Per-sample gradients are averaged over each shuffled mini-batch and
     fed to Adam; the loss log-variances train alongside the weights.
@@ -232,27 +249,27 @@ def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
     in the order of their sums.  A sample with no kept LR event runs no
     forward pass.
     """
-    _validate_pairs(pairs, "training")
-    _validate_pairs(val_pairs, "validation")
     spec = NetworkSpec(cfg.variant, cfg.dt_ms)
+    train_data, dropped = [], 0   # per pair: (flat indices, shape) of its input and target
+    # no enumerate: its reused result tuple would hold the last pair while the next loads
+    for lr_stream, hr_stream in pairs:
+        _check_pair("training", len(train_data), lr_stream, hr_stream)
+        sample, pair_dropped = _bin_pair(spec, cfg.steps, lr_stream, hr_stream)
+        train_data.append(sample)
+        dropped += pair_dropped
+        del lr_stream, hr_stream   # unbound before the next pair is read
+    if not train_data:
+        raise TrainingError("empty training dataset")
+    val_pairs = list(val_pairs)
+    if not val_pairs:
+        raise TrainingError("empty validation dataset")
+    for i, (lr, hr) in enumerate(val_pairs):
+        _check_pair("validation", i, lr, hr)
+        # validation pairs are only counted here: super_resolve bins them as it runs
+        dropped += (event_bins(lr, cfg.steps, cfg.dt_ms)[1]
+                    + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1])
     weights = init_weights(spec, cfg.seed)
     log_var = np.zeros(3)   # Adam's last parameter
-    # validation pairs are only counted here: super_resolve bins them as it runs
-    dropped = sum(event_bins(lr, cfg.steps, cfg.dt_ms)[1]
-                  + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1]
-                  for lr, hr in val_pairs)
-    s = spec.scale
-    train_data = []   # per pair: (flat indices, shape) of its input and its target on its box
-    for lr_stream, hr_stream in pairs:
-        lr, lr_dropped = event_bins(lr_stream, cfg.steps, cfg.dt_ms)
-        hr, hr_dropped = event_bins(hr_stream, cfg.steps, cfg.dt_ms, origin=lr_stream.t0)
-        dropped += lr_dropped + hr_dropped
-        # without a kept event on either side the box is empty and the loss sum(log_var)
-        box = _live_box(spec, np.concatenate([lr[1], hr[1] // s]),
-                        np.concatenate([lr[2], hr[2] // s]),
-                        lr_stream.height, lr_stream.width) or (0, 0, 0, 0)
-        train_data.append((_voxel_index(lr, box, 0, cfg.steps),
-                           _voxel_index(hr, box, 0, cfg.steps, s)))
     rng = np.random.default_rng(cfg.seed)
     initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
     params = weights + [log_var]

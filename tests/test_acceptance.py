@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v` for the per-criterion
 verdict lines.  The training-smoke criterion performs a full 200-pair,
-30-epoch run and dominates the suite's runtime (several minutes).
+30-epoch run and dominates the suite's runtime; it is marked `slow`, so
+`pytest -m "not slow"` runs everything else.
 """
 import time
 
@@ -179,6 +180,7 @@ def build_smoke_corpus(n_pairs=200):
     return pairs
 
 
+@pytest.mark.slow
 def test_criterion_08_training_smoke():
     pairs = build_smoke_corpus(200)
     split = len(pairs) - 20

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +333,49 @@ class TestTrain:
         corpus = make_corpus(tmp_path, n=3)
         assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,
                    "--val-count", 3, "--out", tmp_path / "m.ckpt") == 2
+
+    def test_reads_each_training_pair_only_when_train_bins_it(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, n=5)
+        load = spikesr.cli._load_stream
+        order, live, refs = [], [], []
+
+        def recorded_load(path):
+            gc.collect()
+            live.append(sum(r() is not None for r in refs))   # earlier streams still alive
+            stream = load(path)
+            order.append(Path(path).name)
+            refs.append(weakref.ref(stream.t))
+            return stream
+        monkeypatch.setattr(spikesr.cli, "_load_stream", recorded_load)
+        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1, "--batch", 2,
+                   "--steps", 32, "--val-count", 2, "--out", tmp_path / "m.ckpt") == 0
+        lines = (corpus / "pairs.txt").read_text().split()
+        assert order == [name for line in lines for name in line.split(",")]
+        # a training pair's LR stream is alive while its HR stream loads, no other;
+        # the validation pairs load after every training stream is gone, and stay
+        assert live == [0, 1] * 3 + [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("faults,named", [
+        ({"bar_000.lr.evbin": "unreadable", "bar_002.lr.evbin": "unreadable"},
+         "bar_000.lr.evbin"),
+        ({"bar_001.evbin": "20x20", "bar_002.evbin": "20x20"}, "training pair 1: 20x20"),
+        # a training pair is checked as it is read, before a later file is
+        ({"bar_000.evbin": "20x20", "bar_001.lr.evbin": "unreadable"},
+         "training pair 0: 20x20")],
+        ids=["unreadable_files", "mismatches", "mismatch_then_unreadable"])
+    def test_first_fault_in_manifest_order_is_reported(self, tmp_path, capsys, faults, named):
+        corpus = make_corpus(tmp_path, n=3)
+        for name, fault in faults.items():
+            if fault == "unreadable":
+                (corpus / name).write_bytes(b"not an event file")
+            else:
+                save_events(synth_moving_bar(20, 20, 64.0, 0.3, 2.0, seed=1),
+                            corpus / name, "evbin")
+        capsys.readouterr()
+        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1,
+                   "--val-count", 1, "--out", tmp_path / "m.ckpt") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
 
 
 class TestInfer:

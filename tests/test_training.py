@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -258,8 +260,9 @@ class TestTrainLoop:
             resolve_mode("ultralight", "dual_concurrent")
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(TrainingError):
-            train(TrainConfig(epochs=1), [], tiny_pairs(1))
+        for empty in ([], iter([])):
+            with pytest.raises(TrainingError, match="empty training dataset"):
+                train(TrainConfig(epochs=1), empty, tiny_pairs(1))
 
     def test_geometry_mismatch_rejected(self):
         bad_hr = synth_moving_bar(20, 12, 32.0, 0.3, 2.0, seed=1)
@@ -277,6 +280,21 @@ class TestTrainLoop:
         assert math.isfinite(row.train_loss)
         assert res.final_val_rmse == row.val_rmse_st
         assert np.any(res.log_var != 0.0)
+
+    def test_generators_train_like_lists(self):
+        # 16 steps of 32 ms streams drop events, and an empty target skips a validation pair
+        val = tiny_pairs(1, seed0=902)
+        val.append((val[0][0], EventStream.empty(16, 16)))
+        cfg = TrainConfig(epochs=2, batch_size=2, steps=16, seed=7)
+        listed = train(cfg, tiny_pairs(3), val)
+        streamed = train(cfg, (pair for pair in tiny_pairs(3)), (pair for pair in val))
+        assert listed.dropped > 0 and listed.val_skipped == 1
+        for a, b in zip(listed.weights + [listed.log_var],
+                        streamed.weights + [streamed.log_var]):
+            assert a.tobytes() == b.tobytes()
+        assert listed.rows == streamed.rows
+        assert listed.initial_val_rmse == streamed.initial_val_rmse
+        assert (listed.dropped, listed.val_skipped) == (streamed.dropped, streamed.val_skipped)
 
     def test_deterministic_rerun(self):
         cfg = TrainConfig(epochs=2, batch_size=2, steps=32, seed=6)
@@ -526,3 +544,21 @@ class TestTrainingHoldsEvents:
             tracemalloc.stop()
         assert boxes == [(0, 32, 0, 32)] * 8
         assert held[0] - entry < 1_000_000, held[0] - entry
+
+    def test_each_pair_is_released_once_binned(self):
+        refs = []   # weak references to each yielded pair's event arrays
+
+        def pairs(n):
+            for k in range(n):
+                gc.collect()
+                alive = [j for j, arrays in enumerate(refs)
+                         if any(r() is not None for r in arrays)]
+                assert alive == [], f"pairs {alive} still alive when pair {k} is read"
+                lr, hr = tiny_pairs(1, seed0=510 + k)[0]
+                refs.append([weakref.ref(a) for s in (lr, hr) for a in (s.t, s.x, s.y, s.p)])
+                yield lr, hr
+                del lr, hr
+
+        res = train(TrainConfig(epochs=1, batch_size=2, steps=32), pairs(4),
+                    tiny_pairs(1, seed0=908))
+        assert len(refs) == 4 and len(res.rows) == 1
