@@ -1,7 +1,7 @@
 """Command-line pipeline: synth, downsample, train, infer, eval, render, info.
 
 Exit codes: 0 on success, 1 on runtime failure (I/O, corrupt data,
-training blow-up), 2 on usage or validation errors.
+training blow-up, memory exhausted), 2 on usage or validation errors.
 """
 
 from __future__ import annotations
@@ -447,6 +447,9 @@ def main(argv=None) -> int:
         return 2
     except (EventFormatError, EventError, ModelError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # numpy's names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 US_PER_MS = 1000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class EventError(ValueError):
@@ -98,10 +99,13 @@ def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | N
     (t - t0 == T * dt) is folded into the last bin; anything else past
     the last bin is dropped.  Returns the (channel, y, x, bin) int64
     arrays of the kept events, in stream order and so with bins
-    non-decreasing, and the dropped-event count.
+    non-decreasing, and the dropped-event count.  Refuses a step count
+    that int64 cannot hold.
     """
     if steps < 1:
         raise EventError("step count must be positive")
+    if steps > _INT64_MAX:
+        raise EventError(f"step count {steps} exceeds the int64 maximum")
     n = _step_us(dt)
     rel = stream.t - (stream.t0 if origin is None else int(origin))
     bins = rel // n
@@ -116,9 +120,12 @@ def _voxel_index(coords, box, start: int, stop: int, scale: int = 1):
     in the [2, h, w, stop - start] grid of the LR box (y0, y1, x0, x1),
     half-open, or of its HR footprint for `scale` = spec.scale; pixels
     are taken relative to the box.  Refuses an event whose pixel lies
-    outside it.  _count_voxels counts the indices."""
+    outside it, and a grid with more cells than int64 can number.
+    _count_voxels counts the indices."""
     y0, y1, x0, x1 = (scale * b for b in box)
     shape = (2, y1 - y0, x1 - x0, stop - start)
+    if math.prod(shape) > _INT64_MAX:
+        raise EventError(f"a {'x'.join(map(str, shape))} voxel grid has too many cells to index")
     ch, y, x, bins = coords
     lo, hi = np.searchsorted(bins, (start, stop))
     try:

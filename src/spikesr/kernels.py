@@ -10,7 +10,8 @@ potential is zero.
 The PSP is a causal convolution along time (SLAYER's view), and its
 adjoint is the same convolution run backward; both are computed as one
 blocked banded product, the input's rows times slices of a small
-banded Toeplitz matrix.
+banded Toeplitz matrix.  So is the refractory trace membrane adds to
+a drive: the same product over the neuron's own spikes.
 
 Spike generation decides most cells with one comparison.  NeuronConfig
 enforces lam >= 0, so every refractory term is <= 0, and a membrane is
@@ -20,8 +21,9 @@ that order.  Let d* be the least double whose chain d + gamma[K-1] +
 monotone in its operand, and leaving out a non-positive term never
 lowers the result, so a drive >= d* fires whatever the neuron's past
 and a drive < v_th never fires.  Only drives in [v_th, d*) are decided
-from their row's history, in time order.  The membrane trace itself is
-rebuilt by membrane, which only training's backward pass needs.
+from their row's history, in time order.  membrane's filtered trace is
+within about 1e-12 of that ordered sum, not bit for bit; only
+training's surrogate gradient reads it.
 
 Kernels (t >= 0, zero before):
 
@@ -206,7 +208,8 @@ def generate_spikes(drive, cfg: NeuronConfig, dt: float = 1.0, past=None):
     copy of the last K - 1 steps of past and spikes together (all of
     them if fewer), K = kernel_length(tau_r, dt).  Fed back as the next
     window's past, it makes that window's spikes the whole stream's.
-    membrane rebuilds the membrane trace of a run with no past.
+    membrane rebuilds a run's membrane trace, to about 1e-12, when it
+    has no past.
 
     A neuron's membrane at step t is d = drive[t] plus gamma[k] for each
     of its spikes k steps earlier, 0 < k < K, added with k descending.
@@ -260,25 +263,16 @@ def membrane(drive, spikes, cfg: NeuronConfig, dt: float = 1.0) -> np.ndarray:
     """The membrane trace of neurons that fired `spikes`, as generate_spikes
     (drive, cfg, dt) returns them, under that drive.
 
-    u[..., t] = drive[..., t] + gamma[k] * spikes[..., t - k] for
-    k = K - 1, ..., 1 in that order: the sum generate_spikes compares
-    with v_th.  A zero spike step adds -0.0, which changes no bit; rows
-    with no spike keep u = drive.
+    u[..., t] = drive[..., t] + sum over k = 1, ..., K - 1 of gamma[k] *
+    spikes[..., t - k]: the drive plus the refractory kernel, without its
+    self term, as a causal filter of the spikes, one blocked banded
+    product like the PSP's.  It matches the per-step oracle sum to about
+    1e-12 but need not equal generate_spikes' ordered chain bit for bit;
+    only training's surrogate gradient reads it.
     """
     x = np.asarray(drive, dtype=np.float64)
-    T = x.shape[-1]
-    n = math.prod(x.shape[:-1])
-    gamma = _refractory(cfg, dt)[0]
-    hist = np.reshape(spikes, (n, T))
-    u = x.reshape(n, T).copy()
-    rows = np.flatnonzero(hist != 0) // T
-    live = rows[np.diff(rows, prepend=-1) != 0]
-    if live.size:
-        v, h = u[live], hist[live]
-        for k in range(min(gamma.size, T) - 1, 0, -1):   # lags that reach into the window
-            v[:, k:] += gamma[k] * h[:, :T - k]
-        u[live] = v
-    return u.reshape(x.shape)
+    taps = np.append(_refractory(cfg, dt)[0][1:x.shape[-1]][::-1], 0.0)   # no self term
+    return x + _banded_product(np.asarray(spikes, dtype=np.float64), taps, 1 - taps.size)
 
 
 def soft_spikes(drive, cfg: NeuronConfig):

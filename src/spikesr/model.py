@@ -385,8 +385,10 @@ def backward_pass(spec: NetworkSpec, weights, caches, g_out: np.ndarray) -> list
     _forward_pass: through the output threshold (surrogate in hard mode,
     exact sigmoid derivative in soft mode), the interlayer PSP, the
     transposed conv, the hidden threshold, and the first conv.  The
-    derivatives are taken at the membrane: rebuilt by kernels.membrane
-    in hard mode, the drive itself in soft mode.  The refractory trace
+    derivatives are taken at the membrane: in hard mode the drive plus
+    the refractory trace that kernels.membrane filters from the spikes,
+    within about 1e-12 of the sum generate_spikes compared with v_th,
+    and in soft mode the drive itself.  The refractory trace
     is treated as constant, and the bypass carries no parameters, so
     nothing flows back past the first layer's drive.
     """

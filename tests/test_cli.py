@@ -231,6 +231,18 @@ class TestTrain:
         assert run("train", "--pairs", corpus / "pairs.txt") == 1
         assert seen == [TrainConfig()]
 
+    def test_memory_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        corpus = make_corpus(tmp_path, n=3)
+        capsys.readouterr()
+        for raised, printed in ((MemoryError("Unable to allocate 71.5 GiB for an array"),
+                                 "error: Unable to allocate 71.5 GiB for an array"),
+                                (MemoryError(), "error: out of memory")):
+            def fake_train(cfg, pairs, val_pairs):
+                raise raised
+            monkeypatch.setattr(spikesr.cli, "train", fake_train)
+            assert run("train", "--pairs", corpus / "pairs.txt", "--val-count", 1) == 1
+            assert capsys.readouterr().err.splitlines() == [printed]
+
     def test_missing_pairs_is_usage_error(self):
         assert run("train", "--epochs", 1) == 2
 
@@ -562,6 +574,17 @@ class TestEval:
         kv = dict(line.split("=") for line in out.strip().splitlines())
         assert int(kv["dropped"]) > 0
         assert f"warning: {kv['dropped']} events" in err
+
+    def test_grid_int64_cannot_index_is_runtime_error(self, tmp_path, capsys):
+        # every event lies inside the 16x16 sensor; only the cell count is too large
+        corpus = make_corpus(tmp_path, n=1)
+        capsys.readouterr()
+        for steps, why in ((2 ** 61, f"a 2x16x16x{2 ** 61} voxel grid has too many cells"),
+                           (10 ** 19, f"step count {10 ** 19} exceeds the int64 maximum")):
+            assert run("eval", "--pred", corpus / "bar_000.evbin",
+                       "--gt", corpus / "bar_000.evbin", "--steps", steps) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and why in err[0]
 
     def test_two_empty_streams_are_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "empty.evbin"

@@ -90,6 +90,15 @@ class TestToVoxelGrid:
                 dense[c, y, x, b] = v
             assert np.array_equal(vox, dense)
 
+    def test_refuses_a_step_count_int64_cannot_hold(self):
+        s = stream_of([[0, 0, 0, 1], [4000, 0, 0, -1]], 1, 1)
+        top = int(np.iinfo(np.int64).max)
+        (ch, _, _, bins), dropped = event_bins(s, top)
+        assert ch.tolist() == [0, 1] and bins.tolist() == [0, 4] and dropped == 0
+        for steps in (top + 1, 10 ** 19):
+            with pytest.raises(EventError, match=f"step count {steps} exceeds the int64 maximum"):
+                event_bins(s, steps)
+
 
 def count_window(coords, height, width, start, stop):
     """Count grid [2, H, W, stop - start] of bins [start, stop), as inference windows count it."""
@@ -149,6 +158,16 @@ class TestVoxelWindow:
             _voxel_index(coords, (0, 4, 0, 3), 0, 3)
         # an event outside the window's bins is not counted, wherever it lies
         assert count_window(coords, 4, 3, 0, 2).sum() == 1.0
+
+    def test_refuses_a_grid_int64_cannot_index(self):
+        # every event lies inside the grid; only the cell count is too large
+        coords = tuple(np.array(v, dtype=np.int64) for v in ([1], [0], [0], [7]))
+        top = int(np.iinfo(np.int64).max)
+        assert _voxel_index(coords, (0, 1, 0, 1), 0, top // 2)[0].tolist() == [top // 2 + 7]
+        for box, steps, shape in (((0, 1, 0, 1), top // 2 + 1, f"2x1x1x{top // 2 + 1}"),
+                                  ((0, 16, 0, 16), 2 ** 61, f"2x16x16x{2 ** 61}")):
+            with pytest.raises(EventError, match=f"a {shape} voxel grid has too many cells"):
+                _voxel_index(coords, box, 0, steps)
 
 
 class TestFromVoxelGrid:

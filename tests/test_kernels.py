@@ -184,22 +184,29 @@ class TestBandCache:
 
     def test_repeated_calls_reuse_the_band(self, rng, monkeypatch):
         kern = spike_kernel(4.0, 1.0, 32)
+
+        def filters(x, history):
+            spikes = (x > 1.0).astype(float)
+            return [apply_psp(x, kern, history), apply_psp_adjoint(x, kern),
+                    membrane(x, spikes, UPCONV_NEURON)]
+
         uncached = []
         for steps, history in ((B - 9, 0), (B, 0), (3 * B + 5, 0), (B + 40, 31)):
             x = rng.standard_normal((2, 5, steps))
             kernels._band.cache_clear()
-            first = [apply_psp(x, kern, history), apply_psp_adjoint(x, kern)]
-            again = [apply_psp(x, kern, history), apply_psp_adjoint(x, kern)]
+            first = filters(x, history)
+            again = filters(x, history)
             info = kernels._band.cache_info()
-            # the filter's taps are the kernel reversed, the adjoint's the kernel itself
-            assert (info.misses, info.hits) == (2, 2)
+            # the filter's taps are the kernel reversed, the adjoint's the kernel itself,
+            # the membrane's the refractory kernel reversed without its self term
+            assert (info.misses, info.hits) == (3, 3)
             assert all(np.array_equal(a, b) for a, b in zip(first, again))
             uncached.append((x, history, first))
         band = kernels._band(kern.tobytes(), B)
         assert not band.flags.writeable
         monkeypatch.setattr(kernels, "_band", kernels._band.__wrapped__)
         for x, history, first in uncached:
-            fresh = [apply_psp(x, kern, history), apply_psp_adjoint(x, kern)]
+            fresh = filters(x, history)
             assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
 
 
@@ -255,12 +262,14 @@ class TestGenerateSpikes:
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
     def test_matches_fire_oracle(self, rng, cfg):
-        drive = rng.uniform(0.5, 1.3, (3, 4, 50)) * cfg.v_th
-        sp, _ = generate_spikes(drive, cfg)
-        u = membrane(drive, sp, cfg)
-        want_sp, want_u = helpers.fire_oracle(drive, cfg)
-        assert np.array_equal(sp, want_sp) and sp.any()
-        assert np.max(np.abs(u - want_u)) < 1e-12
+        # 3 * B + 5 steps cross _BLOCK edges; at dt 0.5 UPCONV_NEURON's tail fills a block
+        for steps, dt in ((50, 1.0), (3 * B + 5, 1.0), (50, 0.5), (3 * B + 5, 0.5)):
+            drive = rng.uniform(0.5, 1.3, (3, 4, steps)) * cfg.v_th
+            sp, _ = generate_spikes(drive, cfg, dt)
+            u = membrane(drive, sp, cfg, dt)
+            want_sp, want_u = helpers.fire_oracle(drive, cfg, dt)
+            assert np.array_equal(sp, want_sp) and sp.any()
+            assert np.max(np.abs(u - want_u)) < 1e-12
 
     @pytest.mark.parametrize("cfg", [CONV_NEURON, UPCONV_NEURON])
     def test_carried_past_spikes_match_fire_oracle(self, rng, cfg):
