@@ -115,22 +115,23 @@ def cmd_downsample(args):
         raise UsageError("give --manifest or input paths, not both")
     if args.manifest:
         base = Path(args.manifest).parent
-        hr_paths = [base / line.strip() for line in
-                    Path(args.manifest).read_text().splitlines() if line.strip()]
+        names = [Path(line.strip()) for line in
+                 Path(args.manifest).read_text().splitlines() if line.strip()]
     else:
-        hr_paths = [Path(p) for p in args.inputs]
-    if not hr_paths:
+        base, names = Path(), [Path(p) for p in args.inputs]
+    if not names:
         raise UsageError("nothing to downsample")
     from .events import downsample_2x
     failures = []
     pairs = []
-    for path in hr_paths:
+    for name in names:
+        path = base / name
         out = _lr_path(path)
         try:
             stream = _load_stream(path)
             lr = downsample_2x(stream)
             save_events(lr, out, guess_format(out))
-            pairs.append((out, path))
+            pairs.append((_lr_path(name), name))   # as _read_pair_manifest resolves them
             print(f"{path} -> {out} ({len(lr)} events)")
         except (OSError, EventError) as exc:
             # io's messages and an OSError's filename already name the file
@@ -138,9 +139,9 @@ def cmd_downsample(args):
                      or getattr(exc, "filename", None))
             failures.append(str(exc) if named else f"{path}: {exc}")
     if args.manifest and pairs:
-        pairs_path = Path(args.manifest).parent / "pairs.txt"
+        pairs_path = base / "pairs.txt"
         pairs_path.write_text(
-            "\n".join(f"{lr.name},{hr.name}" for lr, hr in pairs) + "\n")
+            "\n".join(f"{lr},{hr}" for lr, hr in pairs) + "\n")
         print(f"wrote {pairs_path}")
     for line in failures:
         print(f"error: {line}", file=sys.stderr)

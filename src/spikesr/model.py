@@ -497,6 +497,37 @@ def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0:
     return out.t, out.x + spec.scale * box[2], out.y + spec.scale * box[0], out.p
 
 
+def _resolve_bins(spec, weights, coords, steps, height, width, t0) -> EventStream:
+    """super_resolve's output from event_bins' coordinates of a height x width stream
+    that starts at t0.
+
+    A window with no live pixel clears the state, all zero, and the loop
+    resumes at the window of the next event, or stops if none is left:
+    every window it passes over would find no live pixel either.
+    """
+    state, box = [], None
+    parts = [(np.zeros(0, np.int64),) * 4]   # so an empty output concatenates too
+    bins, start = coords[3], 0
+    while start < steps:
+        stop = min(start + _WINDOW, steps)
+        lo, hi = np.searchsorted(bins, (start, stop))
+        window = tuple(c[lo:hi] for c in coords)
+        live = _live_box(spec, window[1], window[2], height, width, state, box)
+        if live is None:
+            state.clear()
+            if hi == bins.size:
+                break
+            start = int(bins[hi]) // _WINDOW * _WINDOW   # bins[hi] >= stop
+            continue
+        if state and live != box:
+            _rebox(spec, state, box, live)
+        box = live
+        parts.append(_run_box(spec, weights, window, box, start, stop, t0, state))
+        start = stop
+    return EventStream(*(np.concatenate(field) for field in zip(*parts)),
+                       spec.scale * width, spec.scale * height)
+
+
 def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
                   mode: str | None = None):
     """Stream in, stream out: voxelize, run the network, re-emit events.
@@ -512,9 +543,11 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
     drive and bypass value is 0 < v_th, so no neuron fires there and the
     next window's carried state is zero there too; at an inner edge of
     the box, the conv's zero padding and the bypass's edge clamp read
-    the zeros the frame holds.  A window with no live pixel is skipped
-    and the state, all zero, starts afresh.  Where the box is the whole
-    frame this is the whole-frame computation, so work follows activity.
+    the zeros the frame holds.  Where the box is the whole frame this is
+    the whole-frame computation, so work follows activity.  Once a
+    window has no live pixel the state is clear, and the windows up to
+    the next event's are not visited (_resolve_bins), so a span with no
+    event and no carried state costs nothing, however many steps it has.
 
     Returns (output stream at 2x geometry, input events dropped by
     binning).  An empty input yields an empty output stream.  `mode` is
@@ -522,22 +555,8 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
     """
     resolve_mode(spec.variant, mode)
     coords, dropped = event_bins(stream, steps, spec.dt_ms)
-    state, box = [], None
-    parts = [(np.zeros(0, np.int64),) * 4]   # so an empty output concatenates too
-    for start in range(0, steps, _WINDOW):
-        stop = min(start + _WINDOW, steps)
-        lo, hi = np.searchsorted(coords[3], (start, stop))
-        window = tuple(c[lo:hi] for c in coords)
-        live = _live_box(spec, window[1], window[2], stream.height, stream.width, state, box)
-        if live is None:
-            state.clear()
-        elif state and live != box:
-            _rebox(spec, state, box, live)
-        box = live
-        if box is not None:
-            parts.append(_run_box(spec, weights, window, box, start, stop, stream.t0, state))
-    return EventStream(*(np.concatenate(field) for field in zip(*parts)),
-                       spec.scale * stream.width, spec.scale * stream.height), dropped
+    return _resolve_bins(spec, weights, coords, steps, stream.height, stream.width,
+                         stream.t0), dropped
 
 
 # ---------------------------------------------------------------------------

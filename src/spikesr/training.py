@@ -31,8 +31,8 @@ import numpy as np
 
 from .events import _count_voxels, _voxel_index, event_bins
 from .metrics import DegenerateStreamError, blocks, rmse_st
-from .model import (ModelError, NetworkSpec, _live_box, backward_pass, forward, init_weights,
-                    super_resolve)
+from .model import (ModelError, NetworkSpec, _live_box, _resolve_bins, backward_pass, forward,
+                    init_weights)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -185,10 +185,26 @@ class TrainResult:
                          f"{r.w3!r},{r.val_rmse_st!r}\n")
 
 
-def _check_pair(what, i, lr, hr):
-    if hr.width != 2 * lr.width or hr.height != 2 * lr.height:
-        raise TrainingError(
-            f"{what} pair {i}: {hr.width}x{hr.height} is not 2x {lr.width}x{lr.height}")
+def _read_pairs(what, pairs, bin_pair, spec, steps):
+    """What bin_pair(spec, steps, lr_stream, hr_stream) keeps of each pair, read in
+    order, and the count of their events past the grid.
+
+    Each pair's geometry is checked as it is read, and its streams are
+    unbound before the next pair is read.
+    """
+    held, dropped = [], 0
+    # no enumerate: its reused result tuple would hold the last pair while the next loads
+    for lr, hr in pairs:
+        if hr.width != 2 * lr.width or hr.height != 2 * lr.height:
+            raise TrainingError(f"{what} pair {len(held)}: {hr.width}x{hr.height} "
+                                f"is not 2x {lr.width}x{lr.height}")
+        kept, pair_dropped = bin_pair(spec, steps, lr, hr)
+        held.append(kept)
+        dropped += pair_dropped
+        del lr, hr   # unbound before the next pair is read
+    if not held:
+        raise TrainingError(f"empty {what} dataset")
+    return held, dropped
 
 
 def _bin_pair(spec, steps, lr_stream, hr_stream):
@@ -205,12 +221,26 @@ def _bin_pair(spec, steps, lr_stream, hr_stream):
             lr_dropped + hr_dropped)
 
 
-def _validation_rmse(spec, weights, val_pairs, steps):
+def _bin_val_pair(spec, steps, lr_stream, hr_stream):
+    """A validation pair's LR event_bins coordinates, height, width and t0,
+    and its HR stream, which rmse_st bins on a span that depends on the
+    prediction; and the count of the pair's events past the grid."""
+    coords, lr_dropped = event_bins(lr_stream, steps, spec.dt_ms)
+    hr_dropped = event_bins(hr_stream, steps, spec.dt_ms, origin=lr_stream.t0)[1]
+    return ((coords, lr_stream.height, lr_stream.width, lr_stream.t0, hr_stream),
+            lr_dropped + hr_dropped)
+
+
+def _validation_rmse(spec, weights, val_data, steps):
     """Mean RMSE of super_resolve's output over the validation pairs, and
-    the indices of the pairs left out because their RMSE is undefined."""
+    the indices of the pairs left out because their RMSE is undefined.
+
+    Each pair is held as _bin_val_pair keeps it, and the network runs on
+    its LR coordinates through super_resolve's own loop, model._resolve_bins.
+    """
     scores, skipped = [], set()
-    for i, (lr_stream, hr_stream) in enumerate(val_pairs):
-        pred, _ = super_resolve(spec, weights, lr_stream, steps)
+    for i, (coords, height, width, t0, hr_stream) in enumerate(val_data):
+        pred = _resolve_bins(spec, weights, coords, steps, height, width, t0)
         try:
             scores.append(rmse_st(pred, hr_stream, steps, spec.dt_ms).rmse_st)
         except DegenerateStreamError:
@@ -222,18 +252,20 @@ def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
     """Fit a network on (LR stream, HR stream) pairs.
 
     Each argument is iterated once, `pairs` first, so either may be a
-    generator that loads its pairs as they are asked for.  Each training
-    pair's geometry is checked and the pair binned (below) as it is
-    read, and its streams are unbound before the next pair is read; the
-    validation pairs are kept as given, since every epoch runs them.
+    generator that loads its pairs as they are asked for.  Each pair's
+    geometry is checked and the pair binned as it is read, and its
+    streams are unbound before the next pair is read, but for a
+    validation pair's HR stream: rmse_st bins it on a span that depends
+    on the prediction.
 
     Per-sample gradients are averaged over each shuffled mini-batch and
     fed to Adam; the loss log-variances train alongside the weights.
-    Validation runs super_resolve, the call infer makes, and scores its
-    output streams, so the validation RMSE matches a later infer + eval
-    on the same pair exactly.  The result counts the events that fell
-    outside the cfg.steps-long grids and the validation pairs left out
-    of the RMSE.
+    Validation runs super_resolve's window loop, the one infer runs, on
+    each LR stream's coordinates, binned once, and scores its output
+    streams, so the validation RMSE matches a later infer + eval on the
+    same pair exactly.  The result counts the events that fell outside
+    the cfg.steps-long grids and the validation pairs left out of the
+    RMSE.
 
     Each sample trains on its live box (model._live_box with no carried
     state): the bounding box of its kept LR events and of the LR pixels
@@ -250,28 +282,12 @@ def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
     forward pass.
     """
     spec = NetworkSpec(cfg.variant, cfg.dt_ms)
-    train_data, dropped = [], 0   # per pair: (flat indices, shape) of its input and target
-    # no enumerate: its reused result tuple would hold the last pair while the next loads
-    for lr_stream, hr_stream in pairs:
-        _check_pair("training", len(train_data), lr_stream, hr_stream)
-        sample, pair_dropped = _bin_pair(spec, cfg.steps, lr_stream, hr_stream)
-        train_data.append(sample)
-        dropped += pair_dropped
-        del lr_stream, hr_stream   # unbound before the next pair is read
-    if not train_data:
-        raise TrainingError("empty training dataset")
-    val_pairs = list(val_pairs)
-    if not val_pairs:
-        raise TrainingError("empty validation dataset")
-    for i, (lr, hr) in enumerate(val_pairs):
-        _check_pair("validation", i, lr, hr)
-        # validation pairs are only counted here: super_resolve bins them as it runs
-        dropped += (event_bins(lr, cfg.steps, cfg.dt_ms)[1]
-                    + event_bins(hr, cfg.steps, cfg.dt_ms, origin=lr.t0)[1])
+    train_data, dropped = _read_pairs("training", pairs, _bin_pair, spec, cfg.steps)
+    val_data, val_dropped = _read_pairs("validation", val_pairs, _bin_val_pair, spec, cfg.steps)
     weights = init_weights(spec, cfg.seed)
     log_var = np.zeros(3)   # Adam's last parameter
     rng = np.random.default_rng(cfg.seed)
-    initial_val, skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
+    initial_val, skipped = _validation_rmse(spec, weights, val_data, cfg.steps)
     params = weights + [log_var]
     opt = init_optim(params, lr=cfg.lr)
     rows = []
@@ -300,9 +316,9 @@ def train(cfg: TrainConfig, pairs, val_pairs) -> TrainResult:
             n = len(batch)
             adam_step(params, [a / n for a in acc_w] + [acc_lv / n], opt)
         w = np.exp(-log_var)
-        val, epoch_skipped = _validation_rmse(spec, weights, val_pairs, cfg.steps)
+        val, epoch_skipped = _validation_rmse(spec, weights, val_data, cfg.steps)
         skipped |= epoch_skipped
         rows.append(EpochRow(epoch, epoch_loss / len(train_data),
                              float(w[0]), float(w[1]), float(w[2]), val))
     return TrainResult(spec, weights, log_var, rows, initial_val, cfg.seed,
-                       dropped, len(skipped))
+                       dropped + val_dropped, len(skipped))

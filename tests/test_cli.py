@@ -117,6 +117,21 @@ class TestDownsample:
         assert (lr.x.tolist(), lr.y.tolist()) == ([2, 16], [3, 16])
         assert (tmp_path / "pairs.txt").read_text() == "d.lr.evbin,d.bin\n"
 
+    def test_pairs_keep_the_manifest_paths(self, tmp_path):
+        # a subdirectory stays in pairs.txt and an absolute path stays absolute,
+        # so train finds every pair where the manifest put it
+        corpus, other = tmp_path / "corpus", tmp_path / "other"
+        assert run("synth", "--out", corpus / "sub", "--n", 2, "--size", "16x16") == 0
+        assert run("synth", "--out", other, "--n", 1, "--size", "16x16", "--seed", 1) == 0
+        far = other / "bar_000.evbin"
+        (corpus / "manifest.txt").write_text(f"sub/bar_000.evbin\nsub/bar_001.evbin\n{far}\n")
+        assert run("downsample", "--manifest", corpus / "manifest.txt") == 0
+        assert (corpus / "pairs.txt").read_text().splitlines() == [
+            "sub/bar_000.lr.evbin,sub/bar_000.evbin", "sub/bar_001.lr.evbin,sub/bar_001.evbin",
+            f"{other / 'bar_000.lr.evbin'},{far}"]
+        assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1, "--steps", 16,
+                   "--val-count", 1, "--out", tmp_path / "m.ckpt") == 0
+
     def test_no_inputs_is_usage_error(self):
         assert run("downsample") == 2
 
@@ -363,9 +378,9 @@ class TestTrain:
                    "--steps", 32, "--val-count", 2, "--out", tmp_path / "m.ckpt") == 0
         lines = (corpus / "pairs.txt").read_text().split()
         assert order == [name for line in lines for name in line.split(",")]
-        # a training pair's LR stream is alive while its HR stream loads, no other;
-        # the validation pairs load after every training stream is gone, and stay
-        assert live == [0, 1] * 3 + [0, 1, 2, 3]
+        # a pair's LR stream is alive while its HR stream loads, and no other stream
+        # but the HR streams of the validation pairs read before it, which stay
+        assert live == [0, 1] * 3 + [0, 1, 1, 2]
 
     @pytest.mark.parametrize("faults,named", [
         ({"bar_000.lr.evbin": "unreadable", "bar_002.lr.evbin": "unreadable"},

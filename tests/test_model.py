@@ -401,6 +401,8 @@ SPARSE_SCENES = {
     "gap": [(9, 8, 4, 3, 0, 10, 500), (10, 9, 3, 3, 90, 100, 400)],
     # two far-apart regions at once
     "far_apart": [(1, 2, 3, 2, 0, 20, 500), (19, 15, 3, 4, 5, 25, 600)],
+    # two bursts far apart in time: the windows between them are passed over
+    "far_in_time": [(6, 5, 3, 3, 2, 9, 400), (14, 11, 3, 3, 190, 197, 400)],
 }
 
 
@@ -437,6 +439,30 @@ class TestLiveBox:
         assert any(b is not None and b != (0, 20, 0, 24) for b in boxes)   # not all the frame
         if scene != "far_apart":
             assert None in boxes   # a window with no live pixel
+
+    def test_dead_spans_visit_no_window(self, monkeypatch):
+        # a 6 ms burst on a grid of 10^6 steps, 31,250 windows of 32
+        spec = NetworkSpec("ultralight")
+        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        stream = helpers.bursts(16, 16, [(6, 5, 3, 3, 0, 6, 300)])
+        boxes = []
+
+        def recorded(*args):
+            boxes.append(live_box(*args))
+            return boxes[-1]
+
+        live_box = model._live_box
+        monkeypatch.setattr(model, "_live_box", recorded)
+        got, dropped = super_resolve(spec, weights, stream, 10**6)
+        # the burst's windows, the one that finds the state clear, and no more
+        assert len(boxes) <= 8 and boxes[-1] is None and None not in boxes[:-1]
+        steps = model._WINDOW * len(boxes) + 1   # just past the window that clears it
+        vox, want_dropped = helpers.voxel_grid(stream, steps)
+        want = from_voxel_grid(forward(spec, weights, vox)[0], t0=stream.t0)
+        assert len(want) > 0 and dropped == want_dropped == 0
+        assert (got.width, got.height) == (want.width, want.height)
+        for k in "txyp":
+            assert np.array_equal(getattr(got, k), getattr(want, k)), k
 
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
     def test_empty_stream(self, variant):

@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from spikesr import model, training
-from spikesr.events import EventStream, downsample_2x
+from spikesr.events import EventStream, downsample_2x, event_bins
 from spikesr.metrics import blocks, common_span, rmse_st
 from spikesr.model import (ModelError, NetworkSpec, backward_pass, conv_drive, forward,
                            init_weights, super_resolve)
@@ -377,6 +377,24 @@ class TestValidationIsInference:
             assert len(pred) > 0
             scores.append(rmse_st(pred, hr, cfg.steps, cfg.dt_ms).rmse_st)
         assert res.initial_val_rmse == float(np.mean(scores))
+
+    def test_validation_is_binned_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return event_bins(*args, **kwargs)
+
+        monkeypatch.setattr(training, "event_bins", counted)
+        monkeypatch.setattr(model, "event_bins", counted)
+        counts = []
+        for epochs in (1, 3):
+            calls.clear()
+            train(TrainConfig(epochs=epochs, batch_size=2, steps=32), tiny_pairs(2),
+                  tiny_pairs(2, seed0=909))
+            counts.append(len(calls))
+        # each stream of the 2 training and 2 validation pairs once, whatever the epochs
+        assert counts == [8, 8]
 
 
 # HR regions (x0, y0, w, h, start_ms, stop_ms, n) of a 40x32 frame: those the LR
