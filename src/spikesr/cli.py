@@ -7,21 +7,18 @@ training blow-up, memory exhausted), 2 on usage or validation errors.
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+# each command imports the rest of the package itself, so that it loads
+# only the modules it runs
+from . import VARIANTS
 from .events import (US_PER_MS, EventError, EventStream, _count_voxels, _voxel_index,
                      event_bins, steps_to_cover)
 from .io import EventFormatError, guess_format, load_events, save_events
-from .metrics import MetricsReport, common_span, rmse_st
-from .model import (VARIANTS, ModelError, NetworkSpec, count_flops, count_params,
-                    load_checkpoint, save_checkpoint, super_resolve)
-from .synth import synth_moving_bar
-from .training import TrainConfig, TrainingError, train
 
 
 class UsageError(Exception):
@@ -80,6 +77,7 @@ def _read_pair_manifest(path):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args):
+    from .synth import synth_moving_bar
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if not (math.isfinite(args.dur) and args.dur > 0):
@@ -114,9 +112,13 @@ def cmd_downsample(args):
     if args.manifest and args.inputs:
         raise UsageError("give --manifest or input paths, not both")
     if args.manifest:
-        base = Path(args.manifest).parent
-        names = [Path(line.strip()) for line in
-                 Path(args.manifest).read_text().splitlines() if line.strip()]
+        base, names = Path(args.manifest).parent, []
+        for lineno, line in enumerate(Path(args.manifest).read_text().splitlines(), 1):
+            if "," in line:   # _read_pair_manifest splits pairs.txt lines on commas
+                raise UsageError(f"{args.manifest}:{lineno}: {line.strip()!r} holds a "
+                                 f"comma, which a pairs.txt path cannot hold")
+            if line.strip():
+                names.append(Path(line.strip()))
     else:
         base, names = Path(), [Path(p) for p in args.inputs]
     if not names:
@@ -150,6 +152,7 @@ def cmd_downsample(args):
 
 def _apply_config(args, path):
     """Fill unset CLI options from an INI file: [train], [model], [data]."""
+    import configparser
     ini = configparser.ConfigParser()
     if not ini.read(path):
         raise UsageError(f"cannot read config {path}")
@@ -168,6 +171,8 @@ def _apply_config(args, path):
 
 
 def cmd_train(args):
+    from .model import save_checkpoint
+    from .training import TrainConfig, TrainingError, train
     _check_out_dirs(args.out, args.report)
     if args.config:
         _apply_config(args, args.config)
@@ -210,6 +215,7 @@ def _check_steps(steps):
 
 
 def cmd_infer(args):
+    from .model import load_checkpoint, super_resolve
     _check_out_dirs(args.out)
     _check_steps(args.steps)
     out_path = Path(args.out)
@@ -250,6 +256,7 @@ def _load_pair(pred_path, gt_path):
 
 
 def _eval_one(pred_path, gt_path, steps):
+    from .metrics import common_span, rmse_st
     pred, gt = _load_pair(pred_path, gt_path)
     if (pred.width, pred.height) != (gt.width, gt.height):
         raise UsageError(
@@ -273,6 +280,7 @@ def cmd_eval(args):
     _check_out_dirs(args.out)
     _check_steps(args.steps)
     if args.manifest:
+        from .metrics import MetricsReport
         reports = [(pred, _eval_one(pred, gt, args.steps))
                    for pred, gt in _read_pair_manifest(args.manifest)]
         rows = [f"pred,{MetricsReport.csv_header()}"]
@@ -342,6 +350,7 @@ def cmd_render(args):
 
 
 def cmd_info(args):
+    from .model import ModelError, NetworkSpec, count_flops, count_params, load_checkpoint
     if args.checkpoint:
         spec, _, log_var, seed = load_checkpoint(args.checkpoint)
     else:
@@ -436,6 +445,15 @@ def build_parser():
     return top
 
 
+def _runtime_errors():
+    """The exceptions that exit 1.  An except clause evaluates this only
+    when an exception reaches it, so no command loads model or training
+    for the sake of their error classes."""
+    from .model import ModelError
+    from .training import TrainingError
+    return EventFormatError, EventError, ModelError, TrainingError, OSError
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -446,11 +464,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EventFormatError, EventError, ModelError, TrainingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:   # numpy's names the allocation it could not make
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except _runtime_errors() as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

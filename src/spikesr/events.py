@@ -45,7 +45,7 @@ class EventStream:
             raise EventError("geometry must be positive")
         n = t.size
         if n:
-            if np.any(np.diff(t) < 0):
+            if np.any(t[1:] < t[:-1]):
                 order = np.argsort(t, kind="stable")
                 t, x, y, p = t[order], x[order], y[order], p[order]
             if t[0] < 0:

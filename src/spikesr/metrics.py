@@ -1,11 +1,12 @@
 """Stream-level quality metrics.
 
 rmse_st compares a reconstructed stream against ground truth on one
-grid of dt-millisecond steps.  It works from each kept event's flat
-voxel index, so its memory follows the events, not the grid: the voxel
-difference d is non-zero only where some event lies, and every figure
-below is a sum over those voxels.  It reports a joint spatio-temporal
-RMSE:
+grid of dt-millisecond steps.  It sorts the kept events of the pair
+once, by pixel, step, channel and stream, and reads every figure from
+the runs of equal keys, so its memory follows the events, not the grid:
+the voxel difference d is non-zero only where some event lies, and
+every figure below is a sum over those voxels.  It reports a joint
+spatio-temporal RMSE:
 
     rmse_st = sqrt((mse_t + mse_s) / (span_ms * n_p))
 
@@ -84,29 +85,43 @@ def _block_id(k, dt: float):
     return k * _step_us(dt) // BLOCK_US
 
 
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in sorted keys."""
+    new = np.ones(keys.size, bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def blocks(steps: int, dt: float):
     """(start, stop) of each 50 ms block (_block_id) of `steps` dt-millisecond
     steps; the last block may be partial."""
-    idx = _block_id(np.arange(steps), dt)
-    starts = np.flatnonzero(np.r_[1, np.diff(idx)]).tolist()
+    starts = _starts(_block_id(np.arange(steps), dt)).tolist()
     return list(zip(starts, starts[1:] + [steps]))
 
 
-def _sums(keys: np.ndarray, weights: np.ndarray):
-    """(distinct keys, sum of the weights of each)."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return distinct, np.bincount(inverse, weights, distinct.size)
-
-
-def _dominant(index: np.ndarray, cells: int):
-    """(cell, +1 or -1) of each cell whose events lean to one polarity.
-
-    `index` holds flat indices in a [2, ...] grid of `cells` cells per
-    channel, channel 0 positive; a tied cell is left out.
-    """
-    cell, net = _sums(index % cells, np.where(index < cells, 1.0, -1.0))
-    lean = net != 0
-    return cell[lean], np.sign(net[lean])
+def _pair_keys(out_stream: EventStream, gt_stream: EventStream, steps: int, dt: float,
+               origin: int):
+    """(keys, dropped): the kept events of both streams on event_bins' grid
+    from `origin`, as one sorted uint64 array of keys
+    (cell * 2 + channel) * 2 + side, with cell = (y * w + x) * steps + step
+    and side 1 for ground truth, so each voxel, each (x, y, step) cell and
+    each pixel's cells are one run; and the count of events past the grid."""
+    h, w = gt_stream.height, gt_stream.width
+    cells = h * w * steps
+    keys, dropped = [], 0
+    for side, stream in enumerate((out_stream, gt_stream)):
+        coords, past = event_bins(stream, steps, dt, origin=origin)
+        dropped += past
+        index = _voxel_index(coords, (0, h, 0, w), 0, steps)[0]   # channel-major
+        del coords
+        neg = index >= cells
+        index -= neg * cells
+        index *= 4   # may wrap past 2**63; as 4 * cells <= 2**64, the uint64 view is exact
+        index += neg * 2 + side
+        keys.append(index.view(np.uint64))
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys, dropped
 
 
 def common_span(out_stream: EventStream, gt_stream: EventStream):
@@ -137,27 +152,32 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     t0, t1 = common_span(out_stream, gt_stream)
     if t1 == t0:
         raise DegenerateStreamError("zero time span")
-    out_bins, out_dropped = event_bins(out_stream, steps, dt, origin=t0)
-    gt_bins, gt_dropped = event_bins(gt_stream, steps, dt, origin=t0)
-    h, w = gt_stream.height, gt_stream.width
-    i_out, i_gt = (_voxel_index(b, (0, h, 0, w), 0, steps)[0] for b in (out_bins, gt_bins))
-    # return_inverse, though unused, keeps numpy 2.4's unique from importing
-    # numpy.ma: 13 ms and 1 MiB in every process that grades a pair
-    n_p = np.unique(i_gt // steps % (h * w), return_inverse=True)[0].size
+    keys, dropped = _pair_keys(out_stream, gt_stream, steps, dt, t0)
+    # one run per voxel: its events of both streams, counted apart by the side bit
+    start = _starts(keys >> 1)
+    voxel = keys[start] >> 1
+    n_gt = np.add.reduceat((keys & 1).view(np.int64), start)
+    n_out = np.diff(start, append=keys.size) - n_gt
+    del keys
+    cell, neg = voxel >> 1, (voxel & 1).view(np.int64)   # neg: channel 1
+    n_p = _starts(cell[n_gt > 0] // steps).size
     if n_p == 0:
         raise DegenerateStreamError("no ground-truth events inside the grid")
     # counts are integers, so these sums are exact in any order
-    index = np.concatenate([i_out, i_gt])
-    sign = np.repeat([1.0, -1.0], [i_out.size, i_gt.size])   # out - gt
-    d = _sums(index, sign)[1]
-    # keyed per (channel, pixel, block); as ids can skip, the base is not the block count
+    d = n_out - n_gt
+    # (pixel, block) keys, non-decreasing in the cell; as ids can skip, the
+    # base is not the block count
     base = _block_id(steps - 1, dt) + 1
-    pooled = _sums(index // steps * base + _block_id(index % steps, dt), sign)[1]
-    mse_t, mse_s = float(d @ d), float(pooled @ pooled)
-    (c_out, s_out), (c_gt, s_gt) = (_dominant(i, h * w * steps) for i in (i_out, i_gt))
-    # a cell dominant on one side votes 1, on both sides 2 if they agree and 0 if not
-    votes = np.abs(_sums(np.concatenate([c_out, c_gt]), np.concatenate([s_out, s_gt]))[1])
-    matches, omega = int(np.count_nonzero(votes == 2)), int(np.count_nonzero(votes != 1))
+    block = _starts(cell // steps * base + _block_id(cell % steps, dt))
+    pooled = [np.add.reduceat(np.where(neg == c, d, 0), block) for c in (0, 1)]
+    mse_t, mse_s = float(d @ d), float(sum(p @ p for p in pooled))
+    # each (x, y, step) cell's dominant polarity on each side, 0 if tied or
+    # empty; their product is 1 where the sides agree and -1 where they differ
+    at = _starts(cell)
+    out_lean, gt_lean = (np.sign(np.add.reduceat(np.where(neg, -n, n), at))
+                         for n in (n_out, n_gt))
+    vote = out_lean * gt_lean
+    matches, omega = int(np.count_nonzero(vote == 1)), int(np.count_nonzero(vote))
     pa, vacuous = (100.0 * matches / omega, False) if omega else (100.0, True)
     span_ms = min(t1 - t0, steps * _step_us(dt)) / US_PER_MS
     return MetricsReport(
@@ -165,4 +185,4 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
         mse_t_raw=mse_t, mse_s_raw=mse_s,
         mse_t_norm=mse_t / n_p, mse_s_norm=mse_s / n_p,
         pa_percent=pa, pa_vacuous=vacuous, n_p=n_p, span_ms=span_ms,
-        dropped=out_dropped + gt_dropped, n_pred=len(out_stream), n_gt=len(gt_stream))
+        dropped=dropped, n_pred=len(out_stream), n_gt=len(gt_stream))

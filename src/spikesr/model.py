@@ -38,12 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import VARIANTS
 from .events import (EventError, EventStream, _count_voxels, _step_us, _voxel_index,
                      event_bins, from_voxel_grid)
 from .kernels import (NeuronConfig, _spike_kernel, apply_psp, apply_psp_adjoint,
                       generate_spikes, membrane, soft_spike_grad, soft_spikes, surrogate_grad)
-
-VARIANTS = ("dual_layer", "ultralight")
 
 CHECKPOINT_MAGIC = b"EVSRW01"
 

@@ -11,7 +11,9 @@ import pytest
 import helpers
 import spikesr.cli
 import spikesr.events
+import spikesr.metrics
 import spikesr.model
+import spikesr.training
 from spikesr.cli import main
 from spikesr.events import EventStream, downsample_2x, steps_to_cover
 from spikesr.io import guess_format, load_events, save_events
@@ -132,6 +134,18 @@ class TestDownsample:
         assert run("train", "--pairs", corpus / "pairs.txt", "--epochs", 1, "--steps", 16,
                    "--val-count", 1, "--out", tmp_path / "m.ckpt") == 0
 
+    def test_path_with_a_comma_is_usage_error_before_any_work(self, tmp_path, capsys):
+        # pairs.txt separates its two paths with a comma, so train could not read the line
+        assert run("synth", "--out", tmp_path, "--n", 2, "--size", "8x8") == 0
+        (tmp_path / "bar_001.evbin").rename(tmp_path / "a,b.evbin")
+        (tmp_path / "manifest.txt").write_text("bar_000.evbin\na,b.evbin\n")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("downsample", "--manifest", tmp_path / "manifest.txt") == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'manifest.txt'}:2: 'a,b.evbin' "
+                                           f"holds a comma, which a pairs.txt path cannot hold\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_no_inputs_is_usage_error(self):
         assert run("downsample") == 2
 
@@ -242,7 +256,7 @@ class TestTrain:
         def fake_train(cfg, pairs, val_pairs):
             seen.append(cfg)
             raise TrainingError("stop before training")
-        monkeypatch.setattr(spikesr.cli, "train", fake_train)
+        monkeypatch.setattr(spikesr.training, "train", fake_train)
         assert run("train", "--pairs", corpus / "pairs.txt") == 1
         assert seen == [TrainConfig()]
 
@@ -254,7 +268,7 @@ class TestTrain:
                                 (MemoryError(), "error: out of memory")):
             def fake_train(cfg, pairs, val_pairs):
                 raise raised
-            monkeypatch.setattr(spikesr.cli, "train", fake_train)
+            monkeypatch.setattr(spikesr.training, "train", fake_train)
             assert run("train", "--pairs", corpus / "pairs.txt", "--val-count", 1) == 1
             assert capsys.readouterr().err.splitlines() == [printed]
 
@@ -344,7 +358,7 @@ class TestTrain:
         def fake_train(*args):
             calls.append(args)
             raise TrainingError("trained despite an unwritable output")
-        monkeypatch.setattr(spikesr.cli, "train", fake_train)
+        monkeypatch.setattr(spikesr.training, "train", fake_train)
         monkeypatch.chdir(tmp_path)
         for bad in refused_outs(tmp_path, "out.file"):
             paths = {"--out": tmp_path / "m.ckpt", "--report": tmp_path / "report.csv"}
@@ -481,7 +495,7 @@ class TestInfer:
                                                               capsys, monkeypatch):
         corpus, ckpt = firing
         calls = []
-        monkeypatch.setattr(spikesr.cli, "super_resolve", lambda *a: calls.append(a))
+        monkeypatch.setattr(spikesr.model, "super_resolve", lambda *a: calls.append(a))
         out = tmp_path / "sr.bin"
         assert run("infer", "--checkpoint", ckpt, "--input", corpus / "bar_000.lr.evbin",
                    "--out", out) == 2
@@ -493,7 +507,7 @@ class TestInfer:
             self, firing, tmp_path, capsys, monkeypatch):
         corpus, ckpt = firing
         calls = []
-        monkeypatch.setattr(spikesr.cli, "super_resolve", lambda *a: calls.append(a))
+        monkeypatch.setattr(spikesr.model, "super_resolve", lambda *a: calls.append(a))
         monkeypatch.chdir(tmp_path)
         for out in refused_outs(tmp_path, "sr.evbin"):
             before = sorted(tmp_path.rglob("*"))
@@ -693,7 +707,7 @@ class TestEval:
         corpus = make_corpus(tmp_path, n=1)
         (corpus / "eval.txt").write_text("bar_000.evbin,bar_000.evbin\n")
         calls = []
-        monkeypatch.setattr(spikesr.cli, "rmse_st", lambda *a: calls.append(a))
+        monkeypatch.setattr(spikesr.metrics, "rmse_st", lambda *a: calls.append(a))
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
         for out in refused_outs(tmp_path, "e.csv"):
@@ -876,6 +890,50 @@ class TestInfo:
 
     def test_needs_target(self):
         assert run("info") == 2
+
+
+# each command's run prints the spikesr modules its process then holds
+FOOTPRINT = ("import sys, spikesr.cli\n"
+             "assert spikesr.cli.main(sys.argv[1:]) == 0\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('spikesr.')))")
+BASE = {"cli", "events", "io"}
+MODULES = {
+    "synth": BASE | {"synth"},
+    "downsample": BASE,
+    "eval": BASE | {"metrics"},
+    "render": BASE,
+    "info": BASE | {"model", "kernels"},
+    "infer": BASE | {"model", "kernels"},
+    "train": BASE | {"model", "kernels", "metrics", "training"},
+}
+
+
+class TestImportFootprint:
+    """A command loads only the modules it runs: no network code for the data
+    commands, and no training, metrics or generator for infer."""
+
+    @pytest.mark.parametrize("command", MODULES)
+    def test_command_imports_only_what_it_runs(self, trained, tmp_path, command):
+        corpus, ckpt, _ = trained
+        stream = tmp_path / "bar.evbin"
+        stream.write_bytes((corpus / "bar_000.evbin").read_bytes())
+        argv = {
+            "synth": ["--out", tmp_path / "s", "--n", 1, "--size", "8x8", "--dur", 10],
+            "downsample": [stream],
+            "eval": ["--pred", stream, "--gt", stream],
+            "render": ["--input", stream, "--out", tmp_path / "frame"],
+            "info": ["--variant", "ultralight"],
+            "infer": ["--checkpoint", ckpt, "--input", corpus / "bar_000.lr.evbin",
+                      "--out", tmp_path / "sr.evbin"],
+            "train": ["--pairs", corpus / "pairs.txt", "--epochs", 1, "--steps", 16,
+                      "--val-count", 1, "--out", tmp_path / "m.ckpt"],
+        }[command]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT, command, *map(str, argv)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, check=True)
+        held = done.stdout.splitlines()[-1].split()
+        assert sorted(held) == sorted(f"spikesr.{m}" for m in MODULES[command])
 
 
 class TestTopLevel:

@@ -135,6 +135,27 @@ class TestRmseSt:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, peak
 
+    def test_memory_of_a_large_pair(self, rng):
+        # 250,000 events a side: one sort of the pair's keys, then runs.  The
+        # measured peak is 43.2 MiB (68.9 MiB with five np.unique calls); the
+        # bound of 48 MiB leaves about 11 % for other numpy builds
+        gt, out = (helpers.random_stream(rng, 128, 128, 300, 250_000) for _ in range(2))
+        tracemalloc.start()
+        try:
+            rmse_st(out, gt, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20, peak
+
+    def test_keys_past_int64_grade_like_a_short_grid(self, rng):
+        # on the long grid the keys of pixel 8 pass 2**63; steps past the last
+        # event change no figure, and 1 us steps make four 50 ms blocks
+        gt, out = (helpers.random_stream(rng, 3, 3, 200, 600) for _ in range(2))
+        short = rmse_st(out, gt, 200_001, 0.001)
+        long = rmse_st(out, gt, 3 * 10 ** 17, 0.001)
+        assert short == long and short.n_p == 9
+
     def test_does_not_import_numpy_ma(self):
         # numpy.ma costs 13 ms and 1 MiB in every `eval` and `train` process
         code = ("import sys; from spikesr import rmse_st, synth_moving_bar; "
