@@ -25,7 +25,6 @@ fixed at 34 x 34.
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 
@@ -66,10 +65,12 @@ def _check_order(t, path):
 def _parse_csv_array(raw):
     """The records of a CSV file as an [n, 4] int64 array, or None.
 
-    Parses the whole body in one call when the file opens with the exact
-    header line and holds only digits, signs, commas and LF.  Returns
-    None for any file it does not take or np.loadtxt refuses; the line
-    parser then gives the same result or the error for it.
+    Parses the whole body in one call, handing np.loadtxt its lines as a
+    list of str, when the file opens with the exact header line and holds
+    only digits, signs, commas and LF; np.loadtxt skips the empty strings
+    that blank lines and a final LF leave.  Returns None for any file it
+    does not take or np.loadtxt refuses; the line parser then gives the
+    same result or the error for it.
     """
     head = (CSV_HEADER + "\n").encode()
     body = raw[len(head):]
@@ -78,7 +79,7 @@ def _parse_csv_array(raw):
     if body.count(b"\n") == len(body):
         return np.empty((0, 4), dtype=np.int64)   # np.loadtxt warns on empty input
     try:
-        arr = np.loadtxt(io.StringIO(body.decode()), delimiter=",", dtype=np.int64,
+        arr = np.loadtxt(body.decode().split("\n"), delimiter=",", dtype=np.int64,
                          ndmin=2, comments=None)
     except ValueError:
         return None
@@ -177,6 +178,34 @@ def load_events(path, fmt: str) -> EventStream:
         raise EventFormatError(f"{path}: {exc}") from None
 
 
+def _csv_records(t, x, y, p) -> bytes:
+    """The `t,x,y,p` LF-ended CSV records of events with t, x, y >= 0 and
+    p in {-1, 1}, as EventStream holds them.
+
+    Each event is one row of a uint8 matrix: t, x and y right-aligned in
+    columns as wide as their longest value's digits, each followed by a
+    comma, then `-` for p = -1, `1` and LF.  The bytes before a value's
+    first digit and in place of a `+` stay 0, and are dropped at the end.
+    """
+    widths = [len(str(int(v.max()))) for v in (t, x, y)]
+    rows = np.zeros((t.size, sum(widths) + 6), dtype=np.uint8)
+    end = 0
+    for v, width in zip((t, x, y), widths):
+        end += width
+        q = v
+        for col in range(end - 1, end - width - 1, -1):
+            rest = q // 10
+            digit = q - 10 * rest + 48   # q % 10 + 48, without numpy's slower int64 %
+            rows[:, col] = digit if col == end - 1 else digit * (q > 0)
+            q = rest
+        rows[:, end] = ord(",")
+        end += 1
+    rows[:, end] = (p < 0) * ord("-")
+    rows[:, end + 1] = ord("1")
+    rows[:, end + 2] = ord("\n")
+    return rows.tobytes().replace(b"\0", b"")
+
+
 def save_events(stream: EventStream, path, fmt: str) -> None:
     """Write a stream as csv or evbin (nmnist_bin is read-only)."""
     if fmt == "csv":
@@ -184,10 +213,8 @@ def save_events(stream: EventStream, path, fmt: str) -> None:
             fh.write((CSV_HEADER + "\n").encode())
             for lo in range(0, len(stream), CSV_CHUNK_EVENTS):
                 part = slice(lo, lo + CSV_CHUNK_EVENTS)
-                block = np.column_stack(
-                    (stream.t[part], stream.x[part], stream.y[part], stream.p[part]))
-                text = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
-                fh.write(text.encode())
+                fh.write(_csv_records(stream.t[part], stream.x[part], stream.y[part],
+                                      stream.p[part]))
         return
     if fmt == "evbin":
         if stream.width > 0xFFFF or stream.height > 0xFFFF:

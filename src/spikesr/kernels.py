@@ -86,7 +86,9 @@ def refractory_kernel(tau_r: float, lam: float, dt: float, length: int) -> np.nd
     return -lam * np.exp(-k / tau_r)
 
 
-_BLOCK = 64   # output steps per matrix product
+# Output steps per matrix product: model._WINDOW, so every inference window
+# starts on the block grid.
+_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,8 +140,9 @@ def apply_psp(spikes, kernel, history: int = 0) -> np.ndarray:
     they feed the filter, but only the T - history steps after them get
     an output, so carrying the last len(kernel) - 1 steps of one window
     into the next gives the whole stream's result.  It is bit for bit
-    the same where the window starts on the whole stream's _BLOCK grid;
-    elsewhere BLAS may order a block's sums differently.
+    the same where the window starts on the whole stream's _BLOCK grid,
+    as every window of super_resolve does (its _WINDOW steps are a
+    multiple of _BLOCK); elsewhere BLAS may order a block's sums differently.
     """
     x = np.asarray(spikes, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)[:x.shape[-1]]

@@ -427,6 +427,7 @@ def resolve_mode(variant: str, mode: str | None) -> str:
 # so ru_maxrss is its own; three runs on each of three inputs): 0.70, 0.63, 0.62, 0.71 and
 # 0.76 s median wall at 16, 24, 32, 48 and 64 steps, peaking at 80-82, 80-81, 79-81,
 # 82-92 and 102-107 MiB.  In-process, 32 steps was as fast as any (0.30-0.36 s).
+# A multiple of kernels._BLOCK, so each window's PSP blocks are the whole grid's.
 _WINDOW = 32
 
 

@@ -56,6 +56,10 @@ CSV_EDGE_CASES = [
     pytest.param(b"t_us,x,y,p\n1000,3,4,1,0\n", "malformed record at byte 11",
                  id="five_fields"),
     pytest.param(b"t_us,x,y,p\n", ([], 1, 1), id="header_only"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1\n\n2000,1,0,-1\n",
+                 ([(1000, 3, 4, 1), (2000, 1, 0, -1)], 4, 5), id="blank_line_between_records"),
+    pytest.param(b"t_us,x,y,p\n1000,3,4,1\n2000,1,0,-1",
+                 ([(1000, 3, 4, 1), (2000, 1, 0, -1)], 4, 5), id="no_final_lf"),
     pytest.param(b"t_us,x,y,p\n99999999999999999999,2,3,1\n",
                  "malformed record at byte 11", id="outside_int64"),
     pytest.param(b"t_us,x,y,p\n-5,2,3,1\n", "negative timestamp", id="negative_t"),
@@ -91,22 +95,38 @@ class TestCsv:
 
     def test_array_parse_agrees_with_line_parser(self, rng):
         written = csv_rendering(helpers.random_stream(rng, 12, 9, 25, 200))
-        taken = 0
-        for raw in [case.values[0] for case in CSV_EDGE_CASES] + [written]:
+        taken = set()
+        for case in CSV_EDGE_CASES + [pytest.param(written, None, id="written")]:
+            raw = case.values[0]
             arr = spikesr.io._parse_csv_array(raw)
             if arr is not None:
-                taken += 1
+                taken.add(case.id)
                 assert np.array_equal(arr, spikesr.io._parse_csv_lines(raw, "edge.csv"))
-        assert spikesr.io._parse_csv_array(written) is not None and taken > 1
+        assert {"written", "header_only", "blank_line_between_records",
+                "no_final_lf"} <= taken
 
     def test_write_matches_per_event_rendering(self, tmp_path, rng):
-        n = 2 * spikesr.io.CSV_CHUNK_EVENTS + 17
+        chunk = spikesr.io.CSV_CHUNK_EVENTS
+        n = 2 * chunk + 17
         t = np.sort(rng.integers(0, 10 ** 12, n))
-        s = EventStream(t, rng.integers(0, 300, n), rng.integers(0, 200, n),
-                        rng.choice([-1, 1], n), 300, 200)
-        f = tmp_path / "chunks.csv"
-        save_events(s, f, "csv")
-        assert f.read_bytes() == csv_rendering(s)
+        streams = {
+            "chunks": EventStream(t, rng.integers(0, 300, n), rng.integers(0, 200, n),
+                                  rng.choice([-1, 1], n), 300, 200),
+            # t at both ends of int64, x and y at 0 and at the last pixel
+            "extremes": EventStream([0, 0, 5, 2 ** 63 - 1], [0, 65535, 0, 65535],
+                                    [65535, 0, 0, 65535], [1, -1, 1, -1], 65536, 65536),
+            "one_event": EventStream([7], [3], [0], [-1], 4, 1),
+            "empty": EventStream.empty(3, 3),
+            # every t of the first chunk has 6 digits, every x and y one
+            "one_digit_count": EventStream(
+                np.sort(rng.integers(10 ** 5, 10 ** 6, chunk + 5)),
+                rng.integers(0, 10, chunk + 5), rng.integers(0, 10, chunk + 5),
+                rng.choice([-1, 1], chunk + 5), 10, 10),
+        }
+        for name, s in streams.items():
+            f = tmp_path / f"{name}.csv"
+            save_events(s, f, "csv")
+            assert f.read_bytes() == csv_rendering(s), name
 
     def test_write_memory_flat_in_stream_length(self, tmp_path, rng):
         def peak(n):

@@ -151,7 +151,7 @@ class TestBlockedFilter:
     def test_window_with_history_matches_whole_stream(self, rng):
         # windows on the block grid compute the same matrix products as the
         # whole stream: history 0 (first window), K - 1, and, with 100 taps,
-        # all 64 steps there are (shorter than K - 1)
+        # all the steps there are (shorter than K - 1)
         steps = 3 * B + 5
         x = rng.integers(0, 3, (2, 3, steps)).astype(float)
         seen = set()

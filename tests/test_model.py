@@ -377,6 +377,11 @@ class TestSuperResolve:
             for k in "txyp":
                 assert np.array_equal(getattr(got, k), getattr(want, k)), (window, k)
 
+    def test_window_is_a_multiple_of_the_psp_block(self):
+        # so every window starts on apply_psp's block grid, where it is bit for bit
+        # the whole stream's
+        assert model._WINDOW % kernels._BLOCK == 0
+
     def test_memory_does_not_grow_with_steps(self):
         # a whole-stream pass holds every layer's intermediates for all T steps
         spec = NetworkSpec("ultralight")
