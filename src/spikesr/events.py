@@ -23,13 +23,37 @@ class EventError(ValueError):
     """Raised for malformed streams or conversion inputs."""
 
 
+def _stable_order(t: np.ndarray) -> np.ndarray:
+    """The order np.argsort(t, kind="stable") gives, for any int64 t.
+
+    LSD passes over (64 - b)-bit digits of t - t.min() taken as uint64,
+    with b the bits of n - 1: each pass sorts the unique keys
+    digit << b | position, so ties keep their order from the pass before.
+    2**18 events spanning up to 2**46 us take one pass.
+    """
+    b = (t.size - 1).bit_length()
+    d = (t - t.min()).view(np.uint64)  # wraps to the exact unsigned difference
+    pos = np.arange(t.size, dtype=np.uint64)
+    mask = np.uint64((1 << b) - 1)
+    order = None
+    for shift in range(0, max(1, int(d.max()).bit_length()), 64 - b):  # at least one pass
+        key = (d >> np.uint64(shift) << np.uint64(b)) | pos
+        key.sort()
+        step = (key & mask).astype(np.intp)
+        order = step if order is None else order[step]
+        d = d[step]
+    return order
+
+
 class EventStream:
     """Time-sorted events plus sensor geometry.
 
     Events are held as parallel int64 arrays (t, x, y, p).  Construction
-    sorts by timestamp if needed (stable, so same-microsecond order is
-    preserved), validates coordinate and polarity ranges, and derives the
-    time span [t0, t1] from the data unless an explicit span is given.
+    sorts by timestamp if needed, validates coordinate and polarity
+    ranges, and derives the time span [t0, t1] from the data unless an
+    explicit span is given.  The sort (_stable_order) is exact and stable
+    for any int64 timestamps, so same-microsecond events keep their input
+    order.
     """
 
     __slots__ = ("t", "x", "y", "p", "width", "height", "t0", "t1")
@@ -46,7 +70,7 @@ class EventStream:
         n = t.size
         if n:
             if np.any(t[1:] < t[:-1]):
-                order = np.argsort(t, kind="stable")
+                order = _stable_order(t)
                 t, x, y, p = t[order], x[order], y[order], p[order]
             if t[0] < 0:
                 raise EventError("negative timestamp")

@@ -227,7 +227,7 @@ def save_events(stream: EventStream, path, fmt: str) -> None:
         with open(path, "wb") as fh:
             fh.write(EVBIN_MAGIC)
             fh.write(struct.pack("<HHQ", stream.width, stream.height, len(stream)))
-            fh.write(rec.tobytes())
+            fh.write(rec.data)
         return
     raise EventFormatError(f"{path}: cannot write format {fmt!r}")
 

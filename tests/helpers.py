@@ -34,6 +34,48 @@ def bursts(width, height, regions, seed=0):
     return EventStream(t, x, y, p, width, height, t0=0)
 
 
+def synth_moving_bar_oracle(width, height, duration_ms, velocity, events_per_edge_px, seed):
+    """synth_moving_bar's stream built column by column, each column's
+    events shaped right after its draws, in the same RNG draw order, and
+    ordered by np.argsort's stable sort.
+
+    Returns the stream and how many columns drew a zero Poisson total
+    and how many drew events that all land past the duration.
+    """
+    dur_us = int(round(duration_ms * 1000))
+    empty = np.zeros(0, np.int64)
+    ts, xs, ys, ps = [empty], [empty], [empty], [empty]
+    zero_total = all_past = 0
+    if velocity and events_per_edge_px:
+        rng = np.random.default_rng(seed)
+        rows = np.arange(height)
+        for offset, pol in ((0.0, 1), (2.0, -1)):
+            for x in range(width):
+                t_cross = (x + offset) / velocity
+                if t_cross >= duration_ms:
+                    break
+                counts = rng.poisson(events_per_edge_px, size=height)
+                total = int(counts.sum())
+                if total == 0:
+                    zero_total += 1
+                    continue
+                jitter = rng.random(total)
+                t_ms = (x + offset + jitter) / velocity
+                keep = t_ms < duration_ms
+                if not keep.any():
+                    all_past += 1
+                    continue
+                ts.append(np.rint(t_ms[keep] * 1000).astype(np.int64))
+                xs.append(np.full(int(keep.sum()), x, dtype=np.int64))
+                ys.append(np.repeat(rows, counts)[keep])
+                ps.append(np.full(int(keep.sum()), pol, dtype=np.int64))
+    t = np.minimum(np.concatenate(ts), dur_us)
+    order = np.argsort(t, kind="stable")  # so EventStream's own sort has nothing to do
+    x, y, p = (np.concatenate(a)[order] for a in (xs, ys, ps))
+    stream = EventStream(t[order], x, y, p, width, height, t0=0, t1=dur_us)
+    return stream, zero_total, all_past
+
+
 def voxel_grid(stream, steps, dt=1.0, origin=None):
     """A whole stream's [2, H, W, steps] count grid and dropped count, by the package."""
     coords, dropped = event_bins(stream, steps, dt, origin)

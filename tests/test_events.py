@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import helpers
-from spikesr.events import (EventError, EventStream, _count_voxels, _voxel_index, downsample_2x,
-                            event_bins, from_voxel_grid, steps_to_cover)
+from spikesr.events import (EventError, EventStream, _count_voxels, _stable_order, _voxel_index,
+                            downsample_2x, event_bins, from_voxel_grid, steps_to_cover)
+from spikesr.io import load_events
 from spikesr.synth import synth_moving_bar
 
 
@@ -14,12 +15,40 @@ def stream_of(rows, width, height, **kw):
     return EventStream(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], width, height, **kw)
 
 
+_I64 = np.iinfo(np.int64)
+ORDER_CASES = [
+    pytest.param([2000, 1000, 1000], id="ties_keep_input_order"),
+    pytest.param(np.random.default_rng(0).integers(0, 3, 1000), id="heavy_ties"),
+    pytest.param(np.arange(300)[::-1] * 7, id="reversed"),
+    pytest.param([7], id="one_event"),
+    pytest.param([9, 4], id="two_events"),
+    pytest.param([0, _I64.max, 5, 2**62, _I64.max, 0], id="int64_max_two_passes"),
+    pytest.param([_I64.max, 3, _I64.min, 3, 0, _I64.min, _I64.max], id="int64_min_and_max"),
+    pytest.param([5, -3, 2], id="negative_timestamp"),
+]
+
+
 class TestEventStream:
-    def test_sorts_stably(self):
-        s = stream_of([[2000, 1, 0, 1], [1000, 2, 0, -1], [1000, 3, 0, 1]], 4, 1)
-        assert list(s.t) == [1000, 1000, 2000]
-        # ties keep file order
-        assert list(s.x) == [2, 3, 1]
+    @pytest.mark.parametrize("t", ORDER_CASES)
+    def test_sorts_stably(self, t):
+        """The construction order is np.argsort's stable one, ties in input order."""
+        t = np.asarray(t, dtype=np.int64)
+        want = np.argsort(t, kind="stable")
+        assert np.array_equal(_stable_order(t), want)
+        n = t.size
+        rows = np.stack([t, np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64)], 1)
+        if t.min() < 0:
+            with pytest.raises(EventError, match="negative timestamp"):
+                stream_of(rows, n, 1)
+            return
+        s = stream_of(rows, n, 1)
+        assert np.array_equal(s.t, t[want]) and np.array_equal(s.x, want)
+
+    def test_orders_a_loaded_csv_spanning_2_62_us(self, tmp_path):
+        f = tmp_path / "far.csv"
+        f.write_text(f"t_us,x,y,p\n0,0,0,1\n{2**62},1,0,1\n{2**62 - 5},2,0,-1\n")
+        s = load_events(f, "csv")
+        assert list(s.t) == [0, 2**62 - 5, 2**62] and list(s.x) == [0, 2, 1]
 
     def test_span_derived_and_declared(self):
         s = stream_of([[1000, 0, 0, 1], [5000, 0, 0, 1]], 1, 1)
@@ -273,6 +302,27 @@ class TestSynthMovingBar:
             digest.update(repr((s.width, s.height, s.t0, s.t1)).encode())
         assert digest.hexdigest() == ("466998a094acda3869d87f36bf3695c5"
                                       "995ed06e91ba221e77d6b94d93720151")
+
+    def test_matches_the_per_column_oracle(self):
+        """Array for array equal to the column-by-column generator on 200
+        seeded parameter sets, which between them hold columns with a zero
+        Poisson total and columns whose draws all land past the duration."""
+        rng = np.random.default_rng(31)
+        zero_total = all_past = 0
+        for seed in range(200):
+            w, h = (int(v) for v in rng.integers(1, 41, 2))
+            duration = float(rng.uniform(0.5, 100.0))
+            velocity = 0.0 if seed % 10 == 0 else float(rng.uniform(0.01, 5.0))
+            rate = (0.0, float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 15.0)))[seed % 3]
+            args = (w, h, duration, velocity, rate, seed)
+            want, zeros, past = helpers.synth_moving_bar_oracle(*args)
+            got = synth_moving_bar(*args)
+            zero_total, all_past = zero_total + zeros, all_past + past
+            for a, b in zip((got.t, got.x, got.y, got.p), (want.t, want.x, want.y, want.p)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), args
+            assert ((got.width, got.height, got.t0, got.t1)
+                    == (want.width, want.height, want.t0, want.t1)), args
+        assert zero_total > 0 and all_past > 0
 
     def test_zero_velocity_empty(self):
         s = synth_moving_bar(16, 16, 50, 0.0, 2.0, seed=1)
