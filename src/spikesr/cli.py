@@ -227,11 +227,11 @@ def cmd_infer(args):
     if len(stream) == 0:
         print("warning: empty input stream, writing empty output", file=sys.stderr)
     steps = args.steps if args.steps is not None else steps_to_cover(stream.span_us, spec.dt_ms)
-    result, dropped = super_resolve(spec, weights, stream, steps)
+    result, dropped = super_resolve(spec, weights, stream, steps,
+                                    out=(out_path, guess_format(out_path)))
     if dropped:
         print(f"warning: {dropped} events fell outside the {steps}-step grid",
               file=sys.stderr)
-    save_events(result, out_path, guess_format(out_path))
     print(f"{args.input} -> {out_path} ({len(result)} events at "
           f"{result.width}x{result.height}) events_in={len(stream)} "
           f"events_out={len(result)} dropped={dropped}")
@@ -411,7 +411,11 @@ def build_parser():
     p.add_argument("--config", help="INI file with [train]/[model]/[data] sections")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("infer", help="super-resolve one stream")
+    p = sub.add_parser("infer", help="super-resolve one stream",
+                       description="The input is read and binned whole. The output is "
+                       "written window by window as the network makes it, to a file beside "
+                       "--out that replaces it once the last window is in, so a run cut "
+                       "short leaves --out as it was.")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)

@@ -114,6 +114,20 @@ def steps_to_cover(span_us: int, dt_ms: float = 1.0) -> int:
     return max(1, -(-span_us // _step_us(dt_ms)))
 
 
+def _check_step_count(steps: int) -> None:
+    """EventError unless a grid of `steps` bins is one event_bins can lay out."""
+    if steps < 1:
+        raise EventError("step count must be positive")
+    if steps > _INT64_MAX:
+        raise EventError(f"step count {steps} exceeds the int64 maximum")
+
+
+def _check_cell_count(shape) -> None:
+    """EventError if int64 cannot number the cells of a grid of `shape`."""
+    if math.prod(shape) > _INT64_MAX:
+        raise EventError(f"a {'x'.join(map(str, shape))} voxel grid has too many cells to index")
+
+
 def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
     """Grid coordinates of the events a grid of `steps` bins keeps.
 
@@ -123,20 +137,22 @@ def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | N
     (t - t0 == T * dt) is folded into the last bin; anything else past
     the last bin is dropped.  Returns the (channel, y, x, bin) int64
     arrays of the kept events, in stream order and so with bins
-    non-decreasing, and the dropped-event count.  Refuses a step count
-    that int64 cannot hold.
+    non-decreasing, and the dropped-event count.  When no event is
+    dropped, y and x are the stream's own arrays, not copies.  Refuses a
+    step count that int64 cannot hold.
     """
-    if steps < 1:
-        raise EventError("step count must be positive")
-    if steps > _INT64_MAX:
-        raise EventError(f"step count {steps} exceeds the int64 maximum")
+    _check_step_count(steps)
     n = _step_us(dt)
-    rel = stream.t - (stream.t0 if origin is None else int(origin))
-    bins = rel // n
-    bins[rel == steps * n] = steps - 1
+    bins = stream.t - (stream.t0 if origin is None else int(origin))
+    edge = bins == steps * n
+    bins //= n
+    bins[edge] = steps - 1
     keep = (bins >= 0) & (bins < steps)
-    ch = (stream.p[keep] != 1).astype(np.int64)  # +1 -> 0, -1 -> 1
-    return (ch, stream.y[keep], stream.x[keep], bins[keep]), int(np.count_nonzero(~keep))
+    dropped = keep.size - int(np.count_nonzero(keep))
+    ch = (stream.p != 1).astype(np.int64)  # +1 -> 0, -1 -> 1
+    if not dropped:
+        return (ch, stream.y, stream.x, bins), 0
+    return (ch[keep], stream.y[keep], stream.x[keep], bins[keep]), dropped
 
 
 def _voxel_index(coords, box, start: int, stop: int, scale: int = 1):
@@ -148,8 +164,7 @@ def _voxel_index(coords, box, start: int, stop: int, scale: int = 1):
     _count_voxels counts the indices."""
     y0, y1, x0, x1 = (scale * b for b in box)
     shape = (2, y1 - y0, x1 - x0, stop - start)
-    if math.prod(shape) > _INT64_MAX:
-        raise EventError(f"a {'x'.join(map(str, shape))} voxel grid has too many cells to index")
+    _check_cell_count(shape)
     ch, y, x, bins = coords
     lo, hi = np.searchsorted(bins, (start, stop))
     try:

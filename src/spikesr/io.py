@@ -25,6 +25,7 @@ fixed at 34 x 34.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -133,12 +134,11 @@ def _decode_evbin(raw, path):
     if len(raw) < 16 or raw[:4] != EVBIN_MAGIC:
         raise EventFormatError(f"{path}: bad evbin magic at byte 0")
     w, h, count = struct.unpack_from("<HHQ", raw, 4)
-    body = raw[16:]
     need = count * EVBIN_RECORD.itemsize
-    if len(body) != need:
+    if len(raw) - 16 != need:
         raise EventFormatError(
-            f"{path}: expected {need} record bytes, found {len(body)} at byte 16")
-    rec = np.frombuffer(body, dtype=EVBIN_RECORD)
+            f"{path}: expected {need} record bytes, found {len(raw) - 16} at byte 16")
+    rec = np.frombuffer(raw, dtype=EVBIN_RECORD, count=count, offset=16)   # read in place
     return [rec[f].astype(np.int64) for f in "txyp"], (w, h)
 
 
@@ -206,30 +206,79 @@ def _csv_records(t, x, y, p) -> bytes:
     return rows.tobytes().replace(b"\0", b"")
 
 
-def save_events(stream: EventStream, path, fmt: str) -> None:
-    """Write a stream as csv or evbin (nmnist_bin is read-only)."""
+class EventParts:
+    """A stream given as parts, for save_events to write as they come:
+    `parts` yields (t, x, y, p) arrays, in time order across parts, of a
+    width x height stream.  len() counts the events taken so far."""
+
+    def __init__(self, parts, width: int, height: int):
+        self.parts, self.width, self.height, self.count = parts, width, height, 0
+
+    def __iter__(self):
+        for part in self.parts:
+            self.count += part[0].size
+            yield part
+
+    def __len__(self):
+        return self.count
+
+
+def _write_parts(fh, fmt: str, width: int, height: int, count: int, parts) -> int:
+    """Write the header, with `count` for evbin, then each (t, x, y, p) part,
+    CSV in chunks of CSV_CHUNK_EVENTS; return the count written."""
     if fmt == "csv":
-        with open(path, "wb") as fh:
-            fh.write((CSV_HEADER + "\n").encode())
-            for lo in range(0, len(stream), CSV_CHUNK_EVENTS):
+        fh.write((CSV_HEADER + "\n").encode())
+    else:
+        fh.write(EVBIN_MAGIC + struct.pack("<HHQ", width, height, count))
+    written = 0
+    for t, x, y, p in parts:
+        if fmt == "csv":
+            for lo in range(0, t.size, CSV_CHUNK_EVENTS):
                 part = slice(lo, lo + CSV_CHUNK_EVENTS)
-                fh.write(_csv_records(stream.t[part], stream.x[part], stream.y[part],
-                                      stream.p[part]))
-        return
-    if fmt == "evbin":
-        if stream.width > 0xFFFF or stream.height > 0xFFFF:
-            raise EventFormatError(f"{path}: geometry does not fit evbin u16 header")
-        rec = np.empty(len(stream), dtype=EVBIN_RECORD)
-        rec["t"] = stream.t
-        rec["x"] = stream.x
-        rec["y"] = stream.y
-        rec["p"] = stream.p
-        with open(path, "wb") as fh:
-            fh.write(EVBIN_MAGIC)
-            fh.write(struct.pack("<HHQ", stream.width, stream.height, len(stream)))
+                fh.write(_csv_records(t[part], x[part], y[part], p[part]))
+        else:
+            rec = np.empty(t.size, dtype=EVBIN_RECORD)
+            rec["t"], rec["x"], rec["y"], rec["p"] = t, x, y, p
             fh.write(rec.data)
+        written += t.size
+    return written
+
+
+def save_events(stream, path, fmt: str) -> None:
+    """Write a stream as csv or evbin (nmnist_bin is read-only).
+
+    `stream` is an EventStream, or EventParts, whose parts are written as
+    they come to a file beside `path` that replaces it once the last part
+    is in (evbin's count is patched then), so `path` holds its old
+    content or the whole stream, never part of it.  EventParts to a path
+    that is not a regular file, such as a pipe, are refused before the
+    first part is taken.
+    """
+    if fmt not in ("csv", "evbin"):
+        raise EventFormatError(f"{path}: cannot write format {fmt!r}")
+    if fmt == "evbin" and (stream.width > 0xFFFF or stream.height > 0xFFFF):
+        raise EventFormatError(f"{path}: geometry does not fit evbin u16 header")
+    if isinstance(stream, EventStream):
+        with open(path, "wb") as fh:
+            _write_parts(fh, fmt, stream.width, stream.height, len(stream),
+                         [(stream.t, stream.x, stream.y, stream.p)])
         return
-    raise EventFormatError(f"{path}: cannot write format {fmt!r}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise EventFormatError(f"{path}: cannot write {fmt} part by part to a file that "
+                               f"is not a regular file")
+    target = Path(os.path.realpath(path))   # a symlink keeps pointing at the output
+    part_path = target.with_name(f".{target.name}.{os.getpid()}.part")
+    fh = open(part_path, "xb")
+    try:
+        with fh:
+            count = _write_parts(fh, fmt, stream.width, stream.height, 0, stream)
+            if fmt == "evbin":
+                fh.seek(8)
+                fh.write(struct.pack("<Q", count))
+        os.replace(part_path, target)
+    except BaseException:
+        part_path.unlink()
+        raise
 
 
 def guess_format(path) -> str:

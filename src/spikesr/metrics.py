@@ -1,12 +1,16 @@
 """Stream-level quality metrics.
 
 rmse_st compares a reconstructed stream against ground truth on one
-grid of dt-millisecond steps.  It sorts the kept events of the pair
-once, by pixel, step, channel and stream, and reads every figure from
-the runs of equal keys, so its memory follows the events, not the grid:
-the voxel difference d is non-zero only where some event lies, and
-every figure below is a sum over those voxels.  It reports a joint
-spatio-temporal RMSE:
+grid of dt-millisecond steps.  It grades the pair a batch of
+consecutive 50 ms blocks at a time, a batch ending where either stream
+passes BATCH_EVENTS events, or after one block: it sorts the batch's
+kept events of both streams by pixel, step, channel and stream, and
+reads every figure from the runs of equal keys.  The voxel difference d
+is non-zero only where some event lies, and every figure below is a sum
+over those voxels, added up batch by batch as an exact integer.  Its
+memory is one byte per frame pixel, which marks n_p, plus what the
+events of one batch take, and its time follows the events, not the
+grid.  It reports a joint spatio-temporal RMSE:
 
     rmse_st = sqrt((mse_t + mse_s) / (span_ms * n_p))
 
@@ -29,11 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import US_PER_MS, EventError, EventStream, _step_us, _voxel_index, event_bins
+from .events import (_INT64_MAX, US_PER_MS, EventError, EventStream, _check_cell_count,
+                     _check_step_count, _step_us)
 
 # Width in microseconds of the time blocks that the spatial metric and the
 # spatial loss pool over.
 BLOCK_US = 50_000
+
+# rmse_st sorts the keys of consecutive blocks together until a stream has this
+# many events in them, so its memory is bounded and sparse blocks share a sort.
+BATCH_EVENTS = 1 << 16
 
 
 class DegenerateStreamError(EventError):
@@ -85,10 +94,13 @@ def _block_id(k, dt: float):
     return k * _step_us(dt) // BLOCK_US
 
 
-def _starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in sorted keys."""
+def _starts(keys: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in sorted keys,
+    or of equal tuples with the same-sized arrays `more`."""
     new = np.ones(keys.size, bool)
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    for other in more:
+        new[1:] |= other[1:] != other[:-1]
     return np.flatnonzero(new)
 
 
@@ -97,31 +109,6 @@ def blocks(steps: int, dt: float):
     steps; the last block may be partial."""
     starts = _starts(_block_id(np.arange(steps), dt)).tolist()
     return list(zip(starts, starts[1:] + [steps]))
-
-
-def _pair_keys(out_stream: EventStream, gt_stream: EventStream, steps: int, dt: float,
-               origin: int):
-    """(keys, dropped): the kept events of both streams on event_bins' grid
-    from `origin`, as one sorted uint64 array of keys
-    (cell * 2 + channel) * 2 + side, with cell = (y * w + x) * steps + step
-    and side 1 for ground truth, so each voxel, each (x, y, step) cell and
-    each pixel's cells are one run; and the count of events past the grid."""
-    h, w = gt_stream.height, gt_stream.width
-    cells = h * w * steps
-    keys, dropped = [], 0
-    for side, stream in enumerate((out_stream, gt_stream)):
-        coords, past = event_bins(stream, steps, dt, origin=origin)
-        dropped += past
-        index = _voxel_index(coords, (0, h, 0, w), 0, steps)[0]   # channel-major
-        del coords
-        neg = index >= cells
-        index -= neg * cells
-        index *= 4   # may wrap past 2**63; as 4 * cells <= 2**64, the uint64 view is exact
-        index += neg * 2 + side
-        keys.append(index.view(np.uint64))
-    keys = np.concatenate(keys)
-    keys.sort()
-    return keys, dropped
 
 
 def common_span(out_stream: EventStream, gt_stream: EventStream):
@@ -136,50 +123,117 @@ def common_span(out_stream: EventStream, gt_stream: EventStream):
     return t0, t1
 
 
+def _batch_keys(stream: EventStream, lo: int, hi: int, origin: int, n: int, steps: int,
+                first: int, width: int, side: int) -> np.ndarray:
+    """The keys of events lo:hi of a stream, all in the `width` steps from
+    step `first` on the grid of `steps` n-microsecond steps from `origin`:
+    (cell * 2 + channel) * 2 + side as uint64, with
+    cell = (y * w + x) * width + step - first.  An event on the grid's
+    closing edge takes its last step."""
+    step = stream.t[lo:hi] - origin
+    step //= n
+    np.minimum(step, steps - 1, out=step)
+    step -= first
+    key = stream.y[lo:hi] * stream.width
+    key += stream.x[lo:hi]
+    key *= width
+    key += step
+    key *= 4   # may wrap past 2**63; as 4 * cells <= 2**64, the uint64 view is exact
+    key += (stream.p[lo:hi] != 1) * 2 + side
+    return key.view(np.uint64)
+
+
 def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
             dt: float = 1.0) -> MetricsReport:
     """Joint spatio-temporal RMSE plus polarity accuracy for one pair.
 
     Both streams are binned from the start of their combined span into
-    `steps` bins of dt milliseconds.  `span_ms` is the part of the span
-    those bins grade: the whole span, or steps * dt if that is shorter.
-    `dropped` counts the events of both streams that fall past the last
-    bin; `n_pred` and `n_gt` are the event counts of the two streams.
-    Raises if the ground truth is empty or the span is zero.
+    `steps` bins of dt milliseconds, as event_bins bins them.  `span_ms`
+    is the part of the span those bins grade: the whole span, or
+    steps * dt if that is shorter.  `dropped` counts the events of both
+    streams that fall past the last bin; `n_pred` and `n_gt` are the
+    event counts of the two streams.  Raises if the ground truth is
+    empty or the span is zero.
+
+    The pair is graded a batch of 50 ms blocks (_block_id) at a time:
+    a batch starts at the block of the earliest event left and ends at
+    the block where a stream would pass BATCH_EVENTS events, one block
+    at least.  Each stream's slice of the batch is found by a binary
+    search on its t, and the batch's keys are sorted on their own, so
+    memory follows the batch and sparse blocks share one sort.  Blocks
+    without an event cost nothing, and every sum is an exact integer.
     """
     if len(gt_stream) == 0:
         raise DegenerateStreamError("ground-truth stream is empty")
     t0, t1 = common_span(out_stream, gt_stream)
     if t1 == t0:
         raise DegenerateStreamError("zero time span")
-    keys, dropped = _pair_keys(out_stream, gt_stream, steps, dt, t0)
-    # one run per voxel: its events of both streams, counted apart by the side bit
-    start = _starts(keys >> 1)
-    voxel = keys[start] >> 1
-    n_gt = np.add.reduceat((keys & 1).view(np.int64), start)
-    n_out = np.diff(start, append=keys.size) - n_gt
-    del keys
-    cell, neg = voxel >> 1, (voxel & 1).view(np.int64)   # neg: channel 1
-    n_p = _starts(cell[n_gt > 0] // steps).size
+    _check_step_count(steps)
+    n, h, w = _step_us(dt), gt_stream.height, gt_stream.width
+    _check_cell_count((2, h, w, steps))
+    sides = (out_stream, gt_stream)
+    # each stream keeps its events up to the grid's closing edge, which folds
+    # into the last step
+    end = t0 + steps * n
+    stops = [len(s) if end > _INT64_MAX else int(np.searchsorted(s.t, end, "right"))
+             for s in sides]
+    dropped = sum(len(s) for s in sides) - sum(stops)
+
+    def block_at(t):   # the block of the kept event at time t
+        return _block_id(min((t - t0) // n, steps - 1), dt)
+
+    los = [0, 0]
+    seen = np.zeros(h * w, bool)   # pixels with a kept ground-truth event
+    mse_t = mse_s = matches = omega = 0
+    while los != stops:
+        # the batch runs from the block of the earliest event left to the block
+        # where a stream would pass BATCH_EVENTS, and is one block at least
+        block = block_at(min(int(s.t[lo]) for s, lo, stop in zip(sides, los, stops)
+                             if lo < stop))
+        over = [int(s.t[lo + BATCH_EVENTS]) for s, lo, stop in zip(sides, los, stops)
+                if lo + BATCH_EVENTS < stop]
+        first = -(-block * BLOCK_US // n)
+        last = min(-(-max(block + 1, block_at(min(over))) * BLOCK_US // n), steps) if over \
+            else steps
+        bound = t0 + last * n
+        # the last batch ends at the closing edge; a bound past int64, which
+        # searchsorted would round, lies above every remaining event
+        his = [stop if last == steps or bound > _INT64_MAX else int(np.searchsorted(s.t, bound))
+               for s, stop in zip(sides, stops)]
+        width = last - first
+        keys = np.concatenate([_batch_keys(s, lo, hi, t0, n, steps, first, width, side)
+                               for side, (s, lo, hi) in enumerate(zip(sides, los, his))])
+        keys.sort()
+        los = his
+        # one run per voxel: its events of both streams, counted apart by the side bit
+        start = _starts(keys >> 1)
+        voxel = keys[start] >> 1
+        n_gt = np.add.reduceat((keys & 1).view(np.int64), start)
+        n_out = np.diff(start, append=keys.size) - n_gt
+        cell, neg = (voxel >> 1).view(np.int64), (voxel & 1).view(np.int64)   # neg: channel 1
+        pixel = cell // width
+        seen[pixel[n_gt > 0]] = True
+        d = n_out - n_gt
+        mse_t += int(d @ d)
+        # the pooled difference per channel, pixel and block; a pixel's voxels
+        # are in step order, so each (pixel, block) is one run
+        at = _starts(pixel, _block_id(first + cell % width, dt))
+        mse_s += sum(int(p @ p) for p in
+                     (np.add.reduceat(np.where(neg == c, d, 0), at) for c in (0, 1)))
+        # each (x, y, step) cell's dominant polarity on each side, 0 if tied or
+        # empty; their product is 1 where the sides agree and -1 where they differ
+        at = _starts(cell)
+        out_lean, gt_lean = (np.sign(np.add.reduceat(np.where(neg, -c, c), at))
+                             for c in (n_out, n_gt))
+        vote = out_lean * gt_lean
+        matches += int(np.count_nonzero(vote == 1))
+        omega += int(np.count_nonzero(vote))
+    n_p = int(np.count_nonzero(seen))
     if n_p == 0:
         raise DegenerateStreamError("no ground-truth events inside the grid")
-    # counts are integers, so these sums are exact in any order
-    d = n_out - n_gt
-    # (pixel, block) keys, non-decreasing in the cell; as ids can skip, the
-    # base is not the block count
-    base = _block_id(steps - 1, dt) + 1
-    block = _starts(cell // steps * base + _block_id(cell % steps, dt))
-    pooled = [np.add.reduceat(np.where(neg == c, d, 0), block) for c in (0, 1)]
-    mse_t, mse_s = float(d @ d), float(sum(p @ p for p in pooled))
-    # each (x, y, step) cell's dominant polarity on each side, 0 if tied or
-    # empty; their product is 1 where the sides agree and -1 where they differ
-    at = _starts(cell)
-    out_lean, gt_lean = (np.sign(np.add.reduceat(np.where(neg, -n, n), at))
-                         for n in (n_out, n_gt))
-    vote = out_lean * gt_lean
-    matches, omega = int(np.count_nonzero(vote == 1)), int(np.count_nonzero(vote))
     pa, vacuous = (100.0 * matches / omega, False) if omega else (100.0, True)
-    span_ms = min(t1 - t0, steps * _step_us(dt)) / US_PER_MS
+    span_ms = min(t1 - t0, steps * n) / US_PER_MS
+    mse_t, mse_s = float(mse_t), float(mse_s)
     return MetricsReport(
         rmse_st=math.sqrt((mse_t + mse_s) / (span_ms * n_p)),
         mse_t_raw=mse_t, mse_s_raw=mse_s,

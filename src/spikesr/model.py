@@ -41,6 +41,7 @@ import numpy as np
 from . import VARIANTS
 from .events import (EventError, EventStream, _count_voxels, _step_us, _voxel_index,
                      event_bins, from_voxel_grid)
+from .io import EventParts, save_events
 from .kernels import (NeuronConfig, _spike_kernel, apply_psp, apply_psp_adjoint,
                       generate_spikes, membrane, soft_spike_grad, soft_spikes, surrogate_grad)
 
@@ -497,16 +498,16 @@ def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0:
     return out.t, out.x + spec.scale * box[2], out.y + spec.scale * box[0], out.p
 
 
-def _resolve_bins(spec, weights, coords, steps, height, width, t0) -> EventStream:
+def _resolve_bins(spec, weights, coords, steps, height, width, t0):
     """super_resolve's output from event_bins' coordinates of a height x width stream
-    that starts at t0.
+    that starts at t0, one window at a time: yields the (t, x, y, p) arrays of each
+    window that runs, in time order.
 
     A window with no live pixel clears the state, all zero, and the loop
     resumes at the window of the next event, or stops if none is left:
     every window it passes over would find no live pixel either.
     """
     state, box = [], None
-    parts = [(np.zeros(0, np.int64),) * 4]   # so an empty output concatenates too
     bins, start = coords[3], 0
     while start < steps:
         stop = min(start + _WINDOW, steps)
@@ -522,20 +523,30 @@ def _resolve_bins(spec, weights, coords, steps, height, width, t0) -> EventStrea
         if state and live != box:
             _rebox(spec, state, box, live)
         box = live
-        parts.append(_run_box(spec, weights, window, box, start, stop, t0, state))
+        yield _run_box(spec, weights, window, box, start, stop, t0, state)
         start = stop
+
+
+def _resolved_stream(spec, weights, coords, steps, height, width, t0) -> EventStream:
+    """_resolve_bins' windows joined into one stream at the output geometry."""
+    parts = [(np.zeros(0, np.int64),) * 4]   # so an empty output concatenates too
+    parts += _resolve_bins(spec, weights, coords, steps, height, width, t0)
     return EventStream(*(np.concatenate(field) for field in zip(*parts)),
                        spec.scale * width, spec.scale * height)
 
 
 def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
-                  mode: str | None = None):
+                  mode: str | None = None, out=None):
     """Stream in, stream out: voxelize, run the network, re-emit events.
 
     Bins are spec.dt_ms wide.  The grid is run through forward in
     windows of _WINDOW steps, each layer carrying its state from one
-    window into the next, so memory is bounded by the window, not by
-    `steps`; the output is the whole grid's.
+    window into the next, so the network's memory is bounded by the
+    window, not by `steps`; the output is the whole grid's.  The input
+    is binned whole.  _resolve_bins yields each window's output as it is
+    made, and they are joined into one stream; with `out`, a (path,
+    format) pair, they are written there window by window instead
+    (io.save_events of EventParts), and never held together.
 
     Each window runs on its live box alone (_live_box): the pixels with
     input in the window or a non-zero carried step, dilated by the 5x5
@@ -550,13 +561,19 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
     event and no carried state costs nothing, however many steps it has.
 
     Returns (output stream at 2x geometry, input events dropped by
-    binning).  An empty input yields an empty output stream.  `mode` is
-    only checked, by resolve_mode.
+    binning); with `out` the output is the written EventParts, whose
+    len() and geometry are the stream's.  An empty input yields an empty
+    output.  `mode` is only checked, by resolve_mode.
     """
     resolve_mode(spec.variant, mode)
     coords, dropped = event_bins(stream, steps, spec.dt_ms)
-    return _resolve_bins(spec, weights, coords, steps, stream.height, stream.width,
-                         stream.t0), dropped
+    run = (spec, weights, coords, steps, stream.height, stream.width, stream.t0)
+    if out is None:
+        return _resolved_stream(*run), dropped
+    result = EventParts(_resolve_bins(*run), spec.scale * stream.width,
+                        spec.scale * stream.height)
+    save_events(result, *out)
+    return result, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ import numpy as np
 
 from .events import _count_voxels, _voxel_index, event_bins
 from .metrics import DegenerateStreamError, blocks, rmse_st
-from .model import (ModelError, NetworkSpec, _live_box, _resolve_bins, backward_pass, forward,
-                    init_weights)
+from .model import (ModelError, NetworkSpec, _live_box, _resolved_stream, backward_pass,
+                    forward, init_weights)
 from .model import resolve_mode  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 
@@ -236,11 +236,12 @@ def _validation_rmse(spec, weights, val_data, steps):
     the indices of the pairs left out because their RMSE is undefined.
 
     Each pair is held as _bin_val_pair keeps it, and the network runs on
-    its LR coordinates through super_resolve's own loop, model._resolve_bins.
+    its LR coordinates through super_resolve's own loop, model._resolve_bins,
+    whose windows model._resolved_stream joins.
     """
     scores, skipped = [], set()
     for i, (coords, height, width, t0, hr_stream) in enumerate(val_data):
-        pred = _resolve_bins(spec, weights, coords, steps, height, width, t0)
+        pred = _resolved_stream(spec, weights, coords, steps, height, width, t0)
         try:
             scores.append(rmse_st(pred, hr_stream, steps, spec.dt_ms).rmse_st)
         except DegenerateStreamError:

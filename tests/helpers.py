@@ -3,11 +3,16 @@
 Everything here is written the slow, obvious way (event loops, nested
 dicts, scalar arithmetic) so it shares no code path with the package
 implementations it cross-checks; voxel_grid alone is shorthand for the
-package's own binning.
+package's own binning.  repeated and own_peak_rss are tools for the
+memory tests.
 """
 
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +37,32 @@ def bursts(width, height, regions, seed=0):
              for x0, y0, w, h, a, b, n in regions]
     t, x, y, p = (np.concatenate(f) for f in zip(*parts))
     return EventStream(t, x, y, p, width, height, t0=0)
+
+
+def repeated(stream, k, gap_us):
+    """k copies of a stream back to back, each gap_us after the last event of the one before."""
+    shift = stream.t1 - stream.t0 + gap_us
+    return EventStream(np.concatenate([stream.t + i * shift for i in range(k)]),
+                       np.tile(stream.x, k), np.tile(stream.y, k), np.tile(stream.p, k),
+                       stream.width, stream.height)
+
+
+# Started from a small helper process, the CLI's ru_maxrss is its own.  Started
+# straight from a large one, it is not: subprocess starts a child by vfork and
+# exec, and exec folds the high-water mark of the memory the child borrowed, its
+# parent's, into the child's.
+_OWN_PEAK = ("import resource, subprocess, sys; "
+             "subprocess.run([sys.executable, '-m', 'spikesr.cli', *sys.argv[1:]], check=True, "
+             "stdout=subprocess.DEVNULL); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+def own_peak_rss(argv):
+    """Peak RSS in bytes of `python -m spikesr.cli *argv`, the CLI's own."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _OWN_PEAK, *map(str, argv)], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    return int(out.stdout) * 1024   # Linux reports KiB
 
 
 def synth_moving_bar_oracle(width, height, duration_ms, velocity, events_per_edge_px, seed):

@@ -1,4 +1,5 @@
 import gc
+import os
 import re
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 import helpers
 import spikesr.io
 from spikesr.events import EventStream
-from spikesr.io import (EventFormatError, guess_format, load_events, save_events)
+from spikesr.io import EventFormatError, EventParts, guess_format, load_events, save_events
 from spikesr.model import NetworkSpec, init_weights, load_checkpoint, save_checkpoint
 
 
@@ -261,6 +262,35 @@ def test_save_errors_name_their_path(tmp_path):
     f = tmp_path / "wide.evbin"
     with pytest.raises(EventFormatError, match=f"^{re.escape(str(f))}: geometry does not fit"):
         save_events(EventStream.empty(70000, 4), f, "evbin")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "evbin"])
+@pytest.mark.parametrize("cuts", [[], [0], [3, 3, 7], [2, 9]])
+def test_parts_write_the_bytes_of_the_whole_stream(tmp_path, fmt, cuts):
+    s = helpers.random_stream(np.random.default_rng(4), 6, 5, 20, 9)
+    whole, parted = tmp_path / f"whole.{fmt}", tmp_path / f"parted.{fmt}"
+    save_events(s, whole, fmt)
+    edges = [0, *cuts, len(s)]
+    parts = EventParts(((s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+                        for a, b in zip(edges, edges[1:])), s.width, s.height)
+    save_events(parts, parted, fmt)
+    assert parted.read_bytes() == whole.read_bytes() and len(parts) == len(s)
+    assert sorted(tmp_path.iterdir()) == sorted([whole, parted])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "evbin"])
+def test_a_whole_stream_goes_into_a_pipe(tmp_path, fmt):
+    # its header, count included, is known first, so nothing seeks back
+    s = EventStream([0, 10, 10], [1, 2, 3], [0, 1, 1], [1, -1, 1], 4, 4)
+    save_events(s, tmp_path / f"want.{fmt}", fmt)
+    read, write = os.pipe()
+    try:
+        save_events(s, f"/dev/fd/{write}", fmt)
+        got = os.read(read, 1 << 16)
+    finally:
+        os.close(read)
+        os.close(write)
+    assert got == (tmp_path / f"want.{fmt}").read_bytes()
 
 
 def test_guess_format():

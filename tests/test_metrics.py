@@ -10,6 +10,7 @@ import pytest
 
 import helpers
 from spikesr.events import EventError, EventStream, downsample_2x
+from spikesr import metrics
 from spikesr.metrics import DegenerateStreamError, MetricsReport, rmse_st
 from spikesr.synth import synth_moving_bar
 
@@ -30,6 +31,45 @@ def check_against_oracle(out, gt, steps, dt):
     assert got.rmse_st == pytest.approx(want, rel=1e-12)
     t0 = min(s.t0 for s in (out, gt) if len(s))
     assert (got.pa_percent, got.pa_vacuous) == helpers.pa_oracle(out, gt, steps, t0, dt)
+
+
+def edge_scene(name):
+    """(out, gt, steps, dt) of a 3x2 pair whose events sit where grading one
+    50 ms block at a time could slip; the random part is seeded per scene."""
+    ms = 1000
+    steps, dt, spread, edges = {
+        "on_block_edges": (200, 1.0, 200 * ms, [0, 49_999, 50_000, 50_000, 99_999, 100_000,
+                                                150_000, 199_999]),
+        "on_the_closing_edge": (120, 1.0, 120 * ms, [119_999, 120_000, 120_000, 120_000]),
+        "past_the_grid": (100, 1.0, 180 * ms, [99_999, 100_000, 100_001, 150_000]),
+        "empty_block_between_busy_ones": (250, 1.0, 250 * ms, [49_999, 150_000]),
+        "half_ms_steps_on_block_edges": (400, 0.5, 200 * ms, [49_999, 50_000, 100_000, 199_500]),
+        "steps_longer_than_a_block": (17, 120.0, 2_000 * ms, [0, 120_000, 240_000, 1_920_000,
+                                                               2_040_000, 2_040_001]),
+    }[name]
+    rng = np.random.default_rng(sorted(EDGE_SCENES).index(name))
+
+    def stream():
+        t = np.r_[rng.integers(0, spread + 1, 300), edges]
+        if name == "empty_block_between_busy_ones":
+            t = t[(t < 50_000) | (t >= 150_000)]
+        return EventStream(np.sort(t), rng.integers(0, 3, t.size), rng.integers(0, 2, t.size),
+                           rng.choice([1, -1], t.size), 3, 2, t0=0)
+    return stream(), stream(), steps, dt
+
+
+# Each scene's (rmse_st, mse_t_raw, mse_s_raw, n_p, pa_percent, dropped, span_ms) as
+# the pair-wide sort graded them before rmse_st went block by block
+EDGE_SCENES = {
+    "on_block_edges": (1.0066471079903492, 632.0, 584.0, 6, 42.10526315789474, 0, 199.999),
+    "on_the_closing_edge": (1.1737877907772674, 616.0, 376.0, 6, 42.25352112676056, 0, 120.0),
+    "past_the_grid": (0.99498743710662, 310.0, 284.0, 6, 54.285714285714285, 264, 100.0),
+    "empty_block_between_busy_ones": (0.731390451766471, 356.0, 446.0, 6, 50.0, 0, 249.876),
+    "half_ms_steps_on_block_edges": (0.9431937118310891, 588.0, 478.0, 6, 72.22222222222223, 0,
+                                     199.712),
+    "steps_longer_than_a_block": (0.31777412128249644, 618.0, 618.0, 6, 40.35087719298246, 2,
+                                  2040.0),
+}
 
 
 class TestMseTemporal:
@@ -112,6 +152,43 @@ class TestRmseSt:
             out = helpers.random_stream(rng, 3, 3, 2000, 150)
             check_against_oracle(out, gt, math.ceil(2000 / dt) - k, dt)
 
+    @pytest.mark.parametrize("batch", [1, 7, metrics.BATCH_EVENTS])
+    @pytest.mark.parametrize("name", sorted(EDGE_SCENES))
+    def test_block_by_block_grades_like_the_whole_pair(self, monkeypatch, name, batch):
+        # a batch of 1 event grades each block alone; the default takes each scene whole
+        monkeypatch.setattr(metrics, "BATCH_EVENTS", batch)
+        out, gt, steps, dt = edge_scene(name)
+        check_against_oracle(out, gt, steps, dt)
+        rep = rmse_st(out, gt, steps, dt)
+        assert (rep.rmse_st, rep.mse_t_raw, rep.mse_s_raw, rep.n_p, rep.pa_percent, rep.dropped,
+                rep.span_ms) == EDGE_SCENES[name]
+
+    def test_sparse_blocks_share_a_sort(self, monkeypatch, rng):
+        # 2,000 events a side over 1,000 blocks: one batch, so one set of keys a side
+        gt, out = (helpers.random_stream(rng, 16, 16, 50_000, 2000) for _ in range(2))
+        calls = []
+        inner = metrics._batch_keys
+        monkeypatch.setattr(metrics, "_batch_keys", lambda *a: calls.append(a) or inner(*a))
+        check_against_oracle(out, gt, 50_000, 1.0)
+        assert len(calls) == 2
+
+    def test_memory_follows_one_batch_not_the_pair(self, monkeypatch, rng):
+        # rmse_st holds one batch of blocks' keys at a time, so a pair three times
+        # as long, at the same event rate, peaks about as high.  Batches of 10,000
+        # events a side take one 50 ms block each here
+        monkeypatch.setattr(metrics, "BATCH_EVENTS", 10_000)
+        gt, out = (helpers.random_stream(rng, 64, 64, 300, 60_000) for _ in range(2))
+        peaks = []
+        for k in (1, 3):
+            long_gt, long_out = (helpers.repeated(s, k, 1_000) for s in (gt, out))
+            tracemalloc.start()
+            try:
+                rmse_st(long_out, long_gt, k * 301)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
     def test_memory_follows_the_events_not_the_steps(self):
         # three events on a grid of 10^7 steps
         gt = stream_of([(0, 0, 0, 1), (5_000, 1, 0, -1)], 2, 2)
@@ -136,9 +213,10 @@ class TestRmseSt:
         assert peak < 8 * 2 ** 20, peak
 
     def test_memory_of_a_large_pair(self, rng):
-        # 250,000 events a side: one sort of the pair's keys, then runs.  The
-        # measured peak is 43.2 MiB (68.9 MiB with five np.unique calls); the
-        # bound of 48 MiB leaves about 11 % for other numpy builds
+        # 250,000 events a side over six 50 ms blocks, graded one block at a time.
+        # The measured peak is 9.9 MiB (43.2 MiB with one sort of the whole pair's
+        # keys, 68.9 MiB with five np.unique calls); the bound of 12 MiB leaves
+        # about 20 % for other numpy builds
         gt, out = (helpers.random_stream(rng, 128, 128, 300, 250_000) for _ in range(2))
         tracemalloc.start()
         try:
@@ -146,7 +224,7 @@ class TestRmseSt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2 ** 20, peak
+        assert peak < 12 * 2 ** 20, peak
 
     def test_keys_past_int64_grade_like_a_short_grid(self, rng):
         # on the long grid the keys of pixel 8 pass 2**63; steps past the last
