@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import VARIANTS
 from .events import (US_PER_MS, EventError, EventStream, _count_voxels, _voxel_index,
                      event_bins, steps_to_cover)
-from .io import EventFormatError, guess_format, load_events, save_events
+from .io import EventFormatError, EvbinStream, guess_format, load_events, save_events
 
 
 class UsageError(Exception):
@@ -223,7 +224,9 @@ def cmd_infer(args):
         raise UsageError(f"{out_path}: cannot write format 'nmnist_bin', "
                          f"use a .csv or .evbin output")
     spec, weights, _, _ = load_checkpoint(args.checkpoint)
-    stream = _load_stream(args.input)
+    # an evbin file is read a chunk at a time; a pipe, which cannot be read twice, whole
+    evbin = guess_format(args.input) == "evbin" and os.path.isfile(args.input)
+    stream = EvbinStream(args.input) if evbin else _load_stream(args.input)
     if len(stream) == 0:
         print("warning: empty input stream, writing empty output", file=sys.stderr)
     steps = args.steps if args.steps is not None else steps_to_cover(stream.span_us, spec.dt_ms)
@@ -412,10 +415,13 @@ def build_parser():
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("infer", help="super-resolve one stream",
-                       description="The input is read and binned whole. The output is "
-                       "written window by window as the network makes it, to a file beside "
-                       "--out that replaces it once the last window is in, so a run cut "
-                       "short leaves --out as it was.")
+                       description="An evbin input is read and binned window by window, "
+                       "holding about one window of its events; a file out of time order "
+                       "is held until its late records are read. CSV and nmnist_bin input, "
+                       "and evbin from a pipe, is read whole. The output is written window "
+                       "by window as the network "
+                       "makes it, to a file beside --out that replaces it once the last "
+                       "window is in, so a run cut short leaves --out as it was.")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)

@@ -45,6 +45,18 @@ def _stable_order(t: np.ndarray) -> np.ndarray:
     return order
 
 
+# EventStream's checks, in the order it makes them (_faults)
+_FAULTS = ("geometry must be positive", "negative timestamp",
+           "event coordinates outside sensor geometry", "polarity must be +1 or -1")
+
+
+def _faults(t, x, y, p, width: int, height: int) -> list[bool]:
+    """Which of _FAULTS the events t, x, y, p on a width x height sensor fail."""
+    return [width < 1 or height < 1, bool(t.size) and int(t.min()) < 0,
+            bool(np.any((x < 0) | (x >= width)) or np.any((y < 0) | (y >= height))),
+            bool(np.any((p != 1) & (p != -1)))]
+
+
 class EventStream:
     """Time-sorted events plus sensor geometry.
 
@@ -65,19 +77,13 @@ class EventStream:
         p = np.asarray(p, dtype=np.int64)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise EventError("event arrays must be 1-D and equally sized")
-        if width < 1 or height < 1:
-            raise EventError("geometry must be positive")
+        for fault, failed in zip(_FAULTS, _faults(t, x, y, p, width, height)):
+            if failed:
+                raise EventError(fault)
         n = t.size
-        if n:
-            if np.any(t[1:] < t[:-1]):
-                order = _stable_order(t)
-                t, x, y, p = t[order], x[order], y[order], p[order]
-            if t[0] < 0:
-                raise EventError("negative timestamp")
-            if np.any((x < 0) | (x >= width)) or np.any((y < 0) | (y >= height)):
-                raise EventError("event coordinates outside sensor geometry")
-            if np.any((p != 1) & (p != -1)):
-                raise EventError("polarity must be +1 or -1")
+        if n and np.any(t[1:] < t[:-1]):
+            order = _stable_order(t)
+            t, x, y, p = t[order], x[order], y[order], p[order]
         self.t, self.x, self.y, self.p = t, x, y, p
         self.width = int(width)
         self.height = int(height)
@@ -95,6 +101,11 @@ class EventStream:
 
     def __len__(self):
         return self.t.size
+
+    def chunks(self):
+        """The events as time-ordered parts with t, x, y and p arrays, as
+        io.EvbinStream gives them: a loaded stream is one part, itself."""
+        yield self
 
     @property
     def span_us(self) -> int:
@@ -130,6 +141,9 @@ def _check_cell_count(shape) -> None:
 
 def event_bins(stream: EventStream, steps: int, dt: float = 1.0, origin: int | None = None):
     """Grid coordinates of the events a grid of `steps` bins keeps.
+
+    `stream` may be any part with t, x, y and p arrays when `origin` is
+    given (EventStream.chunks).
 
     Bin index is floor((t - t0) / dt), computed in whole microseconds
     (_step_us), with t0 the stream's own start unless `origin` overrides

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import namedtuple
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .events import EventError, EventStream
+from .events import _FAULTS, EventError, EventStream, _faults, _stable_order
 
 CSV_HEADER = "t_us,x,y,p"
 # Within these bytes np.loadtxt and int() accept the same fields and read
@@ -42,6 +44,8 @@ CSV_CHUNK_EVENTS = 4096
 _INT64 = np.iinfo(np.int64)
 EVBIN_MAGIC = b"EVS1"
 EVBIN_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+# Records EvbinStream reads at a time, 416 KiB of them.
+EVBIN_CHUNK_EVENTS = 1 << 15
 NMNIST_WIDTH = 34
 NMNIST_HEIGHT = 34
 
@@ -54,13 +58,16 @@ class EventFormatError(EventError):
     """Malformed or truncated event file."""
 
 
-def _check_order(t, path):
-    if t.size:
-        drop = np.diff(t)
-        worst = int(drop.min()) if drop.size else 0
-        if worst < -REGRESSION_TOLERANCE_US:
-            raise EventFormatError(
-                f"{path}: timestamp regression of {-worst} us exceeds tolerance")
+def _worst_step(t) -> int:
+    """The most negative step t[i + 1] - t[i] of a time array, or 0."""
+    return min(0, int(np.diff(t).min())) if t.size > 1 else 0
+
+
+def _check_order(worst: int, path):
+    """Refuse a file whose worst step back in time (_worst_step) is over the tolerance."""
+    if worst < -REGRESSION_TOLERANCE_US:
+        raise EventFormatError(
+            f"{path}: timestamp regression of {-worst} us exceeds tolerance")
 
 
 def _parse_csv_array(raw):
@@ -130,16 +137,31 @@ def _decode_csv(raw, path):
     return arr.T, None
 
 
-def _decode_evbin(raw, path):
-    if len(raw) < 16 or raw[:4] != EVBIN_MAGIC:
+# A part of a stream that EvbinStream.chunks() yields: int64 arrays, as EventStream holds.
+_Part = namedtuple("_Part", "t x y p")
+
+
+def _evbin_header(head: bytes, size: int, path):
+    """(width, height, count) of an evbin file of `size` bytes that opens with `head`."""
+    if len(head) < 16 or head[:4] != EVBIN_MAGIC:
         raise EventFormatError(f"{path}: bad evbin magic at byte 0")
-    w, h, count = struct.unpack_from("<HHQ", raw, 4)
+    w, h, count = struct.unpack_from("<HHQ", head, 4)
     need = count * EVBIN_RECORD.itemsize
-    if len(raw) - 16 != need:
+    if size - 16 != need:
         raise EventFormatError(
-            f"{path}: expected {need} record bytes, found {len(raw) - 16} at byte 16")
+            f"{path}: expected {need} record bytes, found {size - 16} at byte 16")
+    return w, h, count
+
+
+def _fields(rec):
+    """The (t, x, y, p) int64 arrays of evbin records."""
+    return tuple(rec[f].astype(np.int64) for f in "txyp")
+
+
+def _decode_evbin(raw, path):
+    w, h, count = _evbin_header(raw[:16], len(raw), path)
     rec = np.frombuffer(raw, dtype=EVBIN_RECORD, count=count, offset=16)   # read in place
-    return [rec[f].astype(np.int64) for f in "txyp"], (w, h)
+    return _fields(rec), (w, h)
 
 
 def _decode_nmnist(raw, path):
@@ -166,7 +188,7 @@ def load_events(path, fmt: str) -> EventStream:
     if fmt not in _DECODERS:
         raise EventFormatError(f"unknown format {fmt!r}")
     (t, x, y, p), stored = _DECODERS[fmt](Path(path).read_bytes(), path)
-    _check_order(t, path)
+    _check_order(_worst_step(t), path)
     if stored is not None:
         width, height = stored
     else:
@@ -176,6 +198,86 @@ def load_events(path, fmt: str) -> EventStream:
         return EventStream(t, x, y, p, width, height)
     except EventError as exc:
         raise EventFormatError(f"{path}: {exc}") from None
+
+
+class EvbinStream:
+    """An evbin file read EVBIN_CHUNK_EVENTS records at a time, in place of
+    the EventStream load_events would give, which it never holds.
+
+    Construction reads the file once, a chunk at a time, and runs every
+    check load_events runs, with the same messages.  It keeps the
+    header's geometry and count (len()), the span [t0, t1] of the
+    timestamps and the earliest timestamp of each chunk.  chunks() reads
+    the file again and yields its events as time-ordered _Part tuples,
+    whose arrays joined are load_events' arrays.
+
+    A file may step back in time by up to REGRESSION_TOLERANCE_US at each
+    record, and so drift back without bound over many records: a record
+    can belong after records many chunks later.  So chunks() holds the
+    records it has read and yields those up to the earliest timestamp
+    of all later chunks, which the first pass found, stable-sorted as
+    EventStream sorts them.  A file in time order holds one chunk; a
+    file that keeps drifting back, say 50 ms at every record, holds
+    every record until the chunk that holds its earliest timestamp, as
+    load_events would.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            w, h, self.count = _evbin_header(fh.read(16), os.fstat(fh.fileno()).st_size, path)
+            none = np.zeros(0, np.int64)
+            faults, worst, firsts, last, t1 = _faults(none, none, none, none, w, h), 0, [], 0, 0
+            for rec in self._records(fh):
+                t = rec["t"].view(np.int64)   # the int64 _fields makes, read in place
+                back = int(t[0]) - last if firsts else 0   # the step from the chunk before
+                worst = min(worst, back, _worst_step(t))
+                faults = [a or b for a, b in
+                          zip(faults, _faults(t, rec["x"], rec["y"], rec["p"], w, h))]
+                firsts.append(int(t.min()))
+                last, t1 = int(t[-1]), max(t1, int(t.max()))
+        _check_order(worst, path)
+        for fault, failed in zip(_FAULTS, faults):
+            if failed:
+                raise EventFormatError(f"{path}: {fault}")
+        self.width, self.height, self.t0, self.t1 = w, h, min(firsts, default=0), t1
+        # the earliest timestamp of the chunks after each chunk; int64's largest after the last
+        self._later = list(accumulate(reversed(firsts[1:] + [_INT64.max]), min))[::-1]
+
+    def __len__(self):
+        return self.count
+
+    @property
+    def span_us(self) -> int:
+        return self.t1 - self.t0
+
+    def _records(self, fh):
+        """The file's records from fh's position on, a chunk at a time, each read
+        into the one buffer the next read reuses."""
+        buf = np.empty(min(self.count, EVBIN_CHUNK_EVENTS), EVBIN_RECORD)
+        for lo in range(0, self.count, EVBIN_CHUNK_EVENTS):
+            rec = buf[:min(EVBIN_CHUNK_EVENTS, self.count - lo)]
+            if fh.readinto(rec) != rec.nbytes:
+                raise EventFormatError(f"{self.path}: file shrank while read")
+            yield rec
+
+    def chunks(self):
+        """The events as time-ordered _Part tuples (see the class docstring)."""
+        held = None
+        with open(self.path, "rb") as fh:
+            fh.seek(16)
+            for later, rec in zip(self._later, self._records(fh)):
+                part = _fields(rec)
+                if held is not None:   # read before the part, and so ahead of it on ties
+                    part = tuple(np.concatenate(f) for f in zip(held, part))
+                t = part[0]
+                if np.any(t[1:] < t[:-1]):
+                    order = _stable_order(t)
+                    part = tuple(f[order] for f in part)
+                cut = int(np.searchsorted(part[0], later, "right"))
+                held = tuple(f[cut:] for f in part)
+                if cut:
+                    yield _Part(*(f[:cut] for f in part))
 
 
 def _csv_records(t, x, y, p) -> bytes:

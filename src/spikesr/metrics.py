@@ -44,6 +44,10 @@ BLOCK_US = 50_000
 # many events in them, so its memory is bounded and sparse blocks share a sort.
 BATCH_EVENTS = 1 << 16
 
+# rmse_st reads its figures from about this many sorted keys at a time, so the
+# temporaries of a batch's figures stay small.
+SLICE_KEYS = 1 << 14
+
 
 class DegenerateStreamError(EventError):
     """Metric undefined: empty ground truth or zero time span."""
@@ -143,6 +147,33 @@ def _batch_keys(stream: EventStream, lo: int, hi: int, origin: int, n: int, step
     return key.view(np.uint64)
 
 
+def _slice_figures(keys: np.ndarray, first: int, width: int, dt: float, seen: np.ndarray):
+    """(sum of d squared, sum of pooled d squared, agreeing cells, comparable
+    cells) of sorted batch keys (_batch_keys) that hold whole pixels, marking
+    in `seen` the pixels with a ground-truth event."""
+    # one run per voxel: its events of both streams, counted apart by the side bit
+    start = _starts(keys >> 1)
+    voxel = keys[start] >> 1
+    n_gt = np.add.reduceat((keys & 1).view(np.int64), start)
+    n_out = np.diff(start, append=keys.size) - n_gt
+    cell, neg = (voxel >> 1).view(np.int64), (voxel & 1).view(np.int64)   # neg: channel 1
+    pixel = cell // width
+    seen[pixel[n_gt > 0]] = True
+    d = n_out - n_gt
+    # the pooled difference per channel, pixel and block; a pixel's voxels
+    # are in step order, so each (pixel, block) is one run
+    at = _starts(pixel, _block_id(first + cell % width, dt))
+    mse_s = sum(int(p @ p) for p in
+                (np.add.reduceat(np.where(neg == c, d, 0), at) for c in (0, 1)))
+    # each (x, y, step) cell's dominant polarity on each side, 0 if tied or
+    # empty; their product is 1 where the sides agree and -1 where they differ
+    at = _starts(cell)
+    out_lean, gt_lean = (np.sign(np.add.reduceat(np.where(neg, -c, c), at))
+                         for c in (n_out, n_gt))
+    vote = out_lean * gt_lean
+    return int(d @ d), mse_s, int(np.count_nonzero(vote == 1)), int(np.count_nonzero(vote))
+
+
 def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
             dt: float = 1.0) -> MetricsReport:
     """Joint spatio-temporal RMSE plus polarity accuracy for one pair.
@@ -160,7 +191,9 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
     the block where a stream would pass BATCH_EVENTS events, one block
     at least.  Each stream's slice of the batch is found by a binary
     search on its t, and the batch's keys are sorted on their own, so
-    memory follows the batch and sparse blocks share one sort.  Blocks
+    memory follows the batch and sparse blocks share one sort.  The
+    figures are read from about SLICE_KEYS sorted keys at a time, each
+    slice ending at a pixel's first key (_slice_figures).  Blocks
     without an event cost nothing, and every sum is an exact integer.
     """
     if len(gt_stream) == 0:
@@ -184,7 +217,7 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
 
     los = [0, 0]
     seen = np.zeros(h * w, bool)   # pixels with a kept ground-truth event
-    mse_t = mse_s = matches = omega = 0
+    sums = [0, 0, 0, 0]   # _slice_figures' four, over the slices so far
     while los != stops:
         # the batch runs from the block of the earliest event left to the block
         # where a stream would pass BATCH_EVENTS, and is one block at least
@@ -205,29 +238,17 @@ def rmse_st(out_stream: EventStream, gt_stream: EventStream, steps: int,
                                for side, (s, lo, hi) in enumerate(zip(sides, los, his))])
         keys.sort()
         los = his
-        # one run per voxel: its events of both streams, counted apart by the side bit
-        start = _starts(keys >> 1)
-        voxel = keys[start] >> 1
-        n_gt = np.add.reduceat((keys & 1).view(np.int64), start)
-        n_out = np.diff(start, append=keys.size) - n_gt
-        cell, neg = (voxel >> 1).view(np.int64), (voxel & 1).view(np.int64)   # neg: channel 1
-        pixel = cell // width
-        seen[pixel[n_gt > 0]] = True
-        d = n_out - n_gt
-        mse_t += int(d @ d)
-        # the pooled difference per channel, pixel and block; a pixel's voxels
-        # are in step order, so each (pixel, block) is one run
-        at = _starts(pixel, _block_id(first + cell % width, dt))
-        mse_s += sum(int(p @ p) for p in
-                     (np.add.reduceat(np.where(neg == c, d, 0), at) for c in (0, 1)))
-        # each (x, y, step) cell's dominant polarity on each side, 0 if tied or
-        # empty; their product is 1 where the sides agree and -1 where they differ
-        at = _starts(cell)
-        out_lean, gt_lean = (np.sign(np.add.reduceat(np.where(neg, -c, c), at))
-                             for c in (n_out, n_gt))
-        vote = out_lean * gt_lean
-        matches += int(np.count_nonzero(vote == 1))
-        omega += int(np.count_nonzero(vote))
+        # a slice ends at a pixel's first key, so that no run of _slice_figures spans two
+        done = 0
+        while done < keys.size:
+            cut = done + SLICE_KEYS
+            if cut < keys.size:   # the first key of the pixel after key cut - 1's
+                cut = int(np.searchsorted(keys, np.uint64(
+                    (int(keys[cut - 1]) // (4 * width) + 1) * 4 * width)))
+            sums = [a + b for a, b in zip(sums, _slice_figures(keys[done:cut], first, width,
+                                                                dt, seen))]
+            done = cut
+    mse_t, mse_s, matches, omega = sums
     n_p = int(np.count_nonzero(seen))
     if n_p == 0:
         raise DegenerateStreamError("no ground-truth events inside the grid")

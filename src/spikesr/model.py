@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import VARIANTS
-from .events import (EventError, EventStream, _count_voxels, _step_us, _voxel_index,
-                     event_bins, from_voxel_grid)
+from .events import (EventError, EventStream, _check_step_count, _count_voxels, _step_us,
+                     _voxel_index, event_bins, from_voxel_grid)
 from .io import EventParts, save_events
 from .kernels import (NeuronConfig, _spike_kernel, apply_psp, apply_psp_adjoint,
                       generate_spikes, membrane, soft_spike_grad, soft_spikes, surrogate_grad)
@@ -498,27 +498,50 @@ def _run_box(spec: NetworkSpec, weights, window, box, start: int, stop: int, t0:
     return out.t, out.x + spec.scale * box[2], out.y + spec.scale * box[0], out.p
 
 
-def _resolve_bins(spec, weights, coords, steps, height, width, t0):
-    """super_resolve's output from event_bins' coordinates of a height x width stream
-    that starts at t0, one window at a time: yields the (t, x, y, p) arrays of each
-    window that runs, in time order.
+_NO_EVENTS = (np.zeros(0, np.int64),) * 4
 
-    A window with no live pixel clears the state, all zero, and the loop
-    resumes at the window of the next event, or stops if none is left:
-    every window it passes over would find no live pixel either.
+
+def _read_to(held, chunks, stop: int):
+    """`held` joined with the next of `chunks` (event_bins coordinates in time
+    order) until one holds an event at bin `stop` or later, or none is left."""
+    parts = [held] if held[3].size else []
+    while not parts or parts[-1][3][-1] < stop:
+        part = next(chunks, None)
+        if part is None:
+            break
+        if part[3].size:
+            parts.append(part)
+    if len(parts) < 2:
+        return parts[0] if parts else held
+    return tuple(np.concatenate(field) for field in zip(*parts))
+
+
+def _resolve_bins(spec, weights, chunks, steps, height, width, t0):
+    """super_resolve's output from event_bins' coordinates of a height x width stream
+    that starts at t0, given as time-ordered chunks, one window at a time: yields the
+    (t, x, y, p) arrays of each window that runs, in time order.
+
+    It holds the events from the window's first bin up to the end of the
+    first chunk that reaches past the window (_read_to); a stream given
+    as one chunk is held whole, as it already is.  A window with no live
+    pixel clears the state, all zero, and the loop resumes at the window
+    of the next event, or stops if none is left: every window it passes
+    over would find no live pixel either.
     """
+    chunks = iter(chunks)
     state, box = [], None
-    bins, start = coords[3], 0
+    held, start = _NO_EVENTS, 0   # the events read from bin `start` on
     while start < steps:
         stop = min(start + _WINDOW, steps)
-        lo, hi = np.searchsorted(bins, (start, stop))
-        window = tuple(c[lo:hi] for c in coords)
+        held = _read_to(held, chunks, stop)
+        hi = int(np.searchsorted(held[3], stop))
+        window, held = tuple(c[:hi] for c in held), tuple(c[hi:] for c in held)
         live = _live_box(spec, window[1], window[2], height, width, state, box)
         if live is None:
             state.clear()
-            if hi == bins.size:
+            if not held[3].size:
                 break
-            start = int(bins[hi]) // _WINDOW * _WINDOW   # bins[hi] >= stop
+            start = int(held[3][0]) // _WINDOW * _WINDOW   # held[3][0] >= stop
             continue
         if state and live != box:
             _rebox(spec, state, box, live)
@@ -527,26 +550,41 @@ def _resolve_bins(spec, weights, coords, steps, height, width, t0):
         start = stop
 
 
-def _resolved_stream(spec, weights, coords, steps, height, width, t0) -> EventStream:
+def _resolved_stream(spec, weights, chunks, steps, height, width, t0) -> EventStream:
     """_resolve_bins' windows joined into one stream at the output geometry."""
     parts = [(np.zeros(0, np.int64),) * 4]   # so an empty output concatenates too
-    parts += _resolve_bins(spec, weights, coords, steps, height, width, t0)
+    parts += _resolve_bins(spec, weights, chunks, steps, height, width, t0)
     return EventStream(*(np.concatenate(field) for field in zip(*parts)),
                        spec.scale * width, spec.scale * height)
 
 
-def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
+def _binned(stream, steps: int, dt: float, dropped: list):
+    """event_bins' coordinates of each of stream.chunks() on the grid from
+    stream.t0, adding the events each drops to dropped[0]."""
+    for part in stream.chunks():
+        coords, n = event_bins(part, steps, dt, stream.t0)
+        dropped[0] += n
+        yield coords
+
+
+def super_resolve(spec: NetworkSpec, weights, stream, steps: int,
                   mode: str | None = None, out=None):
     """Stream in, stream out: voxelize, run the network, re-emit events.
 
-    Bins are spec.dt_ms wide.  The grid is run through forward in
-    windows of _WINDOW steps, each layer carrying its state from one
+    `stream` is an EventStream or an io.EvbinStream: anything with a
+    geometry, a t0 and chunks(), time-ordered parts with t, x, y and p
+    arrays.  Bins are spec.dt_ms wide.  The grid is run through forward
+    in windows of _WINDOW steps, each layer carrying its state from one
     window into the next, so the network's memory is bounded by the
-    window, not by `steps`; the output is the whole grid's.  The input
-    is binned whole.  _resolve_bins yields each window's output as it is
-    made, and they are joined into one stream; with `out`, a (path,
-    format) pair, they are written there window by window instead
-    (io.save_events of EventParts), and never held together.
+    window, not by `steps`; the output is the whole grid's.  Each part
+    is binned as it comes, and _resolve_bins holds the parts' events
+    only up to the window's end, so an EvbinStream is held about a
+    window at a time and an EventStream, one part, whole.  _resolve_bins
+    yields each window's output as it is made, and they are joined into
+    one stream; with `out`, a (path, format) pair, they are written
+    there window by window instead (io.save_events of EventParts), and
+    never held together.  The parts past the last window are binned
+    after it, to count their events as dropped.
 
     Each window runs on its live box alone (_live_box): the pixels with
     input in the window or a non-zero carried step, dilated by the 5x5
@@ -566,14 +604,19 @@ def super_resolve(spec: NetworkSpec, weights, stream: EventStream, steps: int,
     output.  `mode` is only checked, by resolve_mode.
     """
     resolve_mode(spec.variant, mode)
-    coords, dropped = event_bins(stream, steps, spec.dt_ms)
+    _check_step_count(steps)
+    dropped = [0]
+    coords = _binned(stream, steps, spec.dt_ms, dropped)
     run = (spec, weights, coords, steps, stream.height, stream.width, stream.t0)
     if out is None:
-        return _resolved_stream(*run), dropped
-    result = EventParts(_resolve_bins(*run), spec.scale * stream.width,
-                        spec.scale * stream.height)
-    save_events(result, *out)
-    return result, dropped
+        result = _resolved_stream(*run)
+    else:
+        result = EventParts(_resolve_bins(*run), spec.scale * stream.width,
+                            spec.scale * stream.height)
+        save_events(result, *out)
+    for _ in coords:   # the parts past the last window
+        pass
+    return result, dropped[0]
 
 
 # ---------------------------------------------------------------------------

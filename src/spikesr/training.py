@@ -241,7 +241,7 @@ def _validation_rmse(spec, weights, val_data, steps):
     """
     scores, skipped = [], set()
     for i, (coords, height, width, t0, hr_stream) in enumerate(val_data):
-        pred = _resolved_stream(spec, weights, coords, steps, height, width, t0)
+        pred = _resolved_stream(spec, weights, [coords], steps, height, width, t0)
         try:
             scores.append(rmse_st(pred, hr_stream, steps, spec.dt_ms).rmse_st)
         except DegenerateStreamError:

@@ -4,7 +4,8 @@ Everything here is written the slow, obvious way (event loops, nested
 dicts, scalar arithmetic) so it shares no code path with the package
 implementations it cross-checks; voxel_grid alone is shorthand for the
 package's own binning.  repeated and own_peak_rss are tools for the
-memory tests.
+memory tests, firing_weights gives a network that fires, and write_evbin
+writes records no EventStream would hold.
 """
 
 import math
@@ -17,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from spikesr.events import EventStream, _count_voxels, _voxel_index, event_bins
+from spikesr.kernels import _spike_kernel
+from spikesr.model import init_weights
 
 
 def random_stream(rng, width, height, dur_ms, n_events, t0=0):
@@ -63,6 +66,22 @@ def own_peak_rss(argv):
     out = subprocess.run([sys.executable, "-c", _OWN_PEAK, *map(str, argv)], check=True,
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     return int(out.stdout) * 1024   # Linux reports KiB
+
+
+def firing_weights(spec, seed):
+    """Initial weights that fire: each layer's |init| times 4 or 6, divided by the
+    peak of its spike kernel sampled at spec.dt_ms, so that they fire at any
+    step size and any neuron constants."""
+    return [k * np.abs(w) / _spike_kernel(neuron, spec.dt_ms).max()
+            for k, w, neuron in zip((4.0, 6.0), init_weights(spec, seed), spec.neuron_cfgs)]
+
+
+def write_evbin(path, t, x, y, p, width, height):
+    """An evbin file of these records in this order, whatever their values."""
+    rec = np.empty(len(t), dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+    rec["t"], rec["x"], rec["y"], rec["p"] = t, x, y, p
+    Path(path).write_bytes(b"EVS1" + width.to_bytes(2, "little") + height.to_bytes(2, "little")
+                           + len(t).to_bytes(8, "little") + rec.tobytes())
 
 
 def synth_moving_bar_oracle(width, height, duration_ms, velocity, events_per_edge_px, seed):

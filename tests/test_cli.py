@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import helpers
 import spikesr.cli
 import spikesr.events
+import spikesr.io
 import spikesr.metrics
 import spikesr.model
 import spikesr.training
@@ -196,7 +198,7 @@ C8_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "ul
 
 @pytest.fixture(scope="module")
 def firing(tmp_path_factory):
-    """Dense 32x32 bars and the committed criterion-8 checkpoint, which fires on them.
+    """Dense 32x32 bars and a checkpoint of helpers.firing_weights, which fires on them.
 
     The `trained` network emits no events, so eval tests that must score a
     non-empty prediction run their infer step through this pair instead.
@@ -207,7 +209,9 @@ def firing(tmp_path_factory):
         save_events(synth_moving_bar(32, 32, 64.0, 0.3, 6.0, seed=i), corpus / name, "evbin")
     (corpus / "manifest.txt").write_text("\n".join(names) + "\n")
     assert run("downsample", "--manifest", corpus / "manifest.txt") == 0
-    return corpus, C8_CHECKPOINT
+    spec = NetworkSpec("ultralight")
+    save_checkpoint(corpus / "firing.ckpt", spec, helpers.firing_weights(spec, 1), np.zeros(3), 1)
+    return corpus, corpus / "firing.ckpt"
 
 
 def infer_nonempty(ckpt, lr_path, out, *extra):
@@ -571,10 +575,9 @@ class TestInfer:
         assert calls == [] and sorted(tmp_path.iterdir()) == [fifo]
 
     def test_memory_grows_less_than_100_bytes_per_input_event(self, tmp_path):
-        # the output goes to the file window by window, so each added input event
-        # costs its arrays and its grid coordinates, which share x and y with them:
-        # about 46 bytes an event were measured here, and 166 when the output was
-        # held whole.  Copies 100 ms apart keep the network's box the size of one bar
+        # the output goes to the file window by window: about 46 bytes an event were
+        # measured here with the input held whole, and 166 when the output was too.
+        # Copies 100 ms apart keep the network's box the size of one bar
         lr = downsample_2x(synth_moving_bar(64, 64, 300.0, 0.25, 11.0, seed=1))
         peaks = []
         for k in (1, 3):
@@ -588,6 +591,24 @@ class TestInfer:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (2 * len(lr)) < 100, peaks
+
+    def test_memory_grows_less_than_8_bytes_per_evbin_input_event(self, tmp_path):
+        # an evbin input is read a chunk at a time and held about a window at a time,
+        # so an added input event costs nothing that lasts: the peak of 3 copies
+        # was measured within 0.5 MB of 1 copy's, 23 MB here
+        lr = downsample_2x(synth_moving_bar(64, 64, 300.0, 0.25, 11.0, seed=1))
+        peaks = []
+        for k in (1, 3):
+            src = tmp_path / f"in{k}.evbin"
+            save_events(helpers.repeated(lr, k, 100_000), src, "evbin")
+            tracemalloc.start()
+            try:
+                assert run("infer", "--checkpoint", C8_CHECKPOINT, "--input", src,
+                           "--out", tmp_path / "sr.evbin") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (2 * len(lr)) < 8, peaks
 
     def test_unwritable_output_is_usage_error_before_any_work(self, firing, tmp_path,
                                                               capsys, monkeypatch):
@@ -623,6 +644,106 @@ class TestInfer:
                    "--out", tmp_path / "x.evbin", "--steps", steps) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--steps" in err[0]
+
+
+def streamed_and_whole(monkeypatch, capsys, out, *argv):
+    """(exit code, stdout, stderr, output bytes or None) of an infer call whose
+    evbin input is read 5 records at a time, and of the same call reading it whole."""
+    results = []
+    for whole in (False, True):
+        with monkeypatch.context() as patch:
+            patch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", 5)
+            if whole:
+                patch.setattr(spikesr.cli, "EvbinStream", lambda path: load_events(path, "evbin"))
+            out.unlink(missing_ok=True)
+            code = run("infer", *argv, "--out", out)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err,
+                            out.read_bytes() if out.exists() else None))
+    return results
+
+
+def infer_input(name, lr):
+    """(t, x, y, p) records of an evbin input made from LR bar `lr`, and the
+    --steps given with it (None: none)."""
+    t, x, y, p = lr.t, lr.x, lr.y, lr.p
+    if name == "jittered":   # each record up to 90 ms late, in the bar's order
+        return (t + np.random.default_rng(5).integers(0, 90_000, t.size), x, y, p), None
+    if name == "staircase":   # the bar's first 5 ms at 600, 550, ..., 0 ms: 50 ms back a step
+        head = t < t[0] + 5_000
+        return [np.concatenate([v[head] + (k * 50_000 if v is t else 0)
+                                for k in range(12, -1, -1)]) for v in (t, x, y, p)], None
+    if name == "empty":
+        return (t[:0], x[:0], y[:0], p[:0]), None
+    if name == "one_event":
+        return (t[:1], x[:1], y[:1], p[:1]), None
+    if name == "closing_edge":   # the last event sits on the grid's closing edge
+        keep = t < t[0] + 32_000
+        return [np.r_[v[keep], w] for v, w in zip((t, x, y, p), (t[0] + 32_000, 3, 4, -1))], 32
+    if name == "past_steps":
+        return (t, x, y, p), 32
+    return (t, x, y, p), None
+
+
+class TestStreamedInput:
+    """infer reads an evbin input a chunk at a time, and does what reading it
+    whole did: the same output bytes, lines and exit code for every file."""
+
+    @pytest.mark.parametrize("name", ["sorted", "jittered", "staircase", "empty", "one_event",
+                                      "closing_edge", "past_steps"])
+    def test_same_output_and_lines_as_the_whole_file(self, firing, tmp_path, monkeypatch,
+                                                     capsys, name):
+        corpus, ckpt = firing
+        lr = load_events(corpus / "bar_000.lr.evbin", "evbin")
+        records, steps = infer_input(name, lr)
+        src = tmp_path / "in.evbin"
+        helpers.write_evbin(src, *records, lr.width, lr.height)
+        argv = ["--checkpoint", ckpt, "--input", src] + (["--steps", steps] if steps else [])
+        streamed, whole = streamed_and_whole(monkeypatch, capsys, tmp_path / "sr.evbin", *argv)
+        assert streamed == whole and streamed[0] == 0
+        assert ("dropped=0" in streamed[1]) == (name != "past_steps")
+        assert ("empty input" in streamed[2]) == (name == "empty")
+        if name in ("sorted", "jittered", "staircase", "past_steps"):
+            assert len(streamed[3]) > 16   # some output events
+
+    def test_a_pipe_is_read_whole(self, firing, tmp_path):
+        # a pipe cannot be read twice, so an evbin input that is not a regular file
+        # is loaded whole
+        corpus, ckpt = firing
+        src, fifo = corpus / "bar_000.lr.evbin", tmp_path / "in.evbin"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()))
+        writer.start()
+        try:
+            assert run("infer", "--checkpoint", ckpt, "--input", fifo,
+                       "--out", tmp_path / "piped.evbin") == 0
+        finally:
+            writer.join()
+        assert run("infer", "--checkpoint", ckpt, "--input", src,
+                   "--out", tmp_path / "file.evbin") == 0
+        assert (tmp_path / "piped.evbin").read_bytes() == (tmp_path / "file.evbin").read_bytes()
+
+    @pytest.mark.parametrize("name", ["bad_magic", "record_bytes", "regression", "coordinate",
+                                      "polarity"])
+    def test_same_error_as_the_whole_file(self, firing, tmp_path, monkeypatch, capsys, name):
+        fault = {
+            "bad_magic": b"NOPE" + bytes(20),
+            "record_bytes": b"EVS1" + bytes([4, 0, 4, 0, 2]) + bytes(7 + 13),
+            "regression": ([0, 150_000, 0, 10, 300_000, 100_000], [0] * 6, [0] * 6, [1] * 6),
+            "coordinate": ([0, 10, 20, 30, 40, 50], [0, 1, 2, 3, 16, 0], [0] * 6, [1] * 6),
+            "polarity": ([0, 10, 20, 30, 40, 50], [0] * 6, [0] * 6, [1, 1, 1, 1, 1, 0]),
+        }[name]
+        src = tmp_path / "in.evbin"
+        if isinstance(fault, bytes):
+            src.write_bytes(fault)
+        else:
+            helpers.write_evbin(src, *fault, 16, 16)
+        out = tmp_path / "sr.evbin"
+        streamed, whole = streamed_and_whole(monkeypatch, capsys, out, "--checkpoint", firing[1],
+                                             "--input", src)
+        assert streamed == whole
+        assert streamed[0] == 1 and streamed[1] == "" and streamed[3] is None
+        assert streamed[2].startswith(f"error: {src}: ") and streamed[2].count("\n") == 1
 
 
 class TestEval:
@@ -716,9 +837,9 @@ class TestEval:
     @pytest.mark.slow
     def test_own_peak_per_event_of_a_long_pair(self, tmp_path):
         # the benchmark's infer_long pair (input set 1: 348,454 predicted and 207,656
-        # true events).  eval's own peak was measured 51.5 bytes an event above
-        # `spikesr info`'s, and 98 when rmse_st sorted the whole pair's keys at once;
-        # the bound of 64 leaves about 25 % over the measured figure
+        # true events).  eval's own peak was measured 39.6 bytes an event above
+        # `spikesr info`'s, 51.5 when rmse_st read its figures from a whole batch of
+        # keys at once and 98 when it sorted the whole pair's keys at once
         hr = synth_moving_bar(128, 128, 300.0, 0.25, 11.0, seed=1)
         gt, lr, sr = (tmp_path / name for name in ("gt.evbin", "lr.evbin", "sr.evbin"))
         save_events(hr, gt, "evbin")

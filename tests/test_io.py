@@ -10,7 +10,8 @@ import pytest
 import helpers
 import spikesr.io
 from spikesr.events import EventStream
-from spikesr.io import EventFormatError, EventParts, guess_format, load_events, save_events
+from spikesr.io import (EventFormatError, EventParts, EvbinStream, guess_format, load_events,
+                        save_events)
 from spikesr.model import NetworkSpec, init_weights, load_checkpoint, save_checkpoint
 
 
@@ -224,6 +225,130 @@ class TestEvbin:
         f.write_bytes(f.read_bytes()[:-5])
         with pytest.raises(EventFormatError, match="byte 16"):
             load_events(f, "evbin")
+
+
+def evbin_order(name, rng):
+    """(t, x, y, p) records of an 8x6 file in one of these orders: in time, each
+    record jittered back by up to 90 ms, 50 ms back at every record, 8 ms slabs
+    written last slab first, few timestamps with many ties, empty, one event."""
+    t = np.sort(rng.integers(0, 300_000, 80))
+    if name == "jittered":
+        t = t + rng.integers(0, 90_000, t.size)
+    elif name == "staircase":
+        t = np.arange(600_000, -1, -50_000)
+    elif name == "slabs_reversed":
+        t = np.concatenate([t[(t // 8000) == k] for k in range(37, -1, -1)])
+    elif name == "ties":
+        t = rng.integers(0, 3, 40) * 40_000
+    elif name == "empty":
+        t = t[:0]
+    elif name == "one":
+        t = t[:1]
+    n = t.size
+    return t, rng.integers(0, 8, n), rng.integers(0, 6, n), rng.choice([-1, 1], n)
+
+
+EVBIN_ORDERS = ["sorted", "jittered", "staircase", "slabs_reversed", "ties", "empty", "one"]
+
+# Files load_events refuses, as (t, x, y, p, width, height) records or raw bytes,
+# with the message after "<path>: ".  A file with two faults gets the one
+# load_events reports first.
+EVBIN_FAULTS = {
+    "bad_magic": (b"NOPE" + bytes(20), "bad evbin magic at byte 0"),
+    "short_header": (b"EVS1" + bytes(3), "bad evbin magic at byte 0"),
+    "record_bytes": (b"EVS1" + bytes([4, 0, 4, 0, 2]) + bytes(7 + 13),
+                     "expected 26 record bytes, found 13 at byte 16"),
+    "regression": (([0, 150_000, 0, 10, 300_000, 100_000], [0] * 6, [0] * 6, [1] * 6, 4, 4),
+                   "timestamp regression of 200000 us exceeds tolerance"),
+    "coordinate": (([0, 10, 20], [0, 4, 0], [0, 0, 0], [1, 1, 1], 4, 4),
+                   "event coordinates outside sensor geometry"),
+    "polarity": (([0, 10, 20], [0, 0, 0], [0, 0, 0], [1, 0, 1], 4, 4),
+                 "polarity must be +1 or -1"),
+    "negative": (([0, 10, 2 ** 64 - 5], [0, 0, 0], [0, 0, 0], [1, 1, 1], 4, 4),
+                 "negative timestamp"),
+    "geometry": (([], [], [], [], 0, 4), "geometry must be positive"),
+    "regression_before_coordinate": (([0, 5, 500_000, 0], [9, 0, 0, 0], [0] * 4, [1] * 4, 4, 4),
+                                     "timestamp regression of 500000 us exceeds tolerance"),
+    "negative_after_coordinate": (([0, 5, 10, 2 ** 64 - 1], [0, 9, 0, 0], [0] * 4, [1] * 4, 4, 4),
+                                  "negative timestamp"),
+    "coordinate_after_polarity": (([0, 5, 10, 15], [0, 0, 0, 7], [0] * 4, [1, 3, 1, 1], 4, 4),
+                                  "event coordinates outside sensor geometry"),
+}
+
+
+def write_fault(path, fault):
+    if isinstance(fault, bytes):
+        path.write_bytes(fault)
+    else:
+        helpers.write_evbin(path, *fault)
+
+
+class TestEvbinStream:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, spikesr.io.EVBIN_CHUNK_EVENTS])
+    @pytest.mark.parametrize("order", EVBIN_ORDERS)
+    def test_chunks_join_to_the_loaded_stream(self, tmp_path, monkeypatch, order, chunk):
+        rng = np.random.default_rng(EVBIN_ORDERS.index(order))
+        f = tmp_path / "s.evbin"
+        helpers.write_evbin(f, *evbin_order(order, rng), 8, 6)
+        monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", chunk)
+        want = load_events(f, "evbin")
+        got = EvbinStream(f)
+        assert (len(got), got.width, got.height, got.t0, got.t1, got.span_us) == \
+            (len(want), want.width, want.height, want.t0, want.t1, want.span_us)
+        parts = list(got.chunks())
+        assert all(part[0].size for part in parts)
+        joined = [np.concatenate([np.zeros(0, np.int64)] + [part[i] for part in parts])
+                  for i in range(4)]
+        assert streams_equal(EventStream(*joined, want.width, want.height), want)
+        assert np.array_equal(joined[0], want.t) and all(v.dtype == np.int64 for v in joined)
+
+    def test_a_file_in_time_order_is_held_one_chunk_at_a_time(self, tmp_path, monkeypatch, rng):
+        f = tmp_path / "s.evbin"
+        save_events(helpers.random_stream(rng, 8, 6, 300, 80), f, "evbin")
+        monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", 7)
+        assert [part[0].size for part in EvbinStream(f).chunks()] == [7] * 11 + [3]
+
+    def test_a_staircase_is_held_until_its_earliest_record(self, tmp_path, monkeypatch):
+        # each record steps 50 ms back, within the tolerance, so the first record,
+        # at 600 ms, belongs last: nothing can be yielded before the last chunk
+        f = tmp_path / "s.evbin"
+        t = np.arange(600_000, -1, -50_000)
+        helpers.write_evbin(f, t, np.arange(13) % 4, np.zeros(13), np.ones(13), 4, 1)
+        monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", 2)
+        parts = list(EvbinStream(f).chunks())
+        assert len(parts) == 1 and parts[0][0].tolist() == t[::-1].tolist()
+        assert parts[0][1].tolist() == (np.arange(13) % 4)[::-1].tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 2, spikesr.io.EVBIN_CHUNK_EVENTS])
+    @pytest.mark.parametrize("name", sorted(EVBIN_FAULTS))
+    def test_refuses_what_load_events_refuses(self, tmp_path, monkeypatch, name, chunk):
+        fault, message = EVBIN_FAULTS[name]
+        f = tmp_path / "bad.evbin"
+        write_fault(f, fault)
+        monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", chunk)
+        for read in (lambda: load_events(f, "evbin"), lambda: EvbinStream(f)):
+            with pytest.raises(EventFormatError) as caught:
+                read()
+            assert str(caught.value) == f"{f}: {message}"
+
+    def test_a_file_cut_short_after_the_first_pass_is_refused(self, tmp_path, rng):
+        f = tmp_path / "s.evbin"
+        save_events(helpers.random_stream(rng, 8, 6, 30, 20), f, "evbin")
+        stream = EvbinStream(f)
+        f.write_bytes(f.read_bytes()[:-13])
+        with pytest.raises(EventFormatError, match=f"^{re.escape(str(f))}: file shrank"):
+            list(stream.chunks())
+
+    def test_closes_its_file(self, tmp_path, rng):
+        f = tmp_path / "s.evbin"
+        save_events(helpers.random_stream(rng, 8, 6, 30, 20), f, "evbin")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stream = EvbinStream(f)
+            list(stream.chunks())
+            next(stream.chunks())   # left part-way
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestNmnist:

@@ -163,6 +163,22 @@ class TestRmseSt:
         assert (rep.rmse_st, rep.mse_t_raw, rep.mse_s_raw, rep.n_p, rep.pa_percent, rep.dropped,
                 rep.span_ms) == EDGE_SCENES[name]
 
+    @pytest.mark.parametrize("dt,steps", [(1.0, 130), (2.0, 65), (2.0, 61)])
+    def test_slice_by_slice_grades_like_the_whole_batch(self, monkeypatch, rng, dt, steps):
+        # each slice ends at a pixel's first key, so a slice of 1 to 3 keys holds one
+        # pixel's keys, 12 a side on the busy pixel; 130 ms ends in a partial block
+        gt, out = (helpers.random_stream(rng, 3, 2, 130, 60) for _ in range(2))
+        busy = EventStream(np.r_[gt.t, np.arange(0, 120_000, 10_000)],
+                           np.r_[gt.x, np.zeros(12, int)], np.r_[gt.y, np.zeros(12, int)],
+                           np.r_[gt.p, np.ones(12, int)], 3, 2)
+        pairs = [(out, gt), (busy, gt), (out, busy)]
+        default = [rmse_st(o, g, steps, dt) for o, g in pairs]
+        for size in (1, 2, 3, 11):
+            monkeypatch.setattr(metrics, "SLICE_KEYS", size)
+            for (o, g), want in zip(pairs, default):
+                assert rmse_st(o, g, steps, dt) == want
+                check_against_oracle(o, g, steps, dt)
+
     def test_sparse_blocks_share_a_sort(self, monkeypatch, rng):
         # 2,000 events a side over 1,000 blocks: one batch, so one set of keys a side
         gt, out = (helpers.random_stream(rng, 16, 16, 50_000, 2000) for _ in range(2))
@@ -214,9 +230,9 @@ class TestRmseSt:
 
     def test_memory_of_a_large_pair(self, rng):
         # 250,000 events a side over six 50 ms blocks, graded one block at a time.
-        # The measured peak is 9.9 MiB (43.2 MiB with one sort of the whole pair's
-        # keys, 68.9 MiB with five np.unique calls); the bound of 12 MiB leaves
-        # about 20 % for other numpy builds
+        # The measured peak is 2.1 MiB (9.9 MiB with each batch's figures read from
+        # all its keys at once, 43.2 MiB with one sort of the whole pair's keys,
+        # 68.9 MiB with five np.unique calls); the bound of 12 MiB was set for 9.9
         gt, out = (helpers.random_stream(rng, 128, 128, 300, 250_000) for _ in range(2))
         tracemalloc.start()
         try:

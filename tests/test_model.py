@@ -359,7 +359,7 @@ class TestSuperResolve:
                                                ("ultralight", 2.0)])
     def test_windows_equal_the_whole_stream(self, rng, monkeypatch, variant, dt_ms):
         spec = NetworkSpec(variant, dt_ms)
-        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        weights = helpers.firing_weights(spec, 1)
         steps = int(40 / dt_ms)
         edge = int(steps * dt_ms * 1000)   # on the grid's closing edge: folded into the last bin
         noise = helpers.random_stream(rng, 6, 5, 50.0, 1500)
@@ -420,7 +420,7 @@ class TestLiveBox:
     def test_equals_the_whole_grid(self, monkeypatch, scene, variant, dt_ms):
         # at dt_ms 0.5 layer 2 carries 63 refractory steps, more than most windows
         spec = NetworkSpec(variant, dt_ms)
-        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        weights = helpers.firing_weights(spec, 1)
         stream = helpers.bursts(24, 20, SPARSE_SCENES[scene])
         steps = int(230 / dt_ms)
         vox, want_dropped = helpers.voxel_grid(stream, steps, dt_ms)
@@ -448,7 +448,7 @@ class TestLiveBox:
     def test_dead_spans_visit_no_window(self, monkeypatch):
         # a 6 ms burst on a grid of 10^6 steps, 31,250 windows of 32
         spec = NetworkSpec("ultralight")
-        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        weights = helpers.firing_weights(spec, 1)
         stream = helpers.bursts(16, 16, [(6, 5, 3, 3, 0, 6, 300)])
         boxes = []
 
@@ -480,7 +480,7 @@ class TestLiveBox:
         # every event in a 3x3 patch of a 64x64 frame: layer 2's carried state
         # reaches 2 px past the events, the box 2 px more, so at most 11x11
         spec = NetworkSpec("ultralight")
-        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        weights = helpers.firing_weights(spec, 1)
         shapes = []
 
         def recorded(x, w):
@@ -504,7 +504,7 @@ class TestMembraneOnlyForTraining:
 
     def test_super_resolve_builds_no_membrane(self, monkeypatch):
         spec = NetworkSpec("ultralight")
-        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        weights = helpers.firing_weights(spec, 1)
         stream = downsample_2x(synth_moving_bar(32, 32, 40.0, 0.3, 2.0, seed=3))
         want, want_dropped = super_resolve(spec, weights, stream, 40)
         assert len(want) > 0
@@ -521,7 +521,7 @@ class TestMembraneOnlyForTraining:
     @pytest.mark.parametrize("variant", ["dual_layer", "ultralight"])
     def test_backward_rebuilds_the_membrane(self, rng, monkeypatch, variant):
         spec = NetworkSpec(variant)
-        weights = [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed=1))]
+        weights = helpers.firing_weights(spec, 1)
         out, caches = forward(spec, weights, random_input(rng, h=5, w=4, t=16))
         assert all(c.layer1.spikes.any() and c.layer2.spikes.any() for c in caches)
         g_out = rng.standard_normal(out.shape)

@@ -353,14 +353,9 @@ class TestTrainReportsWhatItLeftOut:
         assert with_empty.rows == alone.rows
 
 
-def firing_init(spec, seed):
-    """Scaled-up initial weights, so the network fires and the outputs are not empty."""
-    return [k * np.abs(w) for k, w in zip((4.0, 6.0), init_weights(spec, seed))]
-
-
 class TestValidationIsInference:
     def test_initial_rmse_is_mean_over_super_resolve(self, monkeypatch):
-        monkeypatch.setattr(training, "init_weights", firing_init)
+        monkeypatch.setattr(training, "init_weights", helpers.firing_weights)
         val = []
         for dur in (32.0, 48.0):   # a 16-step grid of 2 ms holds the first, not the second
             hr = synth_moving_bar(16, 16, dur, 0.3, 3.0, seed=7)
@@ -370,7 +365,7 @@ class TestValidationIsInference:
         cfg = TrainConfig(variant="dual_layer", epochs=0, steps=16, dt_ms=2.0, seed=4)
         res = train(cfg, tiny_pairs(1), val)
         spec = NetworkSpec("dual_layer", 2.0)
-        weights = firing_init(spec, cfg.seed)
+        weights = helpers.firing_weights(spec, cfg.seed)
         scores = []
         for lr, hr in val:
             pred, _ = super_resolve(spec, weights, lr, cfg.steps)
@@ -426,7 +421,7 @@ class TestLiveBoxTraining:
         cfg = TrainConfig(variant=variant, epochs=1, batch_size=1, steps=steps,
                           dt_ms=dt_ms, seed=2)
         spec = NetworkSpec(variant, dt_ms)
-        weights = firing_init(spec, cfg.seed)
+        weights = helpers.firing_weights(spec, cfg.seed)
         out, caches = forward(spec, weights, helpers.voxel_grid(lr, steps, dt_ms)[0])
         hr_data = helpers.voxel_grid(hr, steps, dt_ms, origin=lr.t0)[0]
         want = backward(spec, weights, caches, out, hr_data, np.zeros(3))
@@ -445,7 +440,7 @@ class TestLiveBoxTraining:
             forwards.append(args)
             return forward(*args)
 
-        monkeypatch.setattr(training, "init_weights", firing_init)
+        monkeypatch.setattr(training, "init_weights", helpers.firing_weights)
         monkeypatch.setattr(training, "_live_box", recorded_box)
         monkeypatch.setattr(training, "backward", recorded_backward)
         monkeypatch.setattr(training, "forward", recorded_forward)
