@@ -416,12 +416,12 @@ def build_parser():
 
     p = sub.add_parser("infer", help="super-resolve one stream",
                        description="An evbin input is read and binned window by window, "
-                       "holding about one window of its events; a file out of time order "
-                       "is held until its late records are read. CSV and nmnist_bin input, "
-                       "and evbin from a pipe, is read whole. The output is written window "
-                       "by window as the network "
-                       "makes it, to a file beside --out that replaces it once the last "
-                       "window is in, so a run cut short leaves --out as it was.")
+                       "holding about one window of its events. CSV and nmnist_bin input, "
+                       "evbin from a pipe, and an evbin file out of time order across "
+                       "more than 16,384 records are read whole. The output is written "
+                       "window by window as the network makes it, to a file beside --out "
+                       "that replaces it once the last window is in, so a run cut short "
+                       "leaves --out as it was.")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)

@@ -44,8 +44,15 @@ CSV_CHUNK_EVENTS = 4096
 _INT64 = np.iinfo(np.int64)
 EVBIN_MAGIC = b"EVS1"
 EVBIN_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
-# Records EvbinStream reads at a time, 416 KiB of them.
-EVBIN_CHUNK_EVENTS = 1 << 15
+# Records EvbinStream yields at a time, 208 KiB of them.
+EVBIN_CHUNK_EVENTS = 1 << 14
+# Chunks EvbinStream's check pass reads at a time, 3.3 MiB, freed before the first
+# window.  With glibc, a freed block that large lets the allocator serve the window
+# loop's 1-4 MB arrays from its heap, as it does after load_events frees the file's
+# bytes.  infer of a 300 ms 64x64 input, one BLAS thread: with the check pass reading
+# one 32,768-record chunk at a time, 27k minor page faults and 3 % more CPU than with
+# load_events (23k); with 16 chunks of 16,384, 19k and the same CPU.
+EVBIN_SCAN_CHUNKS = 16
 NMNIST_WIDTH = 34
 NMNIST_HEIGHT = 34
 
@@ -204,22 +211,24 @@ class EvbinStream:
     """An evbin file read EVBIN_CHUNK_EVENTS records at a time, in place of
     the EventStream load_events would give, which it never holds.
 
-    Construction reads the file once, a chunk at a time, and runs every
-    check load_events runs, with the same messages.  It keeps the
-    header's geometry and count (len()), the span [t0, t1] of the
-    timestamps and the earliest timestamp of each chunk.  chunks() reads
-    the file again and yields its events as time-ordered _Part tuples,
-    whose arrays joined are load_events' arrays.
+    Construction reads the file once, EVBIN_SCAN_CHUNKS chunks at a
+    time, and runs every check load_events runs, with the same messages.
+    It keeps the header's geometry and count (len()), the span [t0, t1]
+    of the timestamps and the earliest and latest timestamp of each
+    chunk.  chunks() reads the file again and yields its events as time-ordered
+    _Part tuples, whose arrays joined are load_events' arrays.
 
     A file may step back in time by up to REGRESSION_TOLERANCE_US at each
     record, and so drift back without bound over many records: a record
     can belong after records many chunks later.  So chunks() holds the
     records it has read and yields those up to the earliest timestamp
-    of all later chunks, which the first pass found, stable-sorted as
-    EventStream sorts them.  A file in time order holds one chunk; a
-    file that keeps drifting back, say 50 ms at every record, holds
-    every record until the chunk that holds its earliest timestamp, as
-    load_events would.
+    of all later chunks, stable-sorted as EventStream sorts them.  When
+    the first pass finds a chunk with a record past the earliest
+    timestamp of the chunks after the next one, so that more than one
+    chunk would be held, the file is read whole instead, as load_events
+    reads it, and yielded as one part: a file in time order, or out of
+    order by less than a chunk's span, holds at most two chunks; one
+    that keeps drifting back, say 50 ms at every record, is held whole.
     """
 
     def __init__(self, path):
@@ -227,22 +236,26 @@ class EvbinStream:
         with open(path, "rb") as fh:
             w, h, self.count = _evbin_header(fh.read(16), os.fstat(fh.fileno()).st_size, path)
             none = np.zeros(0, np.int64)
-            faults, worst, firsts, last, t1 = _faults(none, none, none, none, w, h), 0, [], 0, 0
-            for rec in self._records(fh):
+            faults, worst, firsts, lasts, last = _faults(none, none, none, none, w, h), 0, [], [], 0
+            for rec in self._records(fh, EVBIN_SCAN_CHUNKS * EVBIN_CHUNK_EVENTS):
                 t = rec["t"].view(np.int64)   # the int64 _fields makes, read in place
-                back = int(t[0]) - last if firsts else 0   # the step from the chunk before
+                back = int(t[0]) - last if firsts else 0   # the step from the read before
                 worst = min(worst, back, _worst_step(t))
                 faults = [a or b for a, b in
                           zip(faults, _faults(t, rec["x"], rec["y"], rec["p"], w, h))]
-                firsts.append(int(t.min()))
-                last, t1 = int(t[-1]), max(t1, int(t.max()))
+                at = np.arange(0, t.size, EVBIN_CHUNK_EVENTS)   # its chunks' starts
+                firsts += np.minimum.reduceat(t, at).tolist()
+                lasts += np.maximum.reduceat(t, at).tolist()
+                last = int(t[-1])
         _check_order(worst, path)
         for fault, failed in zip(_FAULTS, faults):
             if failed:
                 raise EventFormatError(f"{path}: {fault}")
-        self.width, self.height, self.t0, self.t1 = w, h, min(firsts, default=0), t1
+        self.width, self.height = w, h
+        self.t0, self.t1 = min(firsts, default=0), max(lasts, default=0)
         # the earliest timestamp of the chunks after each chunk; int64's largest after the last
         self._later = list(accumulate(reversed(firsts[1:] + [_INT64.max]), min))[::-1]
+        self._whole = any(a > b for a, b in zip(lasts, self._later[1:]))
 
     def __len__(self):
         return self.count
@@ -251,24 +264,26 @@ class EvbinStream:
     def span_us(self) -> int:
         return self.t1 - self.t0
 
-    def _records(self, fh):
-        """The file's records from fh's position on, a chunk at a time, each read
+    def _records(self, fh, size: int):
+        """The file's records from fh's position on, `size` at a time, each read
         into the one buffer the next read reuses."""
-        buf = np.empty(min(self.count, EVBIN_CHUNK_EVENTS), EVBIN_RECORD)
-        for lo in range(0, self.count, EVBIN_CHUNK_EVENTS):
-            rec = buf[:min(EVBIN_CHUNK_EVENTS, self.count - lo)]
+        buf = np.empty(min(self.count, size), EVBIN_RECORD)
+        for lo in range(0, self.count, size):
+            rec = buf[:min(size, self.count - lo)]
             if fh.readinto(rec) != rec.nbytes:
                 raise EventFormatError(f"{self.path}: file shrank while read")
             yield rec
 
     def chunks(self):
         """The events as time-ordered _Part tuples (see the class docstring)."""
-        held = None
+        size, laters = ((self.count, [_INT64.max]) if self._whole else
+                        (EVBIN_CHUNK_EVENTS, self._later))
+        held = ()
         with open(self.path, "rb") as fh:
             fh.seek(16)
-            for later, rec in zip(self._later, self._records(fh)):
+            for later, rec in zip(laters, self._records(fh, size)):
                 part = _fields(rec)
-                if held is not None:   # read before the part, and so ahead of it on ties
+                if held and held[0].size:   # read before the part, so ahead of it on ties
                     part = tuple(np.concatenate(f) for f in zip(held, part))
                 t = part[0]
                 if np.any(t[1:] < t[:-1]):

@@ -425,6 +425,35 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
 
 
+def infer_peak_growth(tmp_path, piped):
+    """Bytes per added input event by which infer's traced peak grows from one
+    copy of a 300 ms bar to three, the evbin input given as a file or, if
+    `piped`, through a pipe, which infer reads whole.  Copies 100 ms apart
+    keep the network's box the size of one bar."""
+    lr = downsample_2x(synth_moving_bar(64, 64, 300.0, 0.25, 11.0, seed=1))
+    peaks = []
+    for k in (1, 3):
+        src = tmp_path / f"in{k}.evbin"
+        save_events(helpers.repeated(lr, k, 100_000), src, "evbin")
+        writer = None
+        if piped:   # the bytes are read before tracing, so only infer's reading counts
+            data, src = src.read_bytes(), tmp_path / f"in{k}.pipe.evbin"
+            os.mkfifo(src)
+            writer = threading.Thread(target=src.write_bytes, args=(data,))
+        tracemalloc.start()
+        try:
+            if writer is not None:
+                writer.start()
+            assert run("infer", "--checkpoint", C8_CHECKPOINT, "--input", src,
+                       "--out", tmp_path / "sr.evbin") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            if writer is not None:
+                writer.join()
+    return (peaks[1] - peaks[0]) / (2 * len(lr))
+
+
 class TestInfer:
     def test_writes_upscaled_stream(self, trained, tmp_path):
         corpus, ckpt, _ = trained
@@ -575,40 +604,16 @@ class TestInfer:
         assert calls == [] and sorted(tmp_path.iterdir()) == [fifo]
 
     def test_memory_grows_less_than_100_bytes_per_input_event(self, tmp_path):
-        # the output goes to the file window by window: about 46 bytes an event were
-        # measured here with the input held whole, and 166 when the output was too.
-        # Copies 100 ms apart keep the network's box the size of one bar
-        lr = downsample_2x(synth_moving_bar(64, 64, 300.0, 0.25, 11.0, seed=1))
-        peaks = []
-        for k in (1, 3):
-            src = tmp_path / f"in{k}.evbin"
-            save_events(helpers.repeated(lr, k, 100_000), src, "evbin")
-            tracemalloc.start()
-            try:
-                assert run("infer", "--checkpoint", C8_CHECKPOINT, "--input", src,
-                           "--out", tmp_path / "sr.evbin") == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (2 * len(lr)) < 100, peaks
+        # an input from a pipe is held whole and the output goes to the file window
+        # by window: about 48 bytes an event were measured, and 166 when the output
+        # was held too
+        assert infer_peak_growth(tmp_path, piped=True) < 100
 
     def test_memory_grows_less_than_8_bytes_per_evbin_input_event(self, tmp_path):
         # an evbin input is read a chunk at a time and held about a window at a time,
         # so an added input event costs nothing that lasts: the peak of 3 copies
         # was measured within 0.5 MB of 1 copy's, 23 MB here
-        lr = downsample_2x(synth_moving_bar(64, 64, 300.0, 0.25, 11.0, seed=1))
-        peaks = []
-        for k in (1, 3):
-            src = tmp_path / f"in{k}.evbin"
-            save_events(helpers.repeated(lr, k, 100_000), src, "evbin")
-            tracemalloc.start()
-            try:
-                assert run("infer", "--checkpoint", C8_CHECKPOINT, "--input", src,
-                           "--out", tmp_path / "sr.evbin") == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (2 * len(lr)) < 8, peaks
+        assert infer_peak_growth(tmp_path, piped=False) < 8
 
     def test_unwritable_output_is_usage_error_before_any_work(self, firing, tmp_path,
                                                               capsys, monkeypatch):

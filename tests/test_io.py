@@ -308,16 +308,24 @@ class TestEvbinStream:
         monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", 7)
         assert [part[0].size for part in EvbinStream(f).chunks()] == [7] * 11 + [3]
 
-    def test_a_staircase_is_held_until_its_earliest_record(self, tmp_path, monkeypatch):
-        # each record steps 50 ms back, within the tolerance, so the first record,
-        # at 600 ms, belongs last: nothing can be yielded before the last chunk
+    @pytest.mark.parametrize("order", ["staircase", "slabs_reversed"])
+    def test_a_file_drifting_back_past_a_chunk_is_read_whole_and_sorted_once(
+            self, tmp_path, monkeypatch, order):
+        # 50 ms back at every record puts the first record, at 600 ms, last: it is
+        # held until the last chunk.  Held records sorted again with every chunk
+        # read would cost the square of the file's length
         f = tmp_path / "s.evbin"
-        t = np.arange(600_000, -1, -50_000)
-        helpers.write_evbin(f, t, np.arange(13) % 4, np.zeros(13), np.ones(13), 4, 1)
-        monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", 2)
+        t, x, y, p = evbin_order(order, np.random.default_rng(0))
+        helpers.write_evbin(f, t, x, y, p, 8, 6)
+        monkeypatch.setattr(spikesr.io, "EVBIN_CHUNK_EVENTS", 3)
+        sorted_sizes, inner = [], spikesr.io._stable_order
+        monkeypatch.setattr(spikesr.io, "_stable_order",
+                            lambda t: sorted_sizes.append(t.size) or inner(t))
         parts = list(EvbinStream(f).chunks())
-        assert len(parts) == 1 and parts[0][0].tolist() == t[::-1].tolist()
-        assert parts[0][1].tolist() == (np.arange(13) % 4)[::-1].tolist()
+        rank = np.argsort(t, kind="stable")
+        assert len(parts) == 1 and sorted_sizes == [t.size]
+        assert parts[0][0].tolist() == t[rank].tolist()
+        assert parts[0][1].tolist() == x[rank].tolist()
 
     @pytest.mark.parametrize("chunk", [1, 2, spikesr.io.EVBIN_CHUNK_EVENTS])
     @pytest.mark.parametrize("name", sorted(EVBIN_FAULTS))
